@@ -89,6 +89,7 @@ from .pipeline import (  # noqa: F401
     plant_spline,
     poisson_counts,
     random_directions,
+    run_lambda_sweep,
     run_reconstruction,
     save_coefficients_csv,
     save_patch_counts_csv,

@@ -21,27 +21,23 @@ nonzero on any error.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .gram import PatchFunctional, assemble_gram
 from .pipeline import (
-    add_gaussian_noise,
     build_kernel,
     export_raster,
     load_coefficients_csv,
-    plant_spline,
-    poisson_counts,
-    random_directions,
+    run_lambda_sweep,
     run_reconstruction,
     save_patch_counts_csv,
     save_scatter_csv,
+    synthetic_measurements,
 )
-from .sphere import equal_angle_patch_grid, fibonacci_lattice, lonlat_from_direction
-from .spline import evaluate, synthesize
+from .sphere import fibonacci_lattice, lonlat_from_direction
+from .spline import synthesize
 
 
 def _add_kernel_args(p):
@@ -55,6 +51,17 @@ def _add_kernel_args(p):
                    help="target full width at half maximum, degrees")
     p.add_argument("--convention", default="standard",
                    choices=["standard", "eq60"])
+
+
+def _add_synth_args(p, func):
+    _add_kernel_args(p)
+    p.add_argument("--output", required=True)
+    p.add_argument("--knots", type=int, default=500, help="lattice pool size")
+    p.add_argument("--bumps", type=int, default=8)
+    p.add_argument("--amp-lo", type=float, default=0.5)
+    p.add_argument("--amp-hi", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=func)
 
 
 def _kernel_spec(args):
@@ -94,13 +101,8 @@ def _cmd_reconstruct(args):
         count = int(count)
         if not (0 < lo <= hi and count >= 1):
             raise ValueError("sweep needs 0 < LO <= HI and COUNT >= 1")
-        base = (spec.get("outputs") or {}).get("directory", ".")
-        for i, lam in enumerate(np.geomspace(lo, hi, count)):
-            sub = json.loads(json.dumps(spec))
-            sub["lambda"] = float(lam)
-            sub.setdefault("outputs", {})
-            sub["outputs"]["directory"] = os.path.join(base, "lambda_%02d" % i)
-            manifest = run_reconstruction(sub)
+        lambdas = np.geomspace(lo, hi, count)
+        for lam, manifest in zip(lambdas, run_lambda_sweep(spec, lambdas)):
             print(
                 "lambda=%.6g  objective=%.9g  nnz=%d  iterations=%d  converged=%s"
                 % (lam, manifest["final_objective"], manifest["sparsity_count"],
@@ -124,32 +126,34 @@ def _cmd_reconstruct(args):
     return 0
 
 
-def _cmd_synth_scatter(args):
+def _synthetic(args, **synth):
+    """Measurements drawn as a run's ``sampling.synthetic`` block would."""
     kernel = build_kernel(_kernel_spec(args))
-    pool = fibonacci_lattice(args.knots)
-    truth = plant_spline(kernel, pool, args.bumps, (args.amp_lo, args.amp_hi),
-                         args.seed)
-    dirs = random_directions(args.samples, args.seed + 1)
-    values = evaluate(truth, dirs)
-    if args.psnr_db is not None:
-        values = add_gaussian_noise(values, args.psnr_db, args.seed + 2)
-    lon, lat = lonlat_from_direction(dirs)
+    synth.update(bumps=args.bumps, amplitude=[args.amp_lo, args.amp_hi],
+                 seed=args.seed)
+    functionals, y, _ = synthetic_measurements(
+        synth, kernel, fibonacci_lattice(args.knots)
+    )
+    return functionals, y
+
+
+def _cmd_synth_scatter(args):
+    functionals, values = _synthetic(
+        args, kind="scatter", samples=args.samples, psnr_db=args.psnr_db
+    )
+    lon, lat = lonlat_from_direction(np.array([f.direction for f in functionals]))
     save_scatter_csv(args.output, lon, lat, values)
     print("wrote %d samples to %s" % (values.size, args.output))
     return 0
 
 
 def _cmd_synth_counts(args):
-    kernel = build_kernel(_kernel_spec(args))
-    pool = fibonacci_lattice(args.knots)
-    truth = plant_spline(kernel, pool, args.bumps, (args.amp_lo, args.amp_hi),
-                         args.seed)
-    patches = equal_angle_patch_grid(args.grid[0], args.grid[1])
-    functionals = [PatchFunctional(b) for b in patches]
-    G = assemble_gram(kernel, functionals, pool)
-    rates = args.rate_scale * np.clip(G.matvec(truth.coeffs), 0.0, None)
-    counts = poisson_counts(rates, args.seed + 1)
-    save_patch_counts_csv(args.output, patches, counts)
+    # patches use the 8-point rule of config runs (no flag sets it)
+    functionals, counts = _synthetic(
+        args, kind="counts", grid=args.grid, rate_scale=args.rate_scale,
+        quadrature_order=8,
+    )
+    save_patch_counts_csv(args.output, [f.bounds for f in functionals], counts)
     print("wrote %d patch counts (total %d events) to %s"
           % (counts.size, int(counts.sum()), args.output))
     return 0
@@ -203,31 +207,17 @@ def build_parser():
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("synth-scatter", help="generate noisy point samples")
-    _add_kernel_args(p)
-    p.add_argument("--output", required=True)
-    p.add_argument("--knots", type=int, default=500, help="lattice pool size")
-    p.add_argument("--bumps", type=int, default=8)
-    p.add_argument("--amp-lo", type=float, default=0.5)
-    p.add_argument("--amp-hi", type=float, default=2.0)
+    _add_synth_args(p, _cmd_synth_scatter)
     p.add_argument("--samples", type=int, default=1500)
     p.add_argument("--psnr-db", type=float, help="peak SNR of added noise; "
                    "omit for noiseless samples")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_synth_scatter)
 
     p = sub.add_parser("synth-counts", help="generate Poisson patch counts")
-    _add_kernel_args(p)
-    p.add_argument("--output", required=True)
-    p.add_argument("--knots", type=int, default=500)
-    p.add_argument("--bumps", type=int, default=8)
-    p.add_argument("--amp-lo", type=float, default=0.5)
-    p.add_argument("--amp-hi", type=float, default=2.0)
+    _add_synth_args(p, _cmd_synth_counts)
     p.add_argument("--grid", nargs=2, type=int, default=[12, 24],
                    metavar=("N_LAT", "N_LON"))
     p.add_argument("--rate-scale", type=float, default=50.0,
                    help="multiplier applied to patch integrals before drawing")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_synth_counts)
 
     p = sub.add_parser("raster", help="grid a saved coefficient file")
     _add_kernel_args(p)

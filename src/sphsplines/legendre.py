@@ -11,6 +11,7 @@ These are exactly the Funk-Hecke eigenvalues of the associated convolution
 operator, so spherical self-convolution squares the coefficients.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -77,12 +78,15 @@ class QuadratureRule:
         return self.nodes * half + 0.5 * (a + b), self.weights * half
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_legendre(Q):
-    """Gauss-Legendre rule with Q nodes (exact through degree 2Q-1)."""
+    """Gauss-Legendre rule with Q nodes (exact through degree 2Q-1); cached
+    per Q and shared, so its arrays are read-only."""
     Q = int(Q)
     if Q < 1:
         raise ValueError("Q must be >= 1")
     nodes, weights = np.polynomial.legendre.leggauss(Q)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
 
 

@@ -7,6 +7,7 @@ objective trace, raster grid, JSON manifest).  Runs with the same config and
 seed write byte-identical coefficient files.
 """
 
+import copy
 import csv
 import json
 import os
@@ -57,6 +58,23 @@ def _parse_float(text, path, line_no, what):
         )
 
 
+def _csv_rows(path, header):
+    """Yield (line number, fields) of each nonempty data row after checking
+    the header line and every row's field count."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ValueError("%s: expected header %s" % (path, ",".join(header)))
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError("%s line %d: expected %d fields, got %d"
+                                 % (path, line_no, len(header), len(row)))
+            yield line_no, row
+
+
 def load_scatter_csv(path):
     """Read point samples: header ``lon_deg,lat_deg,value``.
 
@@ -67,27 +85,14 @@ def load_scatter_csv(path):
         for a header-only file.
     """
     lons, lats, values = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SCATTER_HEADER:
-            raise ValueError("%s: expected header %s" % (path, ",".join(SCATTER_HEADER)))
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(
-                    "%s line %d: expected 3 fields, got %d" % (path, line_no, len(row))
-                )
-            lon = _parse_float(row[0], path, line_no, "lon_deg")
-            lat = _parse_float(row[1], path, line_no, "lat_deg")
-            if not -90.0 <= lat <= 90.0:
-                raise ValueError(
-                    "%s line %d: latitude %g out of [-90, 90]" % (path, line_no, lat)
-                )
-            lons.append(lon)
-            lats.append(lat)
-            values.append(_parse_float(row[2], path, line_no, "value"))
+    for line_no, row in _csv_rows(path, SCATTER_HEADER):
+        lon = _parse_float(row[0], path, line_no, "lon_deg")
+        lat = _parse_float(row[1], path, line_no, "lat_deg")
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError("%s line %d: latitude %g out of [-90, 90]" % (path, line_no, lat))
+        lons.append(lon)
+        lats.append(lat)
+        values.append(_parse_float(row[2], path, line_no, "value"))
     if not lons:
         return np.empty((0, 3)), np.empty(0)
     return direction_from_lonlat(np.array(lons), np.array(lats)), np.array(values)
@@ -98,10 +103,10 @@ def save_scatter_csv(path, lon_deg, lat_deg, values):
     lon_deg, lat_deg, values = map(np.atleast_1d, (lon_deg, lat_deg, values))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SCATTER_HEADER) + "\n")
-        for lon, lat, v in zip(lon_deg, lat_deg, values):
-            fh.write(
-                ",".join(FLOAT_FMT % u for u in (lon, lat, v)) + "\n"
-            )
+        fh.writelines(
+            "%s,%s,%s\n" % (FLOAT_FMT % a, FLOAT_FMT % b, FLOAT_FMT % v)
+            for a, b, v in zip(lon_deg, lat_deg, values)
+        )
 
 
 def load_patch_counts_csv(path):
@@ -110,37 +115,22 @@ def load_patch_counts_csv(path):
     Counts must be nonnegative integers; patches may overlap.
     """
     bounds, counts = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != COUNTS_HEADER:
-            raise ValueError("%s: expected header %s" % (path, ",".join(COUNTS_HEADER)))
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(
-                    "%s line %d: expected 5 fields, got %d" % (path, line_no, len(row))
-                )
-            edges = [
-                _parse_float(row[i], path, line_no, COUNTS_HEADER[i]) for i in range(4)
-            ]
-            try:
-                count = int(row[4])
-            except ValueError:
-                raise ValueError(
-                    "%s line %d: count must be an integer, got %r"
-                    % (path, line_no, row[4])
-                )
-            if count < 0:
-                raise ValueError(
-                    "%s line %d: negative count %d" % (path, line_no, count)
-                )
-            try:
-                bounds.append(PatchBounds(*edges))
-            except ValueError as exc:
-                raise ValueError("%s line %d: %s" % (path, line_no, exc))
-            counts.append(count)
+    for line_no, row in _csv_rows(path, COUNTS_HEADER):
+        edges = [_parse_float(row[i], path, line_no, COUNTS_HEADER[i]) for i in range(4)]
+        try:
+            count = int(row[4])
+        except ValueError:
+            raise ValueError(
+                "%s line %d: count must be an integer, got %r"
+                % (path, line_no, row[4])
+            )
+        if count < 0:
+            raise ValueError("%s line %d: negative count %d" % (path, line_no, count))
+        try:
+            bounds.append(PatchBounds(*edges))
+        except ValueError as exc:
+            raise ValueError("%s line %d: %s" % (path, line_no, exc))
+        counts.append(count)
     return bounds, np.array(counts, dtype=float)
 
 
@@ -158,31 +148,19 @@ def save_coefficients_csv(path, field):
     lon, lat = lonlat_from_direction(field.knots.points)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(COEFF_HEADER) + "\n")
-        for i, c in enumerate(field.coeffs):
-            fh.write(
-                "%d,%s,%s,%s\n"
-                % (i, FLOAT_FMT % lon[i], FLOAT_FMT % lat[i], FLOAT_FMT % c)
-            )
+        fh.writelines(
+            "%d,%s,%s,%s\n" % (i, FLOAT_FMT % lon[i], FLOAT_FMT % lat[i], FLOAT_FMT % c)
+            for i, c in enumerate(field.coeffs)
+        )
 
 
 def load_coefficients_csv(path):
     """Read a coefficient file back into (directions, coeffs)."""
     lons, lats, coeffs = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != COEFF_HEADER:
-            raise ValueError("%s: expected header %s" % (path, ",".join(COEFF_HEADER)))
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(
-                    "%s line %d: expected 4 fields, got %d" % (path, line_no, len(row))
-                )
-            lons.append(_parse_float(row[1], path, line_no, "lon_deg"))
-            lats.append(_parse_float(row[2], path, line_no, "lat_deg"))
-            coeffs.append(_parse_float(row[3], path, line_no, "coeff"))
+    for line_no, row in _csv_rows(path, COEFF_HEADER):
+        lons.append(_parse_float(row[1], path, line_no, "lon_deg"))
+        lats.append(_parse_float(row[2], path, line_no, "lat_deg"))
+        coeffs.append(_parse_float(row[3], path, line_no, "coeff"))
     return (
         direction_from_lonlat(np.array(lons), np.array(lats)),
         np.array(coeffs),
@@ -244,9 +222,42 @@ def random_directions(n, seed):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+def synthetic_measurements(synth, kernel, knots):
+    """(functionals, y, G) measuring a planted spline, per a complete
+    ``sampling.synthetic`` block (as `RunConfig` fills it in); G is the
+    patch Gram counts were drawn through (None for scatter).
+
+    The field plants its bumps at ``seed``; scatter directions use seed + 1
+    and noise seed + 2, Poisson counts seed + 1.
+    """
+    seed = synth["seed"]
+    offset = lambda k: None if seed is None else seed + k
+    truth = plant_spline(kernel, knots, synth["bumps"], synth["amplitude"], seed)
+    if synth["kind"] == "scatter":
+        dirs = random_directions(synth["samples"], offset(1))
+        values = evaluate(truth, dirs)
+        if synth["psnr_db"] is not None:
+            values = add_gaussian_noise(values, float(synth["psnr_db"]), offset(2))
+        return [DiracFunctional(d) for d in dirs], values, None
+    n_lat, n_lon = synth["grid"]
+    Q = synth["quadrature_order"]
+    functionals = [PatchFunctional(b, Q) for b in equal_angle_patch_grid(n_lat, n_lon)]
+    G = assemble_gram(kernel, functionals, knots)
+    rates = float(synth["rate_scale"]) * np.clip(G.matvec(truth.coeffs), 0.0, None)
+    counts = poisson_counts(rates, offset(1))
+    return functionals, counts.astype(float), G
+
+
 # -------------------------------------------------------------- run configs
 
-_COST_KINDS = ("exact", "l2ball", "l1", "kl", "ls")
+# cost.kind -> the data-fit model for a cost block and measurements y
+_COST_KINDS = {
+    "exact": lambda cost, y: ExactMatch(y),
+    "l2ball": lambda cost, y: L2Ball(y, float(cost["rho_rel"]) * np.linalg.norm(y)),
+    "l1": lambda cost, y: L1(y),
+    "kl": lambda cost, y: KL(y),
+    "ls": lambda cost, y: LeastSquares(y),
+}
 _SOLVER_KINDS = ("pds", "apgd", "tikhonov")
 
 
@@ -305,7 +316,7 @@ class RunConfig:
 
         cost = dict(spec.get("cost") or {})
         if cost.get("kind") not in _COST_KINDS:
-            raise ValueError("cost.kind must be one of %s" % (_COST_KINDS,))
+            raise ValueError("cost.kind must be one of %s" % (tuple(_COST_KINDS),))
         if cost["kind"] == "l2ball" and not cost.get("rho_rel", 0) > 0:
             raise ValueError("l2ball cost needs rho_rel > 0")
         cost.setdefault("rho_rel", None)
@@ -344,11 +355,6 @@ class RunConfig:
             outputs["raster"] = raster
         self.outputs = outputs
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh))
-
     def to_dict(self):
         return {
             "kernel": dict(self.kernel_spec),
@@ -365,9 +371,7 @@ class RunConfig:
 
     def output_path(self, name):
         value = self.outputs[name] if name != "raster" else self.outputs["raster"]["path"]
-        if os.path.isabs(value):
-            return value
-        return os.path.join(self.outputs["directory"], value)
+        return os.path.join(self.outputs["directory"], value)  # absolute paths stay
 
 
 def build_kernel(spec):
@@ -410,95 +414,61 @@ class RunManifest:
             fh.write("\n")
 
 
-def _synthetic_measurements(cfg, kernel, knots):
-    synth = cfg.sampling["synthetic"]
-    seed = synth.get("seed", cfg.seed)
-    amplitude = synth.get("amplitude", [0.5, 2.0])
-    truth = plant_spline(kernel, knots, synth.get("bumps", 8), amplitude, seed)
-    if synth["kind"] == "scatter":
-        dirs = random_directions(synth.get("samples", 3 * len(knots)), None if seed is None else seed + 1)
-        values = evaluate(truth, dirs)
-        if synth.get("psnr_db") is not None:
-            values = add_gaussian_noise(
-                values, float(synth["psnr_db"]), None if seed is None else seed + 2
-            )
-        functionals = [DiracFunctional(d) for d in dirs]
-        return functionals, values
-    # counts: Poisson draws around patch integrals of the planted field
-    n_lat, n_lon = synth.get("grid", [12, 24])
-    scale = float(synth.get("rate_scale", 1.0))
-    patches = equal_angle_patch_grid(n_lat, n_lon)
-    functionals = [
-        PatchFunctional(b, synth.get("quadrature_order", 8)) for b in patches
-    ]
-    G_truth = assemble_gram(kernel, functionals, knots)
-    rates = scale * np.clip(G_truth.matvec(truth.coeffs), 0.0, None)
-    counts = poisson_counts(rates, None if seed is None else seed + 1)
-    return functionals, counts.astype(float)
-
-
 def _load_measurements(cfg, kernel, knots):
+    # (functionals, y, G): G is the Gram synthetic counts came from, or None
     if "scatter_csv" in cfg.sampling:
         dirs, values = load_scatter_csv(cfg.sampling["scatter_csv"])
         if len(values) == 0:
             raise ValueError("scatter file %r has no rows" % cfg.sampling["scatter_csv"])
-        return [DiracFunctional(d) for d in dirs], values
+        return [DiracFunctional(d) for d in dirs], values, None
     if "patch_csv" in cfg.sampling:
         bounds, counts = load_patch_counts_csv(cfg.sampling["patch_csv"])
         if len(counts) == 0:
             raise ValueError("patch file %r has no rows" % cfg.sampling["patch_csv"])
         Q = int(cfg.sampling.get("quadrature_order", 8))
-        return [PatchFunctional(b, Q) for b in bounds], counts
-    return _synthetic_measurements(cfg, kernel, knots)
+        return [PatchFunctional(b, Q) for b in bounds], counts, None
+    return synthetic_measurements(cfg.sampling["synthetic"], kernel, knots)
 
 
-def _cost_model(cfg, y):
-    kind = cfg.cost["kind"]
-    if kind == "exact":
-        return ExactMatch(y)
-    if kind == "l1":
-        return L1(y)
-    if kind == "l2ball":
-        return L2Ball(y, float(cfg.cost["rho_rel"]) * np.linalg.norm(y))
-    if kind == "kl":
-        return KL(y)
-    return LeastSquares(y)
+class _Setup:
+    """What a run needs before lambda enters, built once per sweep: kernel,
+    knots, measurements, cost model, and the system matrix (G, whose spectral
+    norm is cached on first use, or the quadratic baseline's K)."""
+
+    def __init__(self, cfg):
+        started = time.perf_counter()
+        kernel = build_kernel(cfg.kernel_spec)
+        knots = fibonacci_lattice(cfg.n_knots)
+        functionals, self.y, self.G = _load_measurements(cfg, kernel, knots)
+        self.model = _COST_KINDS[cfg.cost["kind"]](cfg.cost, self.y)
+        if cfg.solver["kind"] == "tikhonov":
+            if not all(isinstance(f, DiracFunctional) for f in functionals):
+                raise ValueError("the quadratic baseline supports point samples only")
+            self.field_knots = np.array([f.direction for f in functionals])
+            conv = self_convolve(kernel.series())
+            self.K = knot_gram(conv, KnotSet(self.field_knots))
+            self.field_kernel = ZonalKernel.from_series(conv, family="self_convolved")
+        else:
+            if self.G is None:
+                self.G = assemble_gram(kernel, functionals, knots)
+            self.field_kernel, self.field_knots = kernel, knots
+        self.seconds = time.perf_counter() - started
 
 
-def run_reconstruction(config):
-    """Execute one reconstruction run and write all artifacts.
-
-    Returns
-    -------
-    RunManifest
-        Also written as JSON to the configured manifest path.
-    """
-    cfg = config if isinstance(config, RunConfig) else RunConfig(config)
+def _run_point(cfg, setup):
+    """Solve at ``cfg.lam`` and write all artifacts; wall time counts the setup."""
     started = time.perf_counter()
     os.makedirs(cfg.outputs["directory"], exist_ok=True)
-    kernel = build_kernel(cfg.kernel_spec)
-    knots = fibonacci_lattice(cfg.n_knots)
-    functionals, y = _load_measurements(cfg, kernel, knots)
-    model = _cost_model(cfg, y)
-    solver_kind = cfg.solver["kind"]
-
-    if solver_kind == "tikhonov":
-        if not all(isinstance(f, DiracFunctional) for f in functionals):
-            raise ValueError("the quadratic baseline supports point samples only")
-        sample_dirs = np.array([f.direction for f in functionals])
-        conv = self_convolve(kernel.series())
-        K = knot_gram(conv, KnotSet(sample_dirs))
+    y, model = setup.y, setup.model
+    if cfg.solver["kind"] == "tikhonov":
+        K = setup.K
         mu = float(cfg.solver["mu"])
         x, cg_iterations = tikhonov_solve(
             K, y, mu, cg_maxiter=cfg.max_iter, return_info=True
         )
-        field_kernel = ZonalKernel.from_series(conv, family="self_convolved")
-        field = synthesize(field_kernel, sample_dirs, x)
         misfit = float(np.linalg.norm(K @ x - y))
         objective = misfit**2 + mu * float(x @ (K @ x))
-        trace = [objective]
-        iterations = cg_iterations
-        converged = True
+        trace, iterations, converged = [objective], cg_iterations, True
         residuals = {
             "cg_relative": float(
                 np.linalg.norm((K + mu * np.eye(K.shape[0])) @ x - y)
@@ -507,28 +477,26 @@ def run_reconstruction(config):
             "data_misfit": misfit,
         }
     else:
-        G = assemble_gram(kernel, functionals, knots)
+        G = setup.G
         solver_cfg = SolverConfig(cfg.lam, eps_stop=cfg.eps_stop, max_iter=cfg.max_iter)
-        solve = apgd_solve if solver_kind == "apgd" else pds_solve
+        solve = apgd_solve if cfg.solver["kind"] == "apgd" else pds_solve
         result = solve(G, model, solver_cfg)
-        field = synthesize(kernel, knots, result.x)
-        gx = G.matvec(result.x)
-        trace = result.objective_trace
-        iterations = result.iterations
-        converged = result.converged
-        objective = cfg.lam * float(np.abs(result.x).sum()) + model.finite_value(gx)
+        x, trace = result.x, result.objective_trace
+        iterations, converged = result.iterations, result.converged
+        gx = G.matvec(x)
+        objective = cfg.lam * float(np.abs(x).sum()) + model.finite_value(gx)
         residuals = {
             "primal_step": result.primal_residual,
             "data_misfit": float(np.linalg.norm(gx - y)),
         }
+    field = synthesize(setup.field_kernel, setup.field_knots, x)
 
     coeff_path = cfg.output_path("coefficients")
     save_coefficients_csv(coeff_path, field)
     trace_path = cfg.output_path("trace")
     with open(trace_path, "w", newline="") as fh:
         fh.write("iteration,objective\n")
-        for i, v in enumerate(trace, start=1):
-            fh.write("%d,%s\n" % (i, FLOAT_FMT % v))
+        fh.writelines("%d,%s\n" % (i, FLOAT_FMT % v) for i, v in enumerate(trace, 1))
     raster_path = None
     if cfg.outputs["raster"] is not None:
         raster = cfg.outputs["raster"]
@@ -543,7 +511,7 @@ def run_reconstruction(config):
             "final_objective": float(objective),
             "residual_norms": residuals,
             "sparsity_count": sparsity_report(field).count,
-            "wall_time_s": time.perf_counter() - started,
+            "wall_time_s": setup.seconds + time.perf_counter() - started,
             "library_version": __version__,
             "rng_seed": cfg.seed,
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -559,6 +527,35 @@ def run_reconstruction(config):
     return manifest
 
 
+def run_reconstruction(config):
+    """Execute one reconstruction run and write all artifacts.
+
+    Returns
+    -------
+    RunManifest
+        Also written as JSON to the configured manifest path.
+    """
+    cfg = config if isinstance(config, RunConfig) else RunConfig(config)
+    return _run_point(cfg, _Setup(cfg))
+
+
+def run_lambda_sweep(config, lambdas):
+    """One run per penalty weight, sharing one setup; yields each manifest.
+
+    Point i writes into ``lambda_NN/`` (NN = i) of the output directory the
+    files a single run with that ``lambda`` and directory writes.
+    """
+    cfg = config if isinstance(config, RunConfig) else RunConfig(config)
+    setup = _Setup(cfg)
+    for i, lam in enumerate(lambdas):
+        point = copy.copy(cfg)
+        point.lam = float(lam)
+        point.outputs = dict(
+            cfg.outputs, directory=os.path.join(cfg.outputs["directory"], "lambda_%02d" % i)
+        )
+        yield _run_point(point, setup)
+
+
 def export_raster(field, n_lat, n_lon, path):
     """Write ``lon_deg,lat_deg,value`` at the cell centres of an equal-angle
     grid (south-to-north rows, west-to-east columns)."""
@@ -571,11 +568,5 @@ def export_raster(field, n_lat, n_lon, path):
     lon_flat, lat_flat = lon_grid.ravel(), lat_grid.ravel()
     dirs = direction_from_lonlat(lon_flat, lat_flat)
     # modest chunk: series-backed kernels expand each evaluation by n_max+1
-    values = evaluate(field, dirs, chunk=512)
-    with open(path, "w", newline="") as fh:
-        fh.write("lon_deg,lat_deg,value\n")
-        fh.writelines(
-            "%s,%s,%s\n" % (FLOAT_FMT % a, FLOAT_FMT % b, FLOAT_FMT % v)
-            for a, b, v in zip(lon_flat, lat_flat, values)
-        )
+    save_scatter_csv(path, lon_flat, lat_flat, evaluate(field, dirs, chunk=512))
     return path

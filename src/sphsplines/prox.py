@@ -31,6 +31,10 @@ class CostModel:
     def value(self, z):
         raise NotImplementedError
 
+    def _prox(self, tau, z):
+        """prox_{tau F}(z) for a float z shaped like y (see `prox_cost`)."""
+        raise NotImplementedError
+
     def finite_value(self, z):
         """The finite part of the cost (0 for indicator models)."""
         return self.value(z)
@@ -49,12 +53,18 @@ class ExactMatch(CostModel):
     def finite_value(self, z):
         return 0.0
 
+    def _prox(self, tau, z):
+        return self.y.copy()
+
 
 class L1(CostModel):
     """Robust misfit ||z - y||_1."""
 
     def value(self, z):
         return float(np.abs(z - self.y).sum())
+
+    def _prox(self, tau, z):
+        return soft_threshold(z - self.y, tau) + self.y
 
 
 class L2Ball(CostModel):
@@ -74,6 +84,13 @@ class L2Ball(CostModel):
 
     def finite_value(self, z):
         return 0.0
+
+    def _prox(self, tau, z):
+        d = z - self.y
+        nd = np.linalg.norm(d)
+        if nd <= self.radius:
+            return z.copy()
+        return self.y + (self.radius / nd) * d
 
 
 class KL(CostModel):
@@ -103,6 +120,11 @@ class KL(CostModel):
             terms = self.y[pos] * np.log(self.y[pos] / z[pos]) - self.y[pos]
         return float(terms.sum() + z.sum())
 
+    def _prox(self, tau, z):
+        if not np.all(np.isfinite(z)):
+            raise ValueError("KL prox requires finite z")
+        return 0.5 * (z - tau + np.sqrt((z - tau) ** 2 + 4.0 * tau * self.y))
+
 
 class LeastSquares(CostModel):
     """Squared misfit ||y - z||_2^2 (smooth, Lipschitz gradient)."""
@@ -111,6 +133,9 @@ class LeastSquares(CostModel):
 
     def value(self, z):
         return float(np.sum((self.y - z) ** 2))
+
+    def _prox(self, tau, z):
+        return (z + 2.0 * tau * self.y) / (1.0 + 2.0 * tau)
 
 
 def soft_threshold(z, theta):
@@ -133,24 +158,7 @@ def prox_cost(model, tau, z):
     z = np.asarray(z, dtype=float)
     if z.shape != model.y.shape:
         raise ValueError("z must match y in shape")
-    y = model.y
-    if isinstance(model, ExactMatch):
-        return y.copy()
-    if isinstance(model, L1):
-        return soft_threshold(z - y, tau) + y
-    if isinstance(model, L2Ball):
-        d = z - y
-        nd = np.linalg.norm(d)
-        if nd <= model.radius:
-            return z.copy()
-        return y + (model.radius / nd) * d
-    if isinstance(model, KL):
-        if not np.all(np.isfinite(z)):
-            raise ValueError("KL prox requires finite z")
-        return 0.5 * (z - tau + np.sqrt((z - tau) ** 2 + 4.0 * tau * y))
-    if isinstance(model, LeastSquares):
-        return (z + 2.0 * tau * y) / (1.0 + 2.0 * tau)
-    raise TypeError("unknown cost model: %r" % (model,))
+    return model._prox(tau, z)
 
 
 def prox_conjugate(model, sigma, v):
@@ -175,7 +183,7 @@ def grad_cost(model, G, x):
         For proximable-only models, which the primal-dual solver
         (`solvers.pds_solve`) handles without gradients.
     """
-    if not isinstance(model, LeastSquares):
+    if not model.smooth:
         raise ValueError(
             "%s has no Lipschitz gradient; use the primal-dual solver"
             % type(model).__name__
@@ -185,6 +193,7 @@ def grad_cost(model, G, x):
         residual = G.matvec(x) - model.y
         gradient = 2.0 * G.rmatvec(residual)
     else:
+        # dense product: the residual at an exact A @ x0 reads exactly zero
         A = np.asarray(G, dtype=float)
         residual = A @ x - model.y
         gradient = 2.0 * (A.T @ residual)

@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process, via main(argv))."""
 
+import hashlib
 import json
 import os
 
@@ -48,6 +49,36 @@ def test_synth_scatter_writes_loadable_csv(tmp_path):
     assert code == 0
     dirs, values = load_scatter_csv(out)
     assert dirs.shape == (120, 3) and values.shape == (120,)
+
+
+# sha256 of the files these flags wrote before the subcommands shared the
+# pipeline's synthetic-data generator; a change means the data changed
+SYNTH_SCATTER_SHA256 = "f1cbfd20c83714b1b920fdd9e754601eeae15c2bfede4f89c952005c68d31952"
+SYNTH_COUNTS_SHA256 = "d4677f43b2a966b979cef69d5f2c00a55f106d45d695150148c608c5335430e0"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_synth_scatter_bytes_are_pinned(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main([
+        "synth-scatter", "--family", "matern", "--beta", "2.5",
+        "--epsilon", "0.3", "--output", str(out), "--knots", "50",
+        "--bumps", "4", "--samples", "120", "--psnr-db", "15", "--seed", "3",
+    ]) == 0
+    assert _sha256(out) == SYNTH_SCATTER_SHA256
+
+
+def test_synth_counts_bytes_are_pinned(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main([
+        "synth-counts", "--family", "wendland", "--order", "1",
+        "--epsilon", "0.4", "--output", str(out), "--knots", "60",
+        "--grid", "6", "12", "--rate-scale", "30", "--seed", "2",
+    ]) == 0
+    assert _sha256(out) == SYNTH_COUNTS_SHA256
 
 
 def test_synth_counts_writes_loadable_csv(tmp_path):
@@ -123,6 +154,22 @@ def test_lambda_sweep_writes_one_run_per_weight(tmp_path, capsys):
             for i in range(3)]
     assert np.allclose(lams, np.geomspace(1e-4, 1e-2, 3))
     assert capsys.readouterr().out.count("lambda=") == 3
+
+
+def test_lambda_sweep_matches_single_runs(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "sweep", max_iter=400,
+                  outputs={"directory": str(tmp_path / "sweep"),
+                           "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--lambda-sweep", "1e-4", "1e-2", "3"]) == 0
+    for i, lam in enumerate(np.geomspace(1e-4, 1e-2, 3)):
+        single = tmp_path / ("single_%d" % i)
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--lambda", repr(float(lam)), "--output-dir", str(single)]) == 0
+        swept = tmp_path / "sweep" / ("lambda_%02d" % i)
+        for name in ("coefficients.csv", "trace.csv", "r.csv"):
+            assert (swept / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_raster_subcommand(tmp_path):

@@ -1,0 +1,110 @@
+"""The README's configuration reference, checked against RunConfig."""
+
+import json
+import os
+import re
+
+import pytest
+
+from sphsplines.pipeline import RunConfig, build_kernel
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+MATERN = {"family": "matern", "beta": 2.5, "epsilon": 0.3}
+WENDLAND = {"family": "wendland", "k": 1, "epsilon": 0.3}
+SOBOLEV = {"family": "sobolev", "beta": 2.0}
+SCATTER = {"synthetic": {"kind": "scatter", "bumps": 3, "amplitude": [0.5, 1.0],
+                         "seed": 4, "samples": 50, "psnr_db": 30.0}}
+COUNTS = {"synthetic": {"kind": "counts", "grid": [4, 8], "rate_scale": 20.0,
+                        "quadrature_order": 4}}
+RASTER = {"raster": {"n_lat": 4, "n_lon": 8, "path": "raster.csv"}}
+
+# documented name -> sections replacing those of the README example to use it
+DOCUMENTED = {
+    "kernel.family": {"kernel": MATERN},
+    "matern": {"kernel": MATERN},
+    "beta": {"kernel": MATERN},
+    "convention": {"kernel": dict(MATERN, convention="eq60")},
+    "standard": {"kernel": dict(MATERN, convention="standard")},
+    "eq60": {"kernel": dict(MATERN, convention="eq60")},
+    "wendland": {"kernel": WENDLAND},
+    "k": {"kernel": WENDLAND},
+    "d": {"kernel": dict(WENDLAND, d=3)},
+    "sobolev": {"kernel": SOBOLEV},
+    "tol": {"kernel": dict(SOBOLEV, tol=1e-6)},
+    "epsilon": {"kernel": WENDLAND},
+    "fwhm_deg": {"kernel": {"family": "wendland", "k": 1, "fwhm_deg": 20.0}},
+    "sampling": {"sampling": {"scatter_csv": "samples.csv"}},
+    "scatter_csv": {"sampling": {"scatter_csv": "samples.csv"}},
+    "patch_csv": {"sampling": {"patch_csv": "counts.csv"}},
+    "quadrature_order": {"sampling": {"patch_csv": "counts.csv", "quadrature_order": 4}},
+    "synthetic": {"sampling": SCATTER},
+    "kind": {"sampling": SCATTER},
+    "scatter": {"sampling": SCATTER},
+    "counts": {"sampling": COUNTS},
+    "bumps": {"sampling": SCATTER},
+    "amplitude": {"sampling": SCATTER},
+    "seed": {"sampling": SCATTER},
+    "samples": {"sampling": SCATTER},
+    "psnr_db": {"sampling": SCATTER},
+    "grid": {"sampling": COUNTS},
+    "rate_scale": {"sampling": COUNTS},
+    "cost.kind": {"cost": {"kind": "exact"}},
+    "exact": {"cost": {"kind": "exact"}},
+    "l2ball": {"cost": {"kind": "l2ball", "rho_rel": 0.05}},
+    "rho_rel": {"cost": {"kind": "l2ball", "rho_rel": 0.05}},
+    "l1": {"cost": {"kind": "l1"}},
+    "ls": {"cost": {"kind": "ls"}},
+    "kl": {"cost": {"kind": "kl"}},
+    "solver.kind": {"solver": {"kind": "pds"}},
+    "pds": {"solver": {"kind": "pds"}},
+    "apgd": {"cost": {"kind": "ls"}, "solver": {"kind": "apgd"}},
+    "tikhonov": {"cost": {"kind": "ls"}, "solver": {"kind": "tikhonov", "mu": 1e-3}},
+    "mu": {"cost": {"kind": "ls"}, "solver": {"kind": "tikhonov", "mu": 1e-3}},
+    "outputs": {"outputs": {"directory": "run"}},
+    "directory": {"outputs": {"directory": "run"}},
+    "coefficients": {"outputs": {"coefficients": "x.csv"}},
+    "trace": {"outputs": {"trace": "t.csv"}},
+    "manifest": {"outputs": {"manifest": "m.json"}},
+    "raster": {"outputs": RASTER},
+    "n_lat": {"outputs": RASTER},
+    "n_lon": {"outputs": RASTER},
+    "path": {"outputs": RASTER},
+}
+
+
+def _readme():
+    with open(README) as fh:
+        return fh.read()
+
+
+def _example():
+    return json.loads(re.search(r"```json\n(.*?)```", _readme(), re.S).group(1))
+
+
+def _reference_names():
+    # backticked names in the bullet list that follows the JSON example,
+    # minus CLI flags, file patterns and formulas
+    text = _readme()
+    start = text.index("- `kernel.family`")
+    block = text[start:text.index("The other subcommands", start)]
+    names = set(re.findall(r"`([^`]+)`", block))
+    return {n for n in names if not n.startswith("-") and not re.search(r"[/|]", n)}
+
+
+def test_readme_example_is_a_valid_config():
+    cfg = RunConfig(_example())
+    build_kernel(cfg.kernel_spec)
+    assert cfg.to_dict()["sampling"] == {"scatter_csv": "scatter.csv"}
+
+
+def test_every_documented_name_has_a_config():
+    assert _reference_names() == set(DOCUMENTED)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED))
+def test_documented_name_is_accepted(name):
+    spec = dict(_example(), **DOCUMENTED[name])
+    cfg = RunConfig(spec)
+    build_kernel(cfg.kernel_spec)
+    assert '"%s"' % name.rsplit(".", 1)[-1] in json.dumps(cfg.to_dict())

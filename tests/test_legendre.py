@@ -77,6 +77,14 @@ def test_gauss_legendre_weight_sum(Q):
     assert np.sum(gauss_legendre(Q).weights) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    r = gauss_legendre(12)
+    assert gauss_legendre(12) is r
+    assert not r.nodes.flags.writeable and not r.weights.flags.writeable
+    with pytest.raises(ValueError):
+        r.nodes[0] = 0.0
+
+
 def test_orthogonality_via_quadrature():
     r = gauss_legendre(80)
     P = legendre_all(20, r.nodes)

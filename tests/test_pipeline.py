@@ -261,7 +261,7 @@ def _gram_for(cfg_dict):
     cfg = RunConfig(cfg_dict)
     kernel = build_kernel(cfg.kernel_spec)
     knots = fibonacci_lattice(cfg.n_knots)
-    functionals, y = pipeline._load_measurements(cfg, kernel, knots)
+    functionals, y, _ = pipeline._load_measurements(cfg, kernel, knots)
     return assemble_gram(kernel, functionals, knots), y, cfg
 
 
@@ -388,6 +388,48 @@ def test_tikhonov_requires_point_samples(tmp_path):
     }
     with pytest.raises(ValueError, match="point samples"):
         run_reconstruction(cfg)
+
+
+def _count_assembly(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_gram(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "assemble_gram", counted)
+    return calls
+
+
+def test_synthetic_counts_run_assembles_gram_once(tmp_path, monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    run_reconstruction({
+        "kernel": {"family": "wendland", "k": 1, "epsilon": 0.4},
+        "knots": {"fibonacci": 40},
+        "sampling": {"synthetic": {"kind": "counts", "grid": [4, 8],
+                                   "rate_scale": 30.0}},
+        "cost": {"kind": "kl"},
+        "lambda": 0.01,
+        "solver": {"kind": "pds"},
+        "max_iter": 200,
+        "seed": 1,
+        "outputs": {"directory": str(tmp_path)},
+    })
+    assert len(calls) == 1
+
+
+def test_lambda_sweep_shares_one_setup(tmp_path, monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    cfg = _scatter_selftest_config(tmp_path, cost={"kind": "ls"},
+                                   solver={"kind": "apgd"}, max_iter=200)
+    lams = [1e-4, 1e-3, 1e-2]
+    manifests = list(pipeline.run_lambda_sweep(cfg, lams))
+    assert len(calls) == 1
+    assert [m["config"]["lambda"] for m in manifests] == lams
+    for i, m in enumerate(manifests):
+        run_dir = os.path.join(str(tmp_path), "lambda_%02d" % i)
+        assert m["config"]["outputs"]["directory"] == run_dir
+        assert os.path.isfile(os.path.join(run_dir, "coefficients.csv"))
 
 
 def test_run_writes_optional_raster(tmp_path):
