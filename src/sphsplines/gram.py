@@ -1,12 +1,15 @@
 """Sampling functionals and sparse system-matrix assembly.
 
 A measurement couples the unknown field to the spline expansion through the
-rows ``G[l, n] = (functional l applied to psi(<., r_n>))``: point samples
-evaluate the kernel directly, patch functionals integrate it over a lon/lat
-rectangle.  Compactly supported kernels make ``G`` sparse, and a chord-metric
-ball query skips the exact zero region before any magnitude cutoff applies.
+rows ``G[l, n] = (functional l applied to psi(<., r_n>))``.  Every functional
+is a weighted quadrature rule: a point sample is one node of weight 1, a patch
+functional a tensor Gauss rule over its lon/lat rectangle.  So G's entries and
+the field values of `spline.evaluate` both come from `kernel_blocks`, the
+kernel at (point, knot) pairs, which visits only in-support pairs for
+compactly supported kernels.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,7 +18,11 @@ from scipy.spatial import cKDTree
 
 from .legendre import LegendreSeries, gauss_legendre, resynthesize
 from .pdo import check_compatibility, sobolev_symbol
-from .sphere import KnotSet, chord_distance
+from .sphere import KnotSet
+
+# kernel values per block of `kernel_blocks` (2 MB of float64): bounds the
+# inner-product and kernel temporaries, whatever the number of points
+BLOCK_ENTRIES = 1 << 18
 
 
 class DiracFunctional:
@@ -28,6 +35,10 @@ class DiracFunctional:
         if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
             raise ValueError("sampling direction must be a unit vector")
         self.direction = direction
+
+    def nodes(self):
+        """(directions, weights): the direction itself with weight 1."""
+        return self.direction.reshape(1, 3), np.ones(1)
 
     def __repr__(self):
         return "DiracFunctional(%s)" % np.array_str(self.direction, precision=4)
@@ -44,6 +55,25 @@ class PatchFunctional:
             raise ValueError("patch quadrature order must be >= 2")
         self.bounds = bounds
         self.quadrature_order = quadrature_order
+
+    def nodes(self):
+        """(directions, weights) of a Q x Q tensor Gauss rule for int_B.
+
+        The rule runs over the rectangle in the (lon, u = sin lat)
+        parametrisation, where the area element is exactly ``du dlon``, so
+        it integrates constant kernels exactly.
+        """
+        b = self.bounds
+        rule = gauss_legendre(self.quadrature_order)
+        lon, w_lon = rule.mapped(math.radians(b.lon_min), math.radians(b.lon_max))
+        u, w_u = rule.mapped(
+            math.sin(math.radians(b.lat_min)), math.sin(math.radians(b.lat_max))
+        )
+        # (lon, u) pairs in row-major order, u varying fastest
+        lon_grid, u_grid = np.repeat(lon, u.size), np.tile(u, lon.size)
+        rho = np.sqrt(np.clip(1.0 - u_grid**2, 0.0, None))
+        dirs = np.column_stack([rho * np.cos(lon_grid), rho * np.sin(lon_grid), u_grid])
+        return dirs, np.outer(w_lon, w_u).reshape(-1)
 
     def __repr__(self):
         return "PatchFunctional(%r, Q=%d)" % (self.bounds, self.quadrature_order)
@@ -91,108 +121,51 @@ class GramMatrix:
         )
 
 
-def _support_chord_radius(kernel):
-    # psi(t) = 0 exactly for t <= support_tmin, i.e. chord >= this radius
-    if kernel.support_tmin is None:
-        return None
-    return math.sqrt(max(2.0 - 2.0 * kernel.support_tmin, 0.0))
+def kernel_blocks(kernel, points, knots):
+    """Yield ``(rows, block)``: psi(<p, r>) for the (M, 3) ``points`` in the
+    slice ``rows`` against the (N, 3) ``knots``, about ``BLOCK_ENTRIES``
+    values per block, so memory stays bounded in M.
 
-
-def dirac_row(kernel, p, knots, abs_cutoff=1e-12, tree=None):
-    """One Gram row for a point sample: entry n = psi(<p, r_n>).
-
-    Parameters
-    ----------
-    kernel : ZonalKernel
-    p : (3,) unit direction
-    knots : KnotSet
-    abs_cutoff : float
-        Entries with ``|value| <= abs_cutoff`` are omitted.  For compactly
-        supported kernels the exact zero region is skipped regardless.
-    tree : scipy.spatial.cKDTree, optional
-        Prebuilt tree over the knot points (assembly plumbing).
-
-    Returns
-    -------
-    (indices, values)
-        Column indices (ascending) and the corresponding entries.
+    A compactly supported kernel gives CSR blocks of its in-support pairs
+    (a kd-tree chord query, then ``t > support_tmin``); any other kernel
+    gives dense blocks whose inner products come from one matmul.
     """
-    if abs_cutoff < 0:
-        raise ValueError("abs_cutoff must be >= 0")
-    p = np.asarray(p, dtype=float).reshape(3)
-    pts = knots.points
-    radius = _support_chord_radius(kernel)
-    if radius is not None:
-        if tree is not None and radius < 2.0:
-            cand = np.asarray(sorted(tree.query_ball_point(p, radius)), dtype=np.intp)
-        else:
-            cand = np.nonzero(pts @ p > kernel.support_tmin)[0]
-        t = pts[cand] @ p
-        inside = t > kernel.support_tmin
-        cand, t = cand[inside], t[inside]
-    else:
-        cand = np.arange(len(pts))
-        t = pts @ p
-    vals = np.asarray(kernel(t), dtype=float).reshape(cand.shape)
-    keep = np.abs(vals) > abs_cutoff
-    return cand[keep], vals[keep]
-
-
-def patch_row(kernel, b, knots, Q=8, tree=None):
-    """One Gram row for a patch functional: entry n = int_B psi(<r, r_n>) dr.
-
-    The integral runs over the rectangle ``b`` in the (lon, u = sin lat)
-    parametrisation, where the area element is exactly ``du dlon``; a Q x Q
-    tensor Gauss rule therefore integrates constant kernels exactly.  Knots
-    whose support ball misses the patch entirely give exact zeros and are
-    omitted.
-    """
-    Q = int(Q)
-    if Q < 2:
-        raise ValueError("patch quadrature order must be >= 2")
-    pts = knots.points
-    radius = _support_chord_radius(kernel)
-    if radius is not None:
-        # chord from patch centre to any patch point <= 2 sin(alpha/2)
-        alpha = min(b.angular_radius_bound(), math.pi)
-        reach = 2.0 * math.sin(0.5 * alpha) + radius
-        if reach < 2.0:
-            if tree is not None:
-                cand = np.asarray(
-                    sorted(tree.query_ball_point(b.center, reach)), dtype=np.intp
-                )
-            else:
-                cand = np.nonzero(chord_distance(pts, b.center) <= reach)[0]
-        else:
-            cand = np.arange(len(pts))
-    else:
-        cand = np.arange(len(pts))
-    if cand.size == 0:
-        return cand, np.empty(0)
-    rule = gauss_legendre(Q)
-    lon, w_lon = rule.mapped(math.radians(b.lon_min), math.radians(b.lon_max))
-    u, w_u = rule.mapped(
-        math.sin(math.radians(b.lat_min)), math.sin(math.radians(b.lat_max))
-    )
-    lon_grid, u_grid = np.meshgrid(lon, u, indexing="ij")
-    rho = np.sqrt(np.clip(1.0 - u_grid**2, 0.0, None))
-    dirs = np.stack(
-        [rho * np.cos(lon_grid), rho * np.sin(lon_grid), u_grid], axis=-1
-    ).reshape(-1, 3)
-    w = np.outer(w_lon, w_u).reshape(-1)
-    vals = w @ np.asarray(kernel(dirs @ pts[cand].T), dtype=float)
-    keep = vals != 0.0
-    return cand[keep], vals[keep]
+    n = len(knots)
+    tmin = kernel.support_tmin
+    # expected values per row: the support cap holds (1 - tmin)/2 of the sphere
+    per_row = n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
+    step = max(1, int(BLOCK_ENTRIES // per_row))
+    if tmin is not None:
+        tree = cKDTree(knots)
+        radius = math.sqrt(max(2.0 - 2.0 * tmin, 0.0))
+    for lo in range(0, len(points), step):
+        block = points[lo : lo + step]
+        rows = slice(lo, lo + len(block))
+        if tmin is None:
+            yield rows, kernel(block @ knots.T)
+            continue
+        pairs = cKDTree(block).sparse_distance_matrix(
+            tree, radius, output_type="ndarray"
+        )
+        i, j = pairs["i"], pairs["j"]
+        t = np.sum(block[i] * knots[j], axis=1)
+        inside = t > tmin
+        yield rows, sparse.csr_matrix(
+            (kernel(t[inside]), (i[inside], j[inside])), shape=(len(block), n)
+        )
 
 
 def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     """Assemble the L x N system matrix, one row per sampling functional.
 
-    Rows are built independently, so any schedule gives the same matrix.
-    The kernel must be smooth enough for the functional kinds present:
-    point sampling needs coefficient decay faster than degree^-(d-1),
-    patch sampling faster than degree^-((d-1)/2).  Kernels of unknown
-    smoothness (``beta=None``) skip the check and the caller vouches.
+    Each functional is a weighted quadrature over its ``nodes()``, so
+    ``G = W . Psi``: W is the sparse functional-by-node weight matrix and
+    Psi the kernel at (node, knot) pairs from `kernel_blocks`.  Entries with
+    ``|value| <= abs_cutoff`` are omitted.  A row depends on its functional
+    alone, not on its position.  The kernel must be smooth enough for the
+    functional kinds present: point sampling needs coefficient decay faster
+    than degree^-(d-1), patch sampling faster than degree^-((d-1)/2).
+    Kernels of unknown smoothness (``beta=None``) skip the check.
 
     Raises
     ------
@@ -214,33 +187,29 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
                     "kernel coefficient decay order %g is too small for %s "
                     "sampling (needs > %g)" % (2.0 * kernel.beta, kind, threshold)
                 )
-    tree = cKDTree(knots.points) if kernel.support_tmin is not None else None
-    indptr = [0]
-    indices = []
-    data = []
-    for f in functionals:
-        if isinstance(f, DiracFunctional):
-            idx, vals = dirac_row(kernel, f.direction, knots, abs_cutoff, tree=tree)
-        elif isinstance(f, PatchFunctional):
-            idx, vals = patch_row(
-                kernel, f.bounds, knots, f.quadrature_order, tree=tree
-            )
-            keep = np.abs(vals) > abs_cutoff
-            idx, vals = idx[keep], vals[keep]
-        else:
-            raise TypeError("unknown sampling functional: %r" % (f,))
-        indices.append(idx)
-        data.append(vals)
-        indptr.append(indptr[-1] + idx.size)
-    csr = sparse.csr_matrix(
-        (
-            np.concatenate(data) if data else np.empty(0),
-            np.concatenate(indices) if indices else np.empty(0, dtype=np.intp),
-            np.asarray(indptr, dtype=np.intp),
-        ),
+    nodes, weights = zip(*(f.nodes() for f in functionals))
+    starts = np.cumsum([0] + [w.size for w in weights])
+    W = sparse.csr_matrix(
+        (np.concatenate(weights), np.arange(starts[-1]), starts),
+        shape=(len(functionals), starts[-1]),
+    )
+    rows, cols, vals = [], [], []
+    for span, block in kernel_blocks(kernel, np.concatenate(nodes), knots.points):
+        # functionals with nodes in this block; one split across two blocks
+        # gets two partial rows, summed when the CSR matrix is built
+        first = np.searchsorted(starts, span.start, side="right") - 1
+        stop = np.searchsorted(starts, span.stop, side="left")
+        part = sparse.coo_matrix(W[first:stop, span] @ block)
+        rows.append(part.row + first)
+        cols.append(part.col)
+        vals.append(part.data)
+    G = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(functionals), len(knots)),
     )
-    return GramMatrix(csr)
+    G.data[np.abs(G.data) <= abs_cutoff] = 0.0
+    G.eliminate_zeros()
+    return GramMatrix(G)
 
 
 def spectral_norm(G, tol=1e-10, max_iter=5000):
@@ -303,12 +272,9 @@ def knot_gram(kernel, knots):
     """
     if not isinstance(knots, KnotSet):
         knots = KnotSet(knots)
+    fn = kernel
     if isinstance(kernel, LegendreSeries):
-        series = kernel
-        def fn(t):
-            return resynthesize(series, t)
-    else:
-        fn = kernel
+        fn = functools.partial(resynthesize, kernel)
     t = np.clip(knots.points @ knots.points.T, -1.0, 1.0)
     K = np.asarray(fn(t), dtype=float)
     K = 0.5 * (K + K.T)

@@ -164,6 +164,10 @@ def fourier_legendre(kernel, N_max=512, Q=600):
 def resynthesize(series, t):
     """Evaluate ``sum_n (2n+1)/(4*pi) * psi_hat[n] * P_n(t)``.
 
+    Clenshaw summation (Clenshaw 1955) runs the Legendre recurrence
+    backwards over the coefficients, so memory is a few arrays of the shape
+    of ``t`` whatever the degree.
+
     Parameters
     ----------
     series : LegendreSeries
@@ -174,7 +178,15 @@ def resynthesize(series, t):
     float or ndarray matching the shape of ``t``
     """
     t_arr = np.asarray(t, dtype=float)
-    P = legendre_all(series.n_max, t_arr)
-    scale = (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi)
-    out = np.tensordot(scale * series.coeffs, P, axes=(0, 0))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    if np.any(np.abs(t_arr) > 1.0 + 1e-14):
+        raise ValueError("|t| must be <= 1")
+    a = (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
+    # b_n = a_n + (2n+1)/(n+1) t b_{n+1} - (n+1)/(n+2) b_{n+2}; the sum is b_0
+    b1 = np.zeros_like(t_arr)
+    b2 = np.zeros_like(t_arr)
+    for n in range(series.n_max, -1, -1):
+        b2 *= -(n + 1.0) / (n + 2.0)
+        b2 += a[n]
+        b2 += ((2.0 * n + 1.0) / (n + 1.0)) * t_arr * b1
+        b1, b2 = b2, b1
+    return float(b1) if np.isscalar(t) or t_arr.ndim == 0 else b1

@@ -260,6 +260,27 @@ _COST_KINDS = {
 }
 _SOLVER_KINDS = ("pds", "apgd", "tikhonov")
 
+# the names a run config may use, per block (the README's reference)
+_SCALE_KEYS = ("family", "epsilon", "fwhm_deg")
+_KERNEL_KEYS = {
+    "matern": _SCALE_KEYS + ("beta", "convention"),
+    "wendland": _SCALE_KEYS + ("k", "d"),
+    "sobolev": ("family", "beta", "tol"),
+}
+_SYNTH_KEYS = {
+    "scatter": ("kind", "bumps", "amplitude", "seed", "samples", "psnr_db"),
+    "counts": ("kind", "bumps", "amplitude", "seed", "grid", "rate_scale",
+               "quadrature_order"),
+}
+
+
+def _check_keys(block, allowed, path):
+    """Reject any key of ``block`` outside ``allowed``, naming its dotted path."""
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError("unknown config key %s%s (allowed here: %s)"
+                         % (path, unknown[0], ", ".join(sorted(allowed))))
+
 
 class RunConfig:
     """Validated reconstruction run description (one JSON document).
@@ -270,10 +291,13 @@ class RunConfig:
 
     def __init__(self, spec):
         spec = dict(spec)
+        _check_keys(spec, ("kernel", "knots", "sampling", "cost", "solver", "lambda",
+                           "eps_stop", "max_iter", "seed", "outputs"), "")
         kernel = dict(spec.get("kernel") or {})
         family = kernel.get("family")
-        if family not in ("matern", "wendland", "sobolev"):
+        if family not in _KERNEL_KEYS:
             raise ValueError("kernel.family must be matern, wendland or sobolev")
+        _check_keys(kernel, _KERNEL_KEYS[family], "kernel.")
         if family != "sobolev" and ("epsilon" in kernel) == ("fwhm_deg" in kernel):
             raise ValueError("kernel needs exactly one of epsilon / fwhm_deg")
         if family == "matern":
@@ -283,6 +307,7 @@ class RunConfig:
         self.kernel_spec = kernel
 
         knots = dict(spec.get("knots") or {})
+        _check_keys(knots, ("fibonacci",), "knots.")
         n = knots.get("fibonacci")
         if not isinstance(n, int) or n < 1:
             raise ValueError("knots.fibonacci must be a positive integer")
@@ -295,12 +320,15 @@ class RunConfig:
                 "sampling must name exactly one source "
                 "(scatter_csv | patch_csv | synthetic)"
             )
+        allowed = sources + (["quadrature_order"] if "patch_csv" in sampling else [])
+        _check_keys(sampling, allowed, "sampling.")
         if "patch_csv" in sampling:
             sampling.setdefault("quadrature_order", 8)
         if "synthetic" in sampling:
             synth = dict(sampling["synthetic"])
-            if synth.get("kind") not in ("scatter", "counts"):
+            if synth.get("kind") not in _SYNTH_KEYS:
                 raise ValueError("synthetic.kind must be scatter or counts")
+            _check_keys(synth, _SYNTH_KEYS[synth["kind"]], "sampling.synthetic.")
             synth.setdefault("bumps", 8)
             synth.setdefault("amplitude", [0.5, 2.0])
             synth.setdefault("seed", spec.get("seed"))
@@ -315,6 +343,7 @@ class RunConfig:
         self.sampling = sampling
 
         cost = dict(spec.get("cost") or {})
+        _check_keys(cost, ("kind", "rho_rel"), "cost.")
         if cost.get("kind") not in _COST_KINDS:
             raise ValueError("cost.kind must be one of %s" % (tuple(_COST_KINDS),))
         if cost["kind"] == "l2ball" and not cost.get("rho_rel", 0) > 0:
@@ -323,6 +352,7 @@ class RunConfig:
         self.cost = cost
 
         solver = dict(spec.get("solver") or {})
+        _check_keys(solver, ("kind", "mu"), "solver.")
         if solver.get("kind") not in _SOLVER_KINDS:
             raise ValueError("solver.kind must be one of %s" % (_SOLVER_KINDS,))
         if solver["kind"] == "apgd" and cost["kind"] != "ls":
@@ -342,6 +372,8 @@ class RunConfig:
             self.seed = int(self.seed)
 
         outputs = dict(spec.get("outputs") or {})
+        _check_keys(outputs, ("directory", "coefficients", "manifest", "trace",
+                              "raster"), "outputs.")
         outputs.setdefault("directory", ".")
         outputs.setdefault("coefficients", "coefficients.csv")
         outputs.setdefault("manifest", "manifest.json")
@@ -349,6 +381,7 @@ class RunConfig:
         outputs.setdefault("raster", None)
         if outputs["raster"] is not None:
             raster = dict(outputs["raster"])
+            _check_keys(raster, ("n_lat", "n_lon", "path"), "outputs.raster.")
             for key in ("n_lat", "n_lon", "path"):
                 if key not in raster:
                     raise ValueError("outputs.raster needs n_lat, n_lon, path")
@@ -567,6 +600,5 @@ def export_raster(field, n_lat, n_lon, path):
     lon_grid, lat_grid = np.meshgrid(lon, lat)  # (n_lat, n_lon)
     lon_flat, lat_flat = lon_grid.ravel(), lat_grid.ravel()
     dirs = direction_from_lonlat(lon_flat, lat_flat)
-    # modest chunk: series-backed kernels expand each evaluation by n_max+1
-    save_scatter_csv(path, lon_flat, lat_flat, evaluate(field, dirs, chunk=512))
+    save_scatter_csv(path, lon_flat, lat_flat, evaluate(field, dirs))
     return path

@@ -12,7 +12,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.linalg import cg
 
 from .gram import GramMatrix, knot_gram, spectral_norm
-from .prox import grad_cost, prox_conjugate, soft_threshold
+from .prox import prox_conjugate, soft_threshold
 from .spline import SplineField
 
 # relative-stop rule is undefined at x = 0; below this norm an absolute
@@ -209,8 +209,9 @@ def apgd_solve(G, model, config, x0=None):
     x = np.zeros(N) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (N,):
         raise ValueError("x0 shape must match the knot count")
-    _, lipschitz = grad_cost(model, G, x)
-    tau = config.tau if config.tau is not None else 1.0 / lipschitz
+    # Lipschitz constant 2 ||G||^2 of the gradient 2 G^T (G x - y), taken once
+    norm = spectral_norm(G)
+    tau = config.tau if config.tau is not None else 1.0 / (2.0 * norm * norm)
     lam, eps, theta = config.lam, config.eps_stop, config.theta
     z_old = x.copy()
     trace = []
@@ -219,7 +220,7 @@ def apgd_solve(G, model, config, x0=None):
     iterations = 0
     z_new = x
     for n in range(1, config.max_iter + 1):
-        gradient, _ = grad_cost(model, G, x)
+        gradient = 2.0 * G.rmatvec(G.matvec(x) - model.y)
         z_new = soft_threshold(x - tau * gradient, lam * tau)
         x_new = z_new + ((n - 1.0) / (n + theta)) * (z_new - z_old)
         trace.append(lam * np.abs(z_new).sum() + model.finite_value(G.matvec(z_new)))

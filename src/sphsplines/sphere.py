@@ -185,24 +185,6 @@ class PatchBounds:
             np.sin(np.deg2rad(self.lat_max)) - np.sin(np.deg2rad(self.lat_min))
         )
 
-    @property
-    def center(self):
-        """Unit direction at the patch midpoint in (lon, lat)."""
-        return direction_from_lonlat(
-            0.5 * (self.lon_min + self.lon_max),
-            0.5 * (self.lat_min + self.lat_max),
-        )
-
-    def angular_radius_bound(self):
-        """Upper bound (radians) on the great-circle radius about `center`.
-
-        Walk meridian then parallel: half the latitude span plus half the
-        longitude span (parallel arc length <= dlon).
-        """
-        return 0.5 * np.deg2rad(self.lat_max - self.lat_min) + 0.5 * np.deg2rad(
-            self.lon_max - self.lon_min
-        )
-
     def __repr__(self):
         return "PatchBounds(lon=[%g, %g], lat=[%g, %g])" % (
             self.lon_min,

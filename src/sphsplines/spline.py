@@ -2,16 +2,16 @@
 
 A field is a finite kernel expansion ``f(r) = sum_n x_n psi(<r, r_n>)`` over
 lattice knots.  Evaluation visits only in-support knots for compactly
-supported kernels (ball queries in the chord metric); the naive full sum is
-the correctness oracle.
+supported kernels (the evaluator the Gram assembly uses); the naive full sum
+is the correctness oracle.
 """
 
 import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from .gram import kernel_blocks
 from .sphere import KnotSet
 
 
@@ -39,7 +39,6 @@ class SplineField:
         self.kernel = kernel
         self.knots = knots
         self.coeffs = coeffs
-        self._tree = None
 
     def __call__(self, targets):
         return evaluate(self, targets)
@@ -53,45 +52,19 @@ def synthesize(kernel, knots, coeffs):
     return SplineField(kernel, knots, coeffs)
 
 
-def evaluate(field, targets, chunk=4096):
+def evaluate(field, targets):
     """Field values sum_n x_n psi(<r, r_n>) at unit target directions.
 
-    Parameters
-    ----------
-    field : SplineField
-    targets : (M, 3) or (3,) array of unit directions
-    chunk : int
-        Dense-path block size over targets (bounds the temporary M x N
-        kernel-argument matrix).
-
-    Returns
-    -------
-    (M,) values, or a scalar for a single (3,) target
+    ``targets`` is (M, 3), giving (M,) values, or (3,), giving a float.  The
+    kernel matrix of targets against knots comes in bounded row blocks from
+    `gram.kernel_blocks`, each multiplied into the coefficients.
     """
     t_in = np.asarray(targets, dtype=float)
-    single = t_in.ndim == 1
     pts = np.atleast_2d(t_in)
-    kernel, knots, coeffs = field.kernel, field.knots.points, field.coeffs
-    M = pts.shape[0]
-    out = np.zeros(M)
-    if kernel.support_tmin is not None:
-        radius = math.sqrt(max(2.0 - 2.0 * kernel.support_tmin, 0.0))
-        if field._tree is None:
-            field._tree = cKDTree(knots)
-        hits = field._tree.query_ball_point(pts, radius)
-        counts = np.fromiter((len(h) for h in hits), dtype=np.intp, count=M)
-        if counts.sum() > 0:
-            flat = np.concatenate([np.asarray(h, dtype=np.intp) for h in hits])
-            rep = np.repeat(np.arange(M), counts)
-            t = np.sum(pts[rep] * knots[flat], axis=1)
-            vals = kernel(np.clip(t, -1.0, 1.0)) * coeffs[flat]
-            out = np.bincount(rep, weights=vals, minlength=M)
-    else:
-        for lo in range(0, M, int(chunk)):
-            block = pts[lo : lo + int(chunk)]
-            t = np.clip(block @ knots.T, -1.0, 1.0)
-            out[lo : lo + int(chunk)] = kernel(t) @ coeffs
-    return float(out[0]) if single else out
+    out = np.empty(pts.shape[0])
+    for rows, block in kernel_blocks(field.kernel, pts, field.knots.points):
+        out[rows] = block @ field.coeffs
+    return float(out[0]) if t_in.ndim == 1 else out
 
 
 def gtv_norm(field):

@@ -108,3 +108,32 @@ def test_documented_name_is_accepted(name):
     cfg = RunConfig(spec)
     build_kernel(cfg.kernel_spec)
     assert '"%s"' % name.rsplit(".", 1)[-1] in json.dumps(cfg.to_dict())
+
+
+def test_wendland_dim_order_spelling_names_the_key():
+    spec = dict(_example(), kernel={"family": "wendland", "dim": 3, "order": 1,
+                                    "epsilon": 0.3})
+    with pytest.raises(ValueError, match=r"unknown config key kernel\.dim\b"):
+        RunConfig(spec)
+
+
+@pytest.mark.parametrize("path, section", [
+    ("outputs.rastr", {"outputs": {"rastr": RASTER["raster"]}}),
+    ("sampling.synthetic.sample",
+     {"sampling": {"synthetic": {"kind": "scatter", "sample": 50}}}),
+    ("sampling.quadrature_order",
+     {"sampling": {"scatter_csv": "samples.csv", "quadrature_order": 4}}),
+    ("outputs.raster.nlat",
+     {"outputs": {"raster": {"nlat": 4, "n_lon": 8, "path": "r.csv"}}}),
+    ("solver.mu_", {"solver": {"kind": "pds", "mu_": 1.0}}),
+    ("lamda", {"lamda": 1.0}),
+])
+def test_misspelt_key_is_rejected_with_its_path(path, section):
+    with pytest.raises(ValueError, match=r"unknown config key %s\b" % re.escape(path)):
+        RunConfig(dict(_example(), **section))
+
+
+def test_normalised_config_round_trips():
+    for name in sorted(DOCUMENTED):
+        normal = RunConfig(dict(_example(), **DOCUMENTED[name])).to_dict()
+        assert RunConfig(normal).to_dict() == normal, name

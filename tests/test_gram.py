@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 from oracles import patch_integral_quad
+from scipy import sparse
 
+from sphsplines import gram
 from sphsplines.gram import (
     DiracFunctional,
     GramMatrix,
     PatchFunctional,
     assemble_gram,
-    dirac_row,
     knot_gram,
-    patch_row,
     spectral_norm,
 )
 from sphsplines.kernels import ZonalKernel, matern_zonal, self_convolve, wendland_zonal
@@ -35,6 +35,20 @@ def random_directions(L, seed):
 
 
 # ---------------------------------------------------------------- dirac rows
+
+
+def one_row(kernel, functional, knots, abs_cutoff=1e-12):
+    # (indices, values) of the Gram row of a single functional
+    row = assemble_gram(kernel, [functional], knots, abs_cutoff).matrix
+    return row.indices, row.data
+
+
+def dirac_row(kernel, p, knots, abs_cutoff=1e-12):
+    return one_row(kernel, DiracFunctional(p), knots, abs_cutoff)
+
+
+def patch_row(kernel, b, knots, Q=8):
+    return one_row(kernel, PatchFunctional(b, Q), knots)
 
 
 def test_dirac_row_at_knot_is_unit():
@@ -139,12 +153,6 @@ def test_patch_row_matches_adaptive_quadrature():
     np.testing.assert_allclose(vals[0], ref, rtol=1e-9)
 
 
-def test_patch_row_bad_quadrature_order():
-    with pytest.raises(ValueError):
-        patch_row(constant_kernel(), PatchBounds(0, 1, 0, 1),
-                  fibonacci_lattice(5), Q=1)
-
-
 # ------------------------------------------------------------------ assembly
 
 
@@ -179,6 +187,23 @@ def test_assemble_mixed_rows_permutation_equivariant():
     perm = [2, 0, 3, 1]
     G_perm = assemble_gram(kern, [funcs[i] for i in perm], knots)
     np.testing.assert_array_equal(G_perm.toarray(), G.toarray()[perm])
+
+
+@pytest.mark.parametrize("kern", [wendland_zonal(3, 1, 0.3), matern_zonal(2.5, 0.3)])
+def test_assemble_across_blocks_matches_stacked_halves(kern, monkeypatch):
+    # small blocks split patches' nodes between blocks; the partial rows
+    # must sum to the rows that two separate half-size Grams hold
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", 2000)
+    knots = fibonacci_lattice(400)
+    funcs = [PatchFunctional(b, 4) for b in equal_angle_patch_grid(6, 10)]
+    nodes = np.concatenate([f.nodes()[0] for f in funcs])
+    assert len(list(gram.kernel_blocks(kern, nodes, knots.points))) > 1
+    G = assemble_gram(kern, funcs, knots).matrix
+    halves = sparse.vstack([assemble_gram(kern, funcs[:30], knots).matrix,
+                            assemble_gram(kern, funcs[30:], knots).matrix]).tocsr()
+    assert np.array_equal(G.indptr, halves.indptr)
+    assert np.array_equal(G.indices, halves.indices)
+    assert np.abs(G.data - halves.data).max() <= 1e-15 * np.abs(halves.data).max()
 
 
 def test_assemble_rejects_rough_kernel_for_diracs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,28 @@ def test_resynthesize_single_modes():
     s1 = LegendreSeries(np.array([0.0, 4 * np.pi / 3]))
     for t in (-0.7, 0.0, 0.5):
         assert resynthesize(s1, t) == pytest.approx(t, abs=1e-14)
+
+
+def test_resynthesize_matches_direct_sum():
+    coeffs = np.random.default_rng(2).standard_normal(301)
+    t = np.linspace(-1.0, 1.0, 41)
+    scale = (2.0 * np.arange(301) + 1.0) / (4.0 * np.pi)
+    direct = (scale * coeffs) @ legendre_all(300, t)
+    np.testing.assert_allclose(resynthesize(LegendreSeries(coeffs), t), direct,
+                               rtol=0, atol=1e-12 * np.abs(direct).max())
+
+
+def test_resynthesize_memory_does_not_grow_with_degree():
+    # a degree-512 series on 1e5 points: no (n_max + 1) x t.size temporary
+    series = LegendreSeries(1.0 / (1.0 + np.arange(513.0)) ** 4)
+    t = np.linspace(-1.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        resynthesize(series, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.nbytes
 
 
 def test_resynthesize_rejects_out_of_range():

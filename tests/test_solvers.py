@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphsplines import prox, solvers
 from sphsplines.gram import GramMatrix, knot_gram, spectral_norm
 from sphsplines.kernels import matern_zonal
 from sphsplines.prox import KL, ExactMatch, L2Ball, LeastSquares
@@ -156,6 +157,25 @@ def test_apgd_progress_over_second_half():
     trace = res.objective_trace
     n = trace.size
     assert trace[-1] <= trace[max(0, n // 2 - 1)] + 1e-12
+
+
+def test_apgd_takes_the_norm_once(monkeypatch):
+    calls = []
+
+    def counted(G, *args, **kwargs):
+        calls.append(G)
+        return spectral_norm(G, *args, **kwargs)
+
+    # every module that looks the norm up by name
+    for module in (solvers, prox):
+        monkeypatch.setattr(module, "spectral_norm", counted)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((20, 40))
+    y = rng.standard_normal(20)
+    res = apgd_solve(GramMatrix(A), LeastSquares(y),
+                     SolverConfig(0.1 * np.abs(A.T @ y).max(), eps_stop=1e-8))
+    assert res.iterations > 10
+    assert len(calls) == 1
 
 
 def test_pds_apgd_agree_on_lasso():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import naive_spline_sum
 
-from sphsplines.kernels import matern_zonal, wendland_zonal
+from sphsplines.kernels import ZonalKernel, matern_zonal, wendland_zonal
 from sphsplines.sphere import KnotSet, fibonacci_lattice
 from sphsplines.spline import (
     SplineField,
@@ -65,6 +67,20 @@ def test_pruned_evaluation_matches_full_sum():
     targets = random_directions(200, 4)
     ref = naive_spline_sum(kern, knots.points, coeffs, targets)
     np.testing.assert_allclose(evaluate(f, targets), ref, atol=1e-12)
+
+
+def test_series_kernel_evaluation_memory_is_bounded():
+    # a degree-512 series kernel on 2e4 targets stays within tens of MB
+    kern = ZonalKernel.from_series(matern_zonal(2.5, 0.3).series())
+    f = synthesize(kern, fibonacci_lattice(20), np.ones(20))
+    targets = random_directions(20_000, 9)
+    tracemalloc.start()
+    try:
+        evaluate(f, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_evaluate_linear_in_coefficients():
