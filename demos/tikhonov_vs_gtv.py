@@ -2,7 +2,7 @@
 
 Reconstructs the same noisy point samples twice — once with the quadratic
 kernel-norm penalty (a dense representer expansion on the sample locations,
-solved by conjugate gradients) and once with the l1-regularised programme.
+solved by Cholesky) and once with the l1-regularised programme.
 The quadratic solution touches every basis function; the l1 solution keeps a
 handful, close to the planted support.
 """

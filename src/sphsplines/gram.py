@@ -213,7 +213,7 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
 
 
 def spectral_norm(G, tol=1e-10, max_iter=5000):
-    """Largest singular value by power iteration on G^T G.
+    """Largest singular value of a GramMatrix by power iteration on G^T G.
 
     Starts from a fixed-seed random vector so repeated calls agree bit for
     bit; iterates until the Rayleigh quotient's relative change drops below
@@ -226,12 +226,9 @@ def spectral_norm(G, tol=1e-10, max_iter=5000):
     RuntimeError
         No convergence within ``max_iter`` iterations.
     """
-    if isinstance(G, GramMatrix):
-        if G.spectral_norm_cache is not None:
-            return G.spectral_norm_cache
-        A = G.matrix
-    else:
-        A = sparse.csr_matrix(np.atleast_2d(np.asarray(G, dtype=float)))
+    if G.spectral_norm_cache is not None:
+        return G.spectral_norm_cache
+    A = G.matrix
     if A.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
     rng = np.random.default_rng(0)
@@ -256,10 +253,8 @@ def spectral_norm(G, tol=1e-10, max_iter=5000):
         raise RuntimeError(
             "power iteration did not converge within %d iterations" % max_iter
         )
-    sigma = math.sqrt(s2)
-    if isinstance(G, GramMatrix):
-        G.spectral_norm_cache = sigma
-    return sigma
+    G.spectral_norm_cache = math.sqrt(s2)
+    return G.spectral_norm_cache
 
 
 def knot_gram(kernel, knots):

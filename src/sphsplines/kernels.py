@@ -80,9 +80,7 @@ class ZonalKernel:
                 raise ValueError("cannot peak-normalise a kernel vanishing at t=1")
             coeffs = coeffs / peak
         s = LegendreSeries(coeffs)
-        kern = cls(lambda t: resynthesize(s, t), family, beta=beta, epsilon=epsilon)
-        kern._series_cache[(s.n_max, None)] = s
-        return kern
+        return cls(lambda t: resynthesize(s, t), family, beta=beta, epsilon=epsilon)
 
     def __repr__(self):
         return "ZonalKernel(%s, beta=%s, eps=%s)" % (self.family, self.beta, self.epsilon)

@@ -282,6 +282,14 @@ def _check_keys(block, allowed, path):
                          % (path, unknown[0], ", ".join(sorted(allowed))))
 
 
+def _check_int(value, path, lowest):
+    """``value`` if it is an integer >= ``lowest`` (not a bool), else an
+    error naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+        raise ValueError("%s must be an integer >= %d" % (path, lowest))
+    return value
+
+
 class RunConfig:
     """Validated reconstruction run description (one JSON document).
 
@@ -308,10 +316,7 @@ class RunConfig:
 
         knots = dict(spec.get("knots") or {})
         _check_keys(knots, ("fibonacci",), "knots.")
-        n = knots.get("fibonacci")
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("knots.fibonacci must be a positive integer")
-        self.n_knots = n
+        self.n_knots = _check_int(knots.get("fibonacci"), "knots.fibonacci", 1)
 
         sampling = dict(spec.get("sampling") or {})
         sources = [k for k in ("scatter_csv", "patch_csv", "synthetic") if k in sampling]
@@ -333,7 +338,7 @@ class RunConfig:
             synth.setdefault("amplitude", [0.5, 2.0])
             synth.setdefault("seed", spec.get("seed"))
             if synth["kind"] == "scatter":
-                synth.setdefault("samples", 3 * n)
+                synth.setdefault("samples", 3 * self.n_knots)
                 synth.setdefault("psnr_db", None)
             else:
                 synth.setdefault("grid", [12, 24])
@@ -366,7 +371,11 @@ class RunConfig:
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         self.eps_stop = float(spec.get("eps_stop", 1e-4))
+        if not self.eps_stop > 0:
+            raise ValueError("eps_stop must be > 0")
         self.max_iter = int(spec.get("max_iter", 20000))
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         self.seed = spec.get("seed")
         if self.seed is not None:
             self.seed = int(self.seed)
@@ -385,6 +394,8 @@ class RunConfig:
             for key in ("n_lat", "n_lon", "path"):
                 if key not in raster:
                     raise ValueError("outputs.raster needs n_lat, n_lon, path")
+            for key in ("n_lat", "n_lon"):
+                _check_int(raster[key], "outputs.raster." + key, 2)
             outputs["raster"] = raster
         self.outputs = outputs
 
@@ -496,16 +507,13 @@ def _run_point(cfg, setup):
     if cfg.solver["kind"] == "tikhonov":
         K = setup.K
         mu = float(cfg.solver["mu"])
-        x, cg_iterations = tikhonov_solve(
-            K, y, mu, cg_maxiter=cfg.max_iter, return_info=True
-        )
-        misfit = float(np.linalg.norm(K @ x - y))
-        objective = misfit**2 + mu * float(x @ (K @ x))
-        trace, iterations, converged = [objective], cg_iterations, True
+        x = tikhonov_solve(K, y, mu)
+        Kx = K @ x
+        misfit = float(np.linalg.norm(Kx - y))
+        trace, iterations, converged = [misfit**2 + mu * float(x @ Kx)], 1, True
         residuals = {
-            "cg_relative": float(
-                np.linalg.norm((K + mu * np.eye(K.shape[0])) @ x - y)
-                / max(np.linalg.norm(y), 1e-300)
+            "system_relative": float(
+                np.linalg.norm(Kx + mu * x - y) / max(np.linalg.norm(y), 1e-300)
             ),
             "data_misfit": misfit,
         }
@@ -516,11 +524,9 @@ def _run_point(cfg, setup):
         result = solve(G, model, solver_cfg)
         x, trace = result.x, result.objective_trace
         iterations, converged = result.iterations, result.converged
-        gx = G.matvec(x)
-        objective = cfg.lam * float(np.abs(x).sum()) + model.finite_value(gx)
         residuals = {
             "primal_step": result.primal_residual,
-            "data_misfit": float(np.linalg.norm(gx - y)),
+            "data_misfit": float(np.linalg.norm(G.matvec(x) - y)),
         }
     field = synthesize(setup.field_kernel, setup.field_knots, x)
 
@@ -541,7 +547,7 @@ def _run_point(cfg, setup):
             "config": cfg.to_dict(),
             "iterations": int(iterations),
             "converged": bool(converged),
-            "final_objective": float(objective),
+            "final_objective": float(trace[-1]),
             "residual_norms": residuals,
             "sparsity_count": sparsity_report(field).count,
             "wall_time_s": setup.seconds + time.perf_counter() - started,

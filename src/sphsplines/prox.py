@@ -3,12 +3,12 @@
 Each model anchors a measurement vector ``y`` and provides both the cost
 value and its prox; the conjugate prox needed by the primal-dual iteration
 comes from Moreau's identity, so only the primal formulas live here.  Costs
-are separable (or a ball indicator), which keeps every prox closed-form.
+are separable (or a ball indicator), which keeps every prox closed-form.  A
+smooth model also provides ``grad`` and that gradient's Lipschitz constant
+``grad_lipschitz``; the others declare neither.
 """
 
 import numpy as np
-
-from .gram import GramMatrix, spectral_norm
 
 # indicator feasibility is checked to this relative slack when reporting
 # cost values (the prox formulas themselves are exact)
@@ -17,8 +17,6 @@ FEASIBILITY_RTOL = 1e-6
 
 class CostModel:
     """Base: a convex data-fidelity term F(y, .) anchored at measurements y."""
-
-    smooth = False
 
     def __init__(self, y):
         y = np.asarray(y, dtype=float)
@@ -129,10 +127,14 @@ class KL(CostModel):
 class LeastSquares(CostModel):
     """Squared misfit ||y - z||_2^2 (smooth, Lipschitz gradient)."""
 
-    smooth = True
+    grad_lipschitz = 2.0
 
     def value(self, z):
         return float(np.sum((self.y - z) ** 2))
+
+    def grad(self, z):
+        """Gradient 2 (z - y) of the cost at z."""
+        return 2.0 * (z - self.y)
 
     def _prox(self, tau, z):
         return (z + 2.0 * tau * self.y) / (1.0 + 2.0 * tau)
@@ -168,34 +170,3 @@ def prox_conjugate(model, sigma, v):
     v = np.asarray(v, dtype=float)
     return v - sigma * prox_cost(model, 1.0 / sigma, v / sigma)
 
-
-def grad_cost(model, G, x):
-    """Gradient and Lipschitz constant of E(x) = F(y, Gx) for smooth F.
-
-    Returns
-    -------
-    (gradient, lipschitz)
-        ``2 G^T (G x - y)`` and ``2 ||G||_2^2`` for the LeastSquares model.
-
-    Raises
-    ------
-    ValueError
-        For proximable-only models, which the primal-dual solver
-        (`solvers.pds_solve`) handles without gradients.
-    """
-    if not model.smooth:
-        raise ValueError(
-            "%s has no Lipschitz gradient; use the primal-dual solver"
-            % type(model).__name__
-        )
-    x = np.asarray(x, dtype=float)
-    if isinstance(G, GramMatrix):
-        residual = G.matvec(x) - model.y
-        gradient = 2.0 * G.rmatvec(residual)
-    else:
-        # dense product: the residual at an exact A @ x0 reads exactly zero
-        A = np.asarray(G, dtype=float)
-        residual = A @ x - model.y
-        gradient = 2.0 * (A.T @ residual)
-    s = spectral_norm(G)
-    return gradient, 2.0 * s * s

@@ -2,16 +2,16 @@
 plus the quadratically penalised baseline and RKHS projection.
 
 The primal-dual iteration handles any proximable cost; the accelerated
-gradient variant requires the smooth least-squares cost and trades dual
-variables for momentum.  Both report a per-iteration objective trace
-(the finite part, i.e. indicator costs contribute 0 while feasible).
+gradient variant requires a cost model with a gradient and trades dual
+variables for momentum.  Both take the system matrix as a `GramMatrix` and
+report a per-iteration objective trace (the finite part, i.e. indicator
+costs contribute 0 while feasible).
 """
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import cg
 
-from .gram import GramMatrix, knot_gram, spectral_norm
+from .gram import knot_gram, spectral_norm
 from .prox import prox_conjugate, soft_threshold
 from .spline import SplineField
 
@@ -88,10 +88,6 @@ class SolverResult:
         )
 
 
-def _as_gram(G):
-    return G if isinstance(G, GramMatrix) else GramMatrix(np.atleast_2d(np.asarray(G, dtype=float)))
-
-
 def _ulp_shift(x, n):
     for _ in range(abs(n)):
         x = np.nextafter(x, np.inf if n > 0 else 0.0)
@@ -157,7 +153,6 @@ def pds_solve(G, model, config, x0=None, z0=None):
     x0 = z0 = 0, whose first primal step is always stationary, from
     terminating before the dual has reacted to the data).
     """
-    G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
@@ -194,24 +189,25 @@ def pds_solve(G, model, config, x0=None, z0=None):
 def apgd_solve(G, model, config, x0=None):
     """Accelerated proximal gradient descent for smooth costs.
 
-    Per iteration: a gradient step on E(x) = F(y, Gx) followed by
-    soft-thresholding, then momentum extrapolation with weight
-    (n - 1)/(n + theta).  Returns the proximal (non-extrapolated) iterate.
+    Per iteration: a gradient step on E(x) = F(y, Gx), whose gradient is
+    G^T grad F(Gx), followed by soft-thresholding, then momentum
+    extrapolation with weight (n - 1)/(n + theta).  Returns the proximal
+    (non-extrapolated) iterate.
     """
-    if not model.smooth:
+    if not hasattr(model, "grad"):
         raise ValueError(
             "%s has no Lipschitz gradient; use pds_solve" % type(model).__name__
         )
-    G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
     x = np.zeros(N) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (N,):
         raise ValueError("x0 shape must match the knot count")
-    # Lipschitz constant 2 ||G||^2 of the gradient 2 G^T (G x - y), taken once
+    # Lipschitz constant L_F ||G||^2 of the gradient of E, taken once
     norm = spectral_norm(G)
-    tau = config.tau if config.tau is not None else 1.0 / (2.0 * norm * norm)
+    lipschitz = model.grad_lipschitz * norm * norm
+    tau = config.tau if config.tau is not None else 1.0 / lipschitz
     lam, eps, theta = config.lam, config.eps_stop, config.theta
     z_old = x.copy()
     trace = []
@@ -220,7 +216,7 @@ def apgd_solve(G, model, config, x0=None):
     iterations = 0
     z_new = x
     for n in range(1, config.max_iter + 1):
-        gradient = 2.0 * G.rmatvec(G.matvec(x) - model.y)
+        gradient = G.rmatvec(model.grad(G.matvec(x)))
         z_new = soft_threshold(x - tau * gradient, lam * tau)
         x_new = z_new + ((n - 1.0) / (n + theta)) * (z_new - z_old)
         trace.append(lam * np.abs(z_new).sum() + model.finite_value(G.matvec(z_new)))
@@ -234,18 +230,13 @@ def apgd_solve(G, model, config, x0=None):
     return SolverResult(z_new, iterations, trace, converged, delta)
 
 
-def tikhonov_solve(K, y, mu, cg_tol=1e-10, cg_maxiter=None, return_info=False):
-    """Quadratically penalised baseline: solve (K + mu*I) x = y by CG.
-
-    With ``return_info=True`` returns ``(x, n_iterations)``.
+def tikhonov_solve(K, y, mu):
+    """Quadratically penalised baseline: solve (K + mu*I) x = y by Cholesky.
 
     Raises
     ------
     ValueError
-        mu <= 0 or non-symmetric K.
-    RuntimeError
-        CG failed to reach ``cg_tol`` within ``cg_maxiter`` (reports the
-        achieved relative residual).
+        mu <= 0, non-symmetric K, or K + mu*I not positive definite.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -255,21 +246,10 @@ def tikhonov_solve(K, y, mu, cg_tol=1e-10, cg_maxiter=None, return_info=False):
         raise ValueError("K must be square and match y")
     if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
         raise ValueError("K must be symmetric")
-    A = K + mu * np.eye(K.shape[0])
-    count = [0]
-    x, info = cg(
-        A, y, rtol=cg_tol, atol=0.0, maxiter=cg_maxiter,
-        callback=lambda _: count.__setitem__(0, count[0] + 1),
-    )
-    if info != 0:
-        achieved = np.linalg.norm(A @ x - y) / max(np.linalg.norm(y), 1e-300)
-        raise RuntimeError(
-            "conjugate gradient stopped after %d iterations at relative "
-            "residual %.3e (target %.3e)" % (info, achieved, cg_tol)
-        )
-    if return_info:
-        return x, count[0]
-    return x
+    try:
+        return cho_solve(cho_factor(K + mu * np.eye(K.shape[0])), y)
+    except LinAlgError as exc:
+        raise ValueError("K + mu*I is not positive definite: %s" % exc)
 
 
 def rkhs_project(kernel, knots, samples):

@@ -70,11 +70,9 @@ class KnotSet:
     points : (N, 3) array_like
         Unit directions.  Validated to unit norm (1e-12) and pairwise
         distinctness (minimum pairwise chord > 1e-10).
-    nodal_width_estimate : float, optional
-        Cached estimate of the covering radius (chord units), if known.
     """
 
-    def __init__(self, points, nodal_width_estimate=None):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must have shape (N, 3)")
@@ -90,7 +88,6 @@ class KnotSet:
                 raise ValueError("duplicate knots (pairwise chord <= 1e-10)")
         self.points = pts
         self.points.setflags(write=False)
-        self.nodal_width_estimate = nodal_width_estimate
 
     def __len__(self):
         return self.points.shape[0]
@@ -127,7 +124,7 @@ def fibonacci_lattice(N):
     )
     # renormalise to keep the unit-norm invariant at 1e-12 despite rounding
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    return KnotSet(pts, nodal_width_estimate=2.728 / np.sqrt(N))
+    return KnotSet(pts)
 
 
 def nodal_width(knots, probe_resolution=None):

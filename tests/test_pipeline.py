@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -235,6 +236,21 @@ def test_config_echo_makes_defaults_explicit():
     assert echo["outputs"]["coefficients"] == "coefficients.csv"
 
 
+@pytest.mark.parametrize("key, patch", [
+    ("outputs.raster.n_lat", lambda c: c["outputs"].update(
+        raster={"n_lat": 1, "n_lon": 8, "path": "r.csv"})),
+    ("eps_stop", lambda c: c.update(eps_stop=0)),
+    ("max_iter", lambda c: c.update(max_iter=0)),
+    ("knots.fibonacci", lambda c: c.update(knots={"fibonacci": True})),
+], ids=["raster_n_lat", "eps_stop", "max_iter", "fibonacci_bool"])
+def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
+    cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
+    patch(cfg)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        run_reconstruction(cfg)
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------ full runs
 
 
@@ -373,6 +389,22 @@ def test_quadratic_baseline_is_dense_gtv_is_sparse(tmp_path):
     assert tik["sparsity_count"] > 0.9 * n_samples
     assert gtv["sparsity_count"] <= n_samples
     assert gtv["sparsity_count"] < tik["sparsity_count"]
+
+
+def test_tikhonov_manifest_reports_one_direct_solve(tmp_path):
+    manifest = run_reconstruction({
+        "kernel": {"family": "matern", "beta": 2.5, "epsilon": 0.35,
+                   "convention": "eq60"},
+        "knots": {"fibonacci": 40},
+        "sampling": {"synthetic": {"kind": "scatter", "samples": 60,
+                                   "psnr_db": 25.0}},
+        "cost": {"kind": "ls"},
+        "solver": {"kind": "tikhonov", "mu": 1e-3},
+        "seed": 3,
+        "outputs": {"directory": str(tmp_path)},
+    })
+    assert manifest["iterations"] == 1 and manifest["converged"]
+    assert manifest["residual_norms"]["system_relative"] <= 1e-12
 
 
 def test_tikhonov_requires_point_samples(tmp_path):
