@@ -15,6 +15,7 @@ from sphsplines.prox import (
     prox_cost,
     soft_threshold,
 )
+from sphsplines.solvers import SolverConfig, apgd_solve
 
 
 def all_models(y, rho=1.5):
@@ -273,3 +274,13 @@ def test_grad_matches_finite_differences():
         e[i] = h
         fd[i] = (energy(x + e) - energy(x - e)) / (2.0 * h)
     np.testing.assert_allclose(g, fd, rtol=1e-5)
+
+
+def test_grad_rejects_nonsmooth_models():
+    y = np.abs(np.random.default_rng(1).standard_normal(4))
+    for model in (ExactMatch(y), L1(y), L2Ball(y, 1.0), KL(y)):
+        # only a smooth model declares a gradient and its Lipschitz constant
+        assert not hasattr(model, "grad")
+        assert not hasattr(model, "grad_lipschitz")
+        with pytest.raises(ValueError, match="pds_solve"):
+            apgd_solve(GramMatrix(np.eye(4)), model, SolverConfig(1.0))
