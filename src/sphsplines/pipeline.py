@@ -373,9 +373,7 @@ class RunConfig:
         self.eps_stop = float(spec.get("eps_stop", 1e-4))
         if not self.eps_stop > 0:
             raise ValueError("eps_stop must be > 0")
-        self.max_iter = int(spec.get("max_iter", 20000))
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        self.max_iter = _check_int(spec.get("max_iter", 20000), "max_iter", 1)
         self.seed = spec.get("seed")
         if self.seed is not None:
             self.seed = int(self.seed)

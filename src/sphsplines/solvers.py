@@ -3,15 +3,16 @@ plus the quadratically penalised baseline and RKHS projection.
 
 The primal-dual iteration handles any proximable cost; the accelerated
 gradient variant requires a cost model with a gradient and trades dual
-variables for momentum.  Both take the system matrix as a `GramMatrix` and
-report a per-iteration objective trace (the finite part, i.e. indicator
-costs contribute 0 while feasible).
+variables for momentum.  Both iterate on a `GramMatrix` (a dense or sparse
+system matrix is wrapped in one on entry) and report a per-iteration
+objective trace (the finite part, i.e. indicator costs contribute 0 while
+feasible).
 """
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .gram import knot_gram, spectral_norm
+from .gram import GramMatrix, knot_gram, spectral_norm
 from .prox import prox_conjugate, soft_threshold
 from .spline import SplineField
 
@@ -88,6 +89,10 @@ class SolverResult:
         )
 
 
+def _as_gram(G):
+    return G if isinstance(G, GramMatrix) else GramMatrix(G)
+
+
 def _ulp_shift(x, n):
     for _ in range(abs(n)):
         x = np.nextafter(x, np.inf if n > 0 else 0.0)
@@ -153,6 +158,7 @@ def pds_solve(G, model, config, x0=None, z0=None):
     x0 = z0 = 0, whose first primal step is always stationary, from
     terminating before the dual has reacted to the data).
     """
+    G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
@@ -198,6 +204,7 @@ def apgd_solve(G, model, config, x0=None):
         raise ValueError(
             "%s has no Lipschitz gradient; use pds_solve" % type(model).__name__
         )
+    G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))

@@ -241,8 +241,12 @@ def test_config_echo_makes_defaults_explicit():
         raster={"n_lat": 1, "n_lon": 8, "path": "r.csv"})),
     ("eps_stop", lambda c: c.update(eps_stop=0)),
     ("max_iter", lambda c: c.update(max_iter=0)),
+    ("max_iter", lambda c: c.update(max_iter=True)),
+    ("max_iter", lambda c: c.update(max_iter=2.9)),
+    ("max_iter", lambda c: c.update(max_iter="50")),
     ("knots.fibonacci", lambda c: c.update(knots={"fibonacci": True})),
-], ids=["raster_n_lat", "eps_stop", "max_iter", "fibonacci_bool"])
+], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
+        "max_iter_str", "fibonacci_bool"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)

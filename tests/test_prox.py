@@ -15,7 +15,6 @@ from sphsplines.prox import (
     prox_cost,
     soft_threshold,
 )
-from sphsplines.solvers import SolverConfig, apgd_solve
 
 
 def all_models(y, rho=1.5):
@@ -282,5 +281,3 @@ def test_grad_rejects_nonsmooth_models():
         # only a smooth model declares a gradient and its Lipschitz constant
         assert not hasattr(model, "grad")
         assert not hasattr(model, "grad_lipschitz")
-        with pytest.raises(ValueError, match="pds_solve"):
-            apgd_solve(GramMatrix(np.eye(4)), model, SolverConfig(1.0))
