@@ -23,13 +23,10 @@ from .legendre import (  # noqa: F401
     fourier_legendre,
     gauss_legendre,
     legendre_all,
-    multiplicity,
     resynthesize,
 )
 from .pdo import (  # noqa: F401
-    FourierSymbol,
     green_series,
-    laplacian_symbol,
     sobolev_symbol,
 )
 from .kernels import (  # noqa: F401

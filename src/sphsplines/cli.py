@@ -98,10 +98,9 @@ def _cmd_reconstruct(args):
 
     if args.lambda_sweep is not None:
         lo, hi, count = args.lambda_sweep
-        count = int(count)
-        if not (0 < lo <= hi and count >= 1):
-            raise ValueError("sweep needs 0 < LO <= HI and COUNT >= 1")
-        lambdas = np.geomspace(lo, hi, count)
+        if not (0 < lo <= hi and count >= 1 and count.is_integer()):
+            raise ValueError("sweep needs 0 < LO <= HI and an integer COUNT >= 1")
+        lambdas = np.geomspace(lo, hi, int(count))
         for lam, manifest in zip(lambdas, run_lambda_sweep(spec, lambdas)):
             print(
                 "lambda=%.6g  objective=%.9g  nnz=%d  iterations=%d  converged=%s"

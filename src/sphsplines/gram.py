@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .legendre import LegendreSeries, gauss_legendre, resynthesize
-from .pdo import check_compatibility, sobolev_symbol
+from .pdo import check_compatibility
 from .sphere import KnotSet
 
 # kernel values per block of `kernel_blocks` (2 MB of float64): bounds the
@@ -163,9 +163,8 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     Psi the kernel at (node, knot) pairs from `kernel_blocks`.  Entries with
     ``|value| <= abs_cutoff`` are omitted.  A row depends on its functional
     alone, not on its position.  The kernel must be smooth enough for the
-    functional kinds present: point sampling needs coefficient decay faster
-    than degree^-(d-1), patch sampling faster than degree^-((d-1)/2).
-    Kernels of unknown smoothness (``beta=None``) skip the check.
+    functional kinds present, as `pdo.check_compatibility` decides from its
+    order beta.  Kernels of unknown smoothness (``beta=None``) skip the check.
 
     Raises
     ------
@@ -179,14 +178,8 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     if abs_cutoff < 0:
         raise ValueError("abs_cutoff must be >= 0")
     if kernel.beta is not None:
-        sym = sobolev_symbol(kernel.beta)
         for kind in sorted({f.kind for f in functionals}):
-            if not check_compatibility(sym, kind):
-                threshold = sym.dim - 1 if kind == "dirac" else (sym.dim - 1) / 2.0
-                raise ValueError(
-                    "kernel coefficient decay order %g is too small for %s "
-                    "sampling (needs > %g)" % (2.0 * kernel.beta, kind, threshold)
-                )
+            check_compatibility(kernel.beta, kind)
     nodes, weights = zip(*(f.nodes() for f in functionals))
     starts = np.cumsum([0] + [w.size for w in weights])
     W = sparse.csr_matrix(

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .legendre import LegendreSeries, fourier_legendre, resynthesize
-from .pdo import green_series, sobolev_symbol
+from .pdo import green_series
 
 
 class ZonalKernel:
@@ -24,7 +24,8 @@ class ZonalKernel:
     eval_fn : callable
         Vectorised map t -> psi(t).
     family : str
-        One of 'matern', 'wendland', 'sobolev_series', 'custom_series'.
+        One of 'matern', 'wendland', 'sobolev_series', 'self_convolved',
+        'custom_series'.
     beta : float or None
         Smoothness order of the matching operator (coefficients decay like
         (1 + eps*n)^(-2*beta)).
@@ -37,7 +38,7 @@ class ZonalKernel:
     -----
     Named constructors guarantee ``psi(1) = 1``; kernels built from raw series
     via `from_series` (e.g. self-convolutions) keep their natural scale.
-    Instances are immutable apart from internal caches (series, Lipschitz).
+    Instances are immutable apart from their series cache.
     """
 
     def __init__(self, eval_fn, family, beta=None, epsilon=None, support_tmin=None):
@@ -46,7 +47,6 @@ class ZonalKernel:
         self.beta = beta
         self.epsilon = epsilon
         self.support_tmin = support_tmin
-        self.lipschitz_sq = None
         self._series_cache = {}
 
     def __call__(self, t):
@@ -231,21 +231,18 @@ def wendland_zonal(d, k, epsilon):
     )
 
 
-def sobolev_green_zonal(beta, d=3, tol=1e-8):
+def sobolev_green_zonal(beta, *, tol=1e-8):
     """Series-backed Green kernel of the Sobolev operator of order beta.
 
-    No closed form exists; the kernel is the truncated coefficient series
-    ``1/(1+n(n+1))^beta`` resynthesized and peak-normalised.  Requires
-    beta > (d-1)/2 (growth order 2*beta must exceed d-1 for a continuous
-    kernel).
+    No closed form exists; the kernel is the `green_series` of
+    ``1/(1+n(n+1))^beta`` truncated at tail bound ``tol``, resynthesized and
+    peak-normalised.  `green_series` raises for an order beta too small to
+    give a continuous kernel.
     """
     beta = float(beta)
-    if beta * 2.0 <= d - 1:
-        raise ValueError("beta must exceed (d-1)/2 for a continuous Green kernel")
-    series = green_series(sobolev_symbol(beta, d), tol=tol)
-    kern = ZonalKernel.from_series(series, family="sobolev_series", beta=beta,
+    return ZonalKernel.from_series(green_series(beta, tol=tol),
+                                   family="sobolev_series", beta=beta,
                                    normalize=True)
-    return kern
 
 
 def self_convolve(series):
@@ -255,7 +252,7 @@ def self_convolve(series):
     harmonics with eigenvalues psi_hat[n] under this package's normalisation,
     so ``(psi * psi)^[n] = psi_hat[n]**2``.
     """
-    return LegendreSeries(series.coeffs**2, dim=series.dim)
+    return LegendreSeries(series.coeffs**2)
 
 
 def lipschitz_estimate(kernel, grid=1000):
@@ -263,8 +260,7 @@ def lipschitz_estimate(kernel, grid=1000):
 
     Places ``grid`` points on a meridian through the reference direction and
     maximises |psi(t_i) - psi(t_j)| / ||r_i - r_j|| over all pairs.  A lower
-    bound on the true constant that stabilises under grid refinement; the
-    result is cached on ``kernel.lipschitz_sq``.
+    bound on the true constant that stabilises under grid refinement.
     """
     grid = int(grid)
     if grid < 100:
@@ -274,9 +270,7 @@ def lipschitz_estimate(kernel, grid=1000):
     dv = np.abs(vals[:, None] - vals[None, :])
     gap = 2.0 * np.abs(np.sin(0.5 * (theta[:, None] - theta[None, :])))
     mask = gap > 1e-15
-    est = float(np.max(dv[mask] / gap[mask])) if np.any(mask) else 0.0
-    kernel.lipschitz_sq = est
-    return est
+    return float(np.max(dv[mask] / gap[mask])) if np.any(mask) else 0.0
 
 
 def epsilon_for_fwhm(kernel_factory, fwhm_deg, eps_lo=1e-4, eps_hi=1.0, tol=1e-10):

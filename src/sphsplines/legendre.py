@@ -1,5 +1,5 @@
-"""Legendre polynomials, eigenspace multiplicities, quadrature, and the
-Fourier-Legendre transform of zonal kernels.
+"""Legendre polynomials, quadrature, and the Fourier-Legendre transform of
+zonal kernels.
 
 The transform convention is fixed so that for a zonal kernel psi on the
 2-sphere,
@@ -15,22 +15,6 @@ import functools
 import math
 
 import numpy as np
-
-
-def multiplicity(d, n):
-    """Dimension of the degree-n spherical harmonic eigenspace on S^{d-1}.
-
-    ``N_d(0) = 1`` and ``N_d(n) = ((2n+d-2)/n) * C(n+d-3, n-1)`` for n >= 1;
-    reduces to ``2n+1`` at d = 3 and to 2 at d = 2.
-    """
-    d, n = int(d), int(n)
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    return (2 * n + d - 2) * math.comb(n + d - 3, n - 1) // n
 
 
 def legendre_all(N_max, t):
@@ -93,16 +77,13 @@ def gauss_legendre(Q):
 class LegendreSeries:
     """Fourier-Legendre coefficients psi_hat[0..N_max] of a zonal kernel."""
 
-    def __init__(self, coeffs, dim=3):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        if int(dim) != 3:
-            raise ValueError("only d = 3 supported at runtime")
         self.coeffs = coeffs
-        self.dim = 3
 
     @property
     def n_max(self):

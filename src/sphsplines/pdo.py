@@ -1,275 +1,99 @@
-"""Pseudo-differential operators on the sphere as Fourier symbols.
+"""The Sobolev operator on the 2-sphere as a Fourier symbol of its order beta.
 
-An operator D acting on zonal expansions is described by its symbol, the real
-sequence ``D_hat[n]`` of eigenvalues on the degree-n harmonic eigenspaces,
-together with its spectral growth order p (``|D_hat[n]| ~ n^p``) and the
-finite set of degrees where the symbol vanishes (the nullspace indices).
-Symbols stay closed-form rules so series can be extended on demand; repeated
-scalar lookups are memoised.
+The operator ``(1 - Laplace-Beltrami)^beta`` acts on the degree-n harmonic
+eigenspace by the eigenvalue ``(1 + n(n+1))^beta``, so its spectral growth
+order is ``2*beta``.  A kernel of order beta pairs with a kind of sampling
+functional only if that growth order exceeds the kind's threshold, d - 1 = 2
+for Diracs and (d - 1)/2 = 1 for square-integrable functionals (e.g. patch
+indicators); the Dirac threshold is also what makes the Green series converge
+uniformly to a continuous kernel.
 """
-
-from collections import namedtuple
 
 import numpy as np
 
-from .legendre import LegendreSeries, multiplicity
+from .legendre import LegendreSeries
+
+# growth-order thresholds on S^2 (d = 3): d - 1 and (d - 1)/2
+_THRESHOLDS = {"dirac": 2.0, "square_integrable": 1.0}
 
 
-class FourierSymbol:
-    """Closed-form symbol rule with growth metadata.
-
-    Parameters
-    ----------
-    rule : callable
-        Vectorised map from integer degree array to symbol values; values at
-        degrees in ``zero_set`` are forced to exactly 0 regardless of rule.
-    growth_order : float
-        Declared spectral growth order p >= 0 (known analytically for the
-        shipped families; verified numerically by the tests).
-    zero_set : iterable of int
-        Degrees where the symbol vanishes (finite).
-    dim : int
-        Ambient dimension d of S^{d-1}; formulas kept general, runtime uses 3.
-    """
-
-    def __init__(self, rule, growth_order, zero_set=(), dim=3, name="symbol"):
-        self._rule = rule
-        self.growth_order = float(growth_order)
-        if self.growth_order < 0:
-            raise ValueError("growth_order must be >= 0")
-        self.zero_set = frozenset(int(n) for n in zero_set)
-        if any(n < 0 for n in self.zero_set):
-            raise ValueError("zero_set entries must be >= 0")
-        self.dim = int(dim)
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        self.name = name
-        self._memo = {}
-
-    def __call__(self, n):
-        """Symbol value(s) at integer degree(s) n."""
-        if np.isscalar(n):
-            n = int(n)
-            if n < 0:
-                raise ValueError("degree must be >= 0")
-            if n in self.zero_set:
-                return 0.0
-            hit = self._memo.get(n)
-            if hit is None:
-                hit = float(self._rule(np.asarray([n]))[0])
-                self._memo[n] = hit
-            return hit
-        ns = np.asarray(n, dtype=int)
-        if np.any(ns < 0):
-            raise ValueError("degrees must be >= 0")
-        vals = np.asarray(self._rule(ns), dtype=float)
-        if self.zero_set:
-            vals = np.where(np.isin(ns, sorted(self.zero_set)), 0.0, vals)
-        return vals
-
-    def __repr__(self):
-        return "FourierSymbol(%s, p=%g, zeros=%s, d=%d)" % (
-            self.name,
-            self.growth_order,
-            sorted(self.zero_set),
-            self.dim,
-        )
-
-
-def sobolev_symbol(beta, d=3):
-    """Sobolev symbol ``(1 + n(n+d-2))^beta``; injective, growth order 2*beta."""
+def sobolev_symbol(beta, n):
+    """Sobolev symbol ``(1 + n(n+1))^beta`` at integer degree(s) n >= 0."""
     beta = float(beta)
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    d = int(d)
-
-    def rule(ns):
-        return (1.0 + ns * (ns + d - 2.0)) ** beta
-
-    return FourierSymbol(rule, 2.0 * beta, (), d, name="sobolev(beta=%g)" % beta)
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("degrees must be >= 0")
+    return (1.0 + n * (n + 1.0)) ** beta
 
 
-def laplacian_symbol(kind, order, d=3):
-    """Iterated or fractional Laplace-Beltrami symbol.
+def check_compatibility(beta, kind):
+    """Raise unless a kernel of order beta pairs with functionals of ``kind``.
 
-    ``kind='iterated'`` with order k gives ``(-n(n+d-2))^k`` (growth 2k);
-    ``kind='fractional'`` with order q gives ``(n(n+d-2))^(1/q)`` (growth
-    2/q).  Both vanish at n = 0.
+    Dirac sampling needs growth order ``2*beta > 2``; square-integrable
+    functionals need ``2*beta > 1``.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    d = int(d)
-    if kind == "iterated":
-
-        def rule(ns, k=order):
-            return (-(ns * (ns + d - 2.0))) ** k
-
-        return FourierSymbol(rule, 2.0 * order, {0}, d, name="laplacian^%d" % order)
-    if kind == "fractional":
-
-        def rule(ns, q=order):
-            return (ns * (ns + d - 2.0)) ** (1.0 / q)
-
-        return FourierSymbol(
-            rule, 2.0 / order, {0}, d, name="laplacian^(1/%d)" % order
+    if kind not in _THRESHOLDS:
+        raise ValueError("functional_kind must be 'dirac' or 'square_integrable'")
+    if not 2.0 * beta > _THRESHOLDS[kind]:
+        raise ValueError(
+            "kernel coefficient decay order %g is too small for %s "
+            "sampling (needs > %g)" % (2.0 * beta, kind, _THRESHOLDS[kind])
         )
-    raise ValueError("kind must be 'iterated' or 'fractional'")
 
 
-def pseudoinverse_symbol(sym):
-    """Moore-Penrose pseudo-inverse: ``1/D_hat[n]`` off the zero set, 0 on it."""
-    zero_set = sym.zero_set
-
-    def rule(ns):
-        vals = sym(ns)
-        out = np.zeros_like(vals, dtype=float)
-        mask = vals != 0.0
-        out[mask] = 1.0 / vals[mask]
-        return out
-
-    return FourierSymbol(
-        rule, sym.growth_order, zero_set, sym.dim, name="pinv(%s)" % sym.name
-    )
-
-
-def sqrt_symbol(sym):
-    """Hermitian square root of a positive symbol (``sqrt(D_hat[n])``)."""
-
-    def rule(ns):
-        vals = sym(ns)
-        if np.any(vals < 0):
-            raise ValueError("square root requires a nonnegative symbol")
-        return np.sqrt(vals)
-
-    return FourierSymbol(
-        rule, sym.growth_order / 2.0, sym.zero_set, sym.dim,
-        name="sqrt(%s)" % sym.name,
-    )
-
-
-AdmissibilityCheck = namedtuple(
-    "AdmissibilityCheck", ["admissible", "growth_order", "threshold"]
-)
-
-
-def is_spline_admissible(sym):
-    """Sufficient spline-admissibility test: growth order p > d - 1.
-
-    Guarantees the Green kernel series converges absolutely and uniformly,
-    hence defines a continuous zonal function.
-
-    Returns
-    -------
-    AdmissibilityCheck
-        ``(admissible, growth_order, threshold)`` with threshold = d - 1.
-    """
-    threshold = float(sym.dim - 1)
-    return AdmissibilityCheck(sym.growth_order > threshold, sym.growth_order, threshold)
-
-
-def check_compatibility(sym, functional_kind):
-    """Whether sampling functionals of the given kind pair with the splines.
-
-    Dirac sampling needs growth order p > d - 1; square-integrable
-    functionals (e.g. patch indicators) need p > (d - 1)/2.
-    """
-    p = sym.growth_order
-    d = sym.dim
-    if functional_kind == "dirac":
-        return p > d - 1
-    if functional_kind == "square_integrable":
-        return p > (d - 1) / 2.0
-    raise ValueError("functional_kind must be 'dirac' or 'square_integrable'")
-
-
-def nullspace_regularize(sym, gamma):
-    """Replace zero symbol values by gamma, making the operator injective.
-
-    The Green kernel of the regularised operator then carries an extra
-    ``(1/gamma) * sum_{n in zeros} N_d(n)/a_d * P_n`` component.
-    """
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if not sym.zero_set:
-        return sym
-    zeros = sorted(sym.zero_set)
-
-    def rule(ns):
-        vals = np.asarray(sym(ns), dtype=float)
-        return np.where(np.isin(ns, zeros), gamma, vals)
-
-    return FourierSymbol(
-        rule, sym.growth_order, (), sym.dim,
-        name="%s + %g*nullproj" % (sym.name, gamma),
-    )
-
-
-def _tail_bound(sym, N):
-    """Upper bound on ``sum_{n>N} N_d(n) / (a_d |D_hat[n]|)`` for d = 3.
+def _tail_bound(beta, N):
+    """Upper bound on ``sum_{n>N} (2n+1) / (4 pi (1 + n(n+1))^beta)``.
 
     Exact partial sum out to M = max(4N, 4096) plus an integral-comparison
     remainder using 2n+1 <= 3n and the lower growth constant
-    ``C1 = min |D_hat[n]|/n^p`` over [M+1, 2M] (the shipped symbols have
-    monotone |D_hat[n]|/n^p, so the window minimum bounds the tail).
+    ``C1 = min symbol[n]/n^p`` over [M+1, 2M] (p = 2*beta; symbol[n]/n^p is
+    monotone, so the window minimum bounds the tail).
     """
-    p = sym.growth_order
+    p = 2.0 * beta
     a_d = 4.0 * np.pi
     M = max(4 * N, 4096)
     ns = np.arange(N + 1, M + 1)
-    vals = np.abs(sym(ns))
-    if np.any(vals == 0.0):
-        raise ValueError("symbol vanishes beyond truncation start")
-    exact = np.sum((2.0 * ns + 1.0) / (a_d * vals))
+    exact = np.sum((2.0 * ns + 1.0) / (a_d * sobolev_symbol(beta, ns)))
     window = np.arange(M + 1, 2 * M + 1)
-    c1 = np.min(np.abs(sym(window)) / window.astype(float) ** p)
+    c1 = np.min(sobolev_symbol(beta, window) / window.astype(float) ** p)
     remainder = 3.0 / (a_d * c1) * M ** (2.0 - p) / (p - 2.0)
     return exact + remainder
 
 
-def green_series(sym, tol=1e-8):
-    """Fourier-Legendre series of the zonal Green kernel of a symbol.
+def green_series(beta, *, tol=1e-8):
+    """Fourier-Legendre series of the zonal Green kernel of the Sobolev operator.
 
-    Coefficients are ``1/D_hat[n]`` off the zero set and 0 on it, truncated
-    at the smallest N whose analytic tail bound drops below ``tol`` (the
-    remainder of the uniform series, so the returned kernel is within tol of
-    the full Green kernel everywhere).
-
-    Parameters
-    ----------
-    sym : FourierSymbol
-        Must be spline-admissible (growth order p > d - 1).
-    tol : float
+    Coefficients are ``1/(1 + n(n+1))^beta``, truncated at the smallest N
+    whose analytic tail bound drops below ``tol`` (the remainder of the
+    uniform series, so the returned kernel is within tol of the full Green
+    kernel everywhere).  The series converges only for growth order
+    ``2*beta > d - 1 = 2``.
 
     Returns
     -------
     LegendreSeries
     """
-    check = is_spline_admissible(sym)
-    if not check.admissible:
+    beta = float(beta)
+    if not 2.0 * beta > _THRESHOLDS["dirac"]:
         raise ValueError(
             "symbol not spline-admissible: growth order %g <= %g"
-            % (check.growth_order, check.threshold)
+            % (2.0 * beta, _THRESHOLDS["dirac"])
         )
-    if sym.dim != 3:
-        raise ValueError("green_series is implemented for d = 3 only")
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    lo = max(sym.zero_set) + 1 if sym.zero_set else 1
-    hi = lo
-    while _tail_bound(sym, hi) >= tol:
+    lo = hi = 1
+    while _tail_bound(beta, hi) >= tol:
         hi *= 2
         if hi > 2**22:
             raise ValueError("tail bound did not reach tol; symbol grows too slowly")
     # smallest N in (lo, hi] with bound < tol (bound is decreasing in N)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _tail_bound(sym, mid) < tol:
+        if _tail_bound(beta, mid) < tol:
             hi = mid
         else:
             lo = mid + 1
-    N = hi
-    pinv = pseudoinverse_symbol(sym)
-    return LegendreSeries(pinv(np.arange(N + 1)))
+    return LegendreSeries(1.0 / sobolev_symbol(beta, np.arange(hi + 1)))

@@ -317,6 +317,9 @@ class RunConfig:
         knots = dict(spec.get("knots") or {})
         _check_keys(knots, ("fibonacci",), "knots.")
         self.n_knots = _check_int(knots.get("fibonacci"), "knots.fibonacci", 1)
+        self.seed = spec.get("seed")
+        if self.seed is not None:
+            _check_int(self.seed, "seed", 0)
 
         sampling = dict(spec.get("sampling") or {})
         sources = [k for k in ("scatter_csv", "patch_csv", "synthetic") if k in sampling]
@@ -329,6 +332,7 @@ class RunConfig:
         _check_keys(sampling, allowed, "sampling.")
         if "patch_csv" in sampling:
             sampling.setdefault("quadrature_order", 8)
+            _check_int(sampling["quadrature_order"], "sampling.quadrature_order", 1)
         if "synthetic" in sampling:
             synth = dict(sampling["synthetic"])
             if synth.get("kind") not in _SYNTH_KEYS:
@@ -336,14 +340,25 @@ class RunConfig:
             _check_keys(synth, _SYNTH_KEYS[synth["kind"]], "sampling.synthetic.")
             synth.setdefault("bumps", 8)
             synth.setdefault("amplitude", [0.5, 2.0])
-            synth.setdefault("seed", spec.get("seed"))
+            synth.setdefault("seed", self.seed)
             if synth["kind"] == "scatter":
                 synth.setdefault("samples", 3 * self.n_knots)
                 synth.setdefault("psnr_db", None)
+                int_keys = ("bumps", "samples")
             else:
                 synth.setdefault("grid", [12, 24])
                 synth.setdefault("rate_scale", 1.0)
                 synth.setdefault("quadrature_order", 8)
+                int_keys = ("bumps", "quadrature_order")
+                grid = synth["grid"]
+                if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+                    raise ValueError("sampling.synthetic.grid must be [n_lat, n_lon]")
+                for i, n in enumerate(grid):
+                    _check_int(n, "sampling.synthetic.grid[%d]" % i, 1)
+            for key in int_keys:
+                _check_int(synth[key], "sampling.synthetic." + key, 1)
+            if synth["seed"] is not None:
+                _check_int(synth["seed"], "sampling.synthetic.seed", 0)
             sampling = {"synthetic": synth}
         self.sampling = sampling
 
@@ -351,9 +366,13 @@ class RunConfig:
         _check_keys(cost, ("kind", "rho_rel"), "cost.")
         if cost.get("kind") not in _COST_KINDS:
             raise ValueError("cost.kind must be one of %s" % (tuple(_COST_KINDS),))
-        if cost["kind"] == "l2ball" and not cost.get("rho_rel", 0) > 0:
-            raise ValueError("l2ball cost needs rho_rel > 0")
         cost.setdefault("rho_rel", None)
+        rho = cost["rho_rel"]
+        if rho is not None and (isinstance(rho, bool)
+                                or not isinstance(rho, (int, float))):
+            raise ValueError("cost.rho_rel must be a number")
+        if cost["kind"] == "l2ball" and not (rho or 0) > 0:
+            raise ValueError("l2ball cost needs rho_rel > 0")
         self.cost = cost
 
         solver = dict(spec.get("solver") or {})
@@ -374,9 +393,6 @@ class RunConfig:
         if not self.eps_stop > 0:
             raise ValueError("eps_stop must be > 0")
         self.max_iter = _check_int(spec.get("max_iter", 20000), "max_iter", 1)
-        self.seed = spec.get("seed")
-        if self.seed is not None:
-            self.seed = int(self.seed)
 
         outputs = dict(spec.get("outputs") or {})
         _check_keys(outputs, ("directory", "coefficients", "manifest", "trace",
@@ -467,7 +483,7 @@ def _load_measurements(cfg, kernel, knots):
         bounds, counts = load_patch_counts_csv(cfg.sampling["patch_csv"])
         if len(counts) == 0:
             raise ValueError("patch file %r has no rows" % cfg.sampling["patch_csv"])
-        Q = int(cfg.sampling.get("quadrature_order", 8))
+        Q = cfg.sampling["quadrature_order"]
         return [PatchFunctional(b, Q) for b in bounds], counts, None
     return synthetic_measurements(cfg.sampling["synthetic"], kernel, knots)
 

@@ -172,6 +172,28 @@ def test_lambda_sweep_matches_single_runs(tmp_path):
             assert (swept / name).read_bytes() == (single / name).read_bytes()
 
 
+@pytest.mark.parametrize("sweep", [("1e-4", "1e-2", "2.5"), ("1e-4", "1e-2", "0"),
+                                   ("1e-2", "1e-4", "3")],
+                         ids=["count_float", "count_zero", "lo_above_hi"])
+def test_lambda_sweep_validation(tmp_path, capsys, sweep):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "sweep")
+    code = main(["reconstruct", "--config", str(cfg_path), "--lambda-sweep", *sweep])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and "COUNT" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_reconstruct_rejects_float_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", seed=2.9)
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and "seed must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_raster_subcommand(tmp_path):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out", max_iter=400)

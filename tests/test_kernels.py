@@ -15,7 +15,7 @@ from sphsplines.kernels import (
     wendland_zonal,
 )
 from sphsplines.legendre import LegendreSeries, fourier_legendre, resynthesize
-from sphsplines.pdo import green_series, sobolev_symbol
+from sphsplines.pdo import green_series
 
 from oracles import matern_bessel, self_convolution_quad
 
@@ -111,17 +111,23 @@ def test_wendland_zonal_values():
 
 def test_sobolev_green_zonal_domain_error():
     with pytest.raises(ValueError):
-        sobolev_green_zonal(1.0, 3)
+        sobolev_green_zonal(1.0)
+
+
+def test_sobolev_green_zonal_tol_is_keyword_only():
+    # a stale positional dimension must not be read as a tolerance
+    with pytest.raises(TypeError):
+        sobolev_green_zonal(2.0, 3)
 
 
 def test_sobolev_green_zonal_peak_and_symmetry():
-    kern = sobolev_green_zonal(2.0, 3)
+    kern = sobolev_green_zonal(2.0)
     assert kern(1.0) == pytest.approx(1.0, abs=1e-12)
     t = np.linspace(-1, 1, 101)
     vals = kern(t)
     assert np.all(np.isfinite(vals))
     # pre-normalisation peak against the independent partial-sum oracle
-    series = green_series(sobolev_symbol(2.0, 3), tol=1e-12)
+    series = green_series(2.0, tol=1e-12)
     n = np.arange(0, 1_000_000)
     oracle = np.sum((2 * n + 1) / (4 * np.pi * (1 + n * (n + 1.0)) ** 2))
     assert resynthesize(series, 1.0) == pytest.approx(oracle, abs=1e-10)
@@ -197,7 +203,6 @@ def test_lipschitz_finite_positive():
                  wendland_zonal(3, 1, 0.05), wendland_zonal(3, 1, 0.2)):
         est = lipschitz_estimate(kernel=kern, grid=400)
         assert np.isfinite(est) and est > 0
-        assert kern.lipschitz_sq == est
 
 
 def test_lipschitz_refinement_stability():

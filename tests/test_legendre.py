@@ -8,33 +8,8 @@ from sphsplines.legendre import (
     fourier_legendre,
     gauss_legendre,
     legendre_all,
-    multiplicity,
     resynthesize,
 )
-
-
-def test_multiplicity_values():
-    assert multiplicity(3, 0) == 1
-    assert multiplicity(3, 5) == 11
-    assert multiplicity(2, 7) == 2
-
-
-def test_multiplicity_d3_closed_form():
-    for n in range(101):
-        assert multiplicity(3, n) == 2 * n + 1
-
-
-def test_multiplicity_rejects_small_d():
-    with pytest.raises(ValueError):
-        multiplicity(1, 3)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_multiplicity_growth_order(d):
-    # N_d(n) = O(n^{d-2}): doubling n multiplies by ~2^{d-2}
-    for n in (64, 128, 256):
-        ratio = multiplicity(d, 2 * n) / multiplicity(d, n)
-        assert ratio == pytest.approx(2.0 ** (d - 2), rel=0.05)
 
 
 def test_legendre_low_orders():

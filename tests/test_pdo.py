@@ -1,49 +1,28 @@
+import functools
+
 import numpy as np
 import pytest
 
 from sphsplines.legendre import resynthesize
-from sphsplines.pdo import (
-    check_compatibility,
-    green_series,
-    is_spline_admissible,
-    laplacian_symbol,
-    nullspace_regularize,
-    pseudoinverse_symbol,
-    sobolev_symbol,
-    sqrt_symbol,
-    FourierSymbol,
-)
+from sphsplines.pdo import check_compatibility, green_series, sobolev_symbol
 
 
 def test_sobolev_values():
-    assert sobolev_symbol(1.0, 3)(0) == pytest.approx(1.0)
-    assert sobolev_symbol(1.0, 3)(1) == pytest.approx(3.0)
-    assert sobolev_symbol(2.0, 3)(2) == pytest.approx(49.0)
+    assert sobolev_symbol(1.0, 0) == pytest.approx(1.0)
+    assert sobolev_symbol(1.0, 1) == pytest.approx(3.0)
+    assert sobolev_symbol(2.0, 2) == pytest.approx(49.0)
 
 
 def test_sobolev_rejects_nonpositive_beta():
     with pytest.raises(ValueError):
-        sobolev_symbol(0.0)
-
-
-def test_laplacian_values():
-    it = laplacian_symbol("iterated", 1, 3)
-    assert it(1) == pytest.approx(-2.0)
-    assert it(0) == 0.0
-    assert it.zero_set == {0}
-    fr = laplacian_symbol("fractional", 2, 3)
-    assert fr(1) == pytest.approx(np.sqrt(2.0))
-    assert fr(0) == 0.0
-    assert fr.zero_set == {0}
+        sobolev_symbol(0.0, 1)
 
 
 @pytest.mark.parametrize(
     "sym,p",
     [
-        (sobolev_symbol(1.5, 3), 3.0),
-        (sobolev_symbol(2.5, 3), 5.0),
-        (laplacian_symbol("iterated", 2, 3), 4.0),
-        (laplacian_symbol("fractional", 2, 3), 1.0),
+        (functools.partial(sobolev_symbol, 1.5), 3.0),
+        (functools.partial(sobolev_symbol, 2.5), 5.0),
     ],
 )
 def test_growth_order_matches_loglog_fit(sym, p):
@@ -57,44 +36,21 @@ def test_growth_order_matches_loglog_fit(sym, p):
     assert slope == pytest.approx(p, rel=0.20)
 
 
-def test_pseudoinverse_values():
-    const = FourierSymbol(lambda ns: np.full(ns.shape, 2.5), 0.0)
-    assert pseudoinverse_symbol(const)(7) == pytest.approx(0.4)
-    lap = laplacian_symbol("iterated", 1, 3)
-    assert pseudoinverse_symbol(lap)(0) == 0.0
-    assert pseudoinverse_symbol(sobolev_symbol(1.0, 3))(1) == pytest.approx(1 / 3)
-
-
-def test_pseudoinverse_involution_on_injective():
-    sym = sobolev_symbol(1.7, 3)
-    twice = pseudoinverse_symbol(pseudoinverse_symbol(sym))
-    ns = np.arange(0, 257)
-    np.testing.assert_allclose(twice(ns), sym(ns), rtol=1e-12)
-
-
-def test_sqrt_symbol_squares_back():
-    sym = sobolev_symbol(2.0, 3)
-    root = sqrt_symbol(sym)
-    ns = np.arange(0, 129)
-    np.testing.assert_allclose(root(ns) ** 2, sym(ns), rtol=1e-12)
-
-
 def test_spline_admissibility():
-    ok = is_spline_admissible(sobolev_symbol(1.5, 3))
-    assert ok.admissible and ok.growth_order == 3.0 and ok.threshold == 2.0
-    lb = is_spline_admissible(laplacian_symbol("iterated", 1, 3))
-    assert not lb.admissible  # p = 2 = d-1 is not strict
-    assert is_spline_admissible(laplacian_symbol("iterated", 2, 3)).admissible
+    # the Green series needs growth order 2*beta > d - 1 = 2
+    assert len(green_series(1.5, tol=1e-4)) > 0  # p = 3 > 2
+    with pytest.raises(ValueError, match=r"growth order 2 <= 2"):
+        green_series(1.0)  # p = 2 = d-1 is not strict
+    assert len(green_series(2.0)) > 0
 
 
 def test_green_series_rejects_inadmissible():
-    ident = FourierSymbol(lambda ns: np.ones(ns.shape), 0.0)
     with pytest.raises(ValueError):
-        green_series(ident)
+        green_series(0.0)  # symbol (1 + n(n+1))^0 = 1, growth order 0
 
 
 def test_green_series_sobolev_beta2_peak():
-    series = green_series(sobolev_symbol(2.0, 3), tol=1e-12)
+    series = green_series(2.0, tol=1e-12)
     # independent brute-force partial sum of sum (2n+1)/(4 pi (1+n(n+1))^2);
     # terms ~ n^-3 so the 1e6 cut leaves a ~8e-14 remainder
     n = np.arange(0, 1_000_000)
@@ -103,57 +59,53 @@ def test_green_series_sobolev_beta2_peak():
 
 
 def test_green_series_coeffs_exact_pseudoinverse():
-    sym = sobolev_symbol(2.5, 3)
-    series = green_series(sym, tol=1e-8)
+    series = green_series(2.5, tol=1e-8)
     ns = np.arange(len(series))
-    np.testing.assert_allclose(series.coeffs, 1.0 / sym(ns), rtol=1e-14)
+    np.testing.assert_allclose(series.coeffs, 1.0 / sobolev_symbol(2.5, ns),
+                               rtol=1e-14)
 
 
 def test_green_series_truncation_scaling():
     # N(tol) ~ tol^{-1/(2 beta - 2)}: for beta = 2.5 an 100x tol drop should
     # grow N by ~100^{1/3} ~ 4.6; assert the ratio lands in [2, 10]
-    sym = sobolev_symbol(2.5, 3)
-    n6 = len(green_series(sym, tol=1e-6))
-    n8 = len(green_series(sym, tol=1e-8))
+    n6 = len(green_series(2.5, tol=1e-6))
+    n8 = len(green_series(2.5, tol=1e-8))
     assert 2.0 < n8 / n6 < 10.0
 
 
 def test_green_series_continuity():
-    series = green_series(sobolev_symbol(2.5, 3), tol=1e-8)
+    series = green_series(2.5, tol=1e-8)
     t = np.linspace(-1, 1, 4001)
     vals = resynthesize(series, t)
     assert np.max(np.abs(np.diff(vals))) < 1e-3
 
 
-def test_nullspace_regularize():
-    lap = laplacian_symbol("iterated", 1, 3)
-    reg = nullspace_regularize(lap, 0.5)
-    assert reg(0) == pytest.approx(0.5)
-    assert reg(3) == pytest.approx(lap(3))
-    assert reg.zero_set == frozenset()
-    # injective symbols pass through unchanged
-    sob = sobolev_symbol(1.0, 3)
-    assert nullspace_regularize(sob, 0.5) is sob
-    with pytest.raises(ValueError):
-        nullspace_regularize(lap, 0.0)
+def test_green_series_truncation_is_pinned():
+    # N of the tail-bound bisection, pinned; coefficients are 1/symbol exactly
+    for beta, tol, length in [(2.0, 1e-8, 2865), (2.5, 1e-8, 175),
+                              (1.5, 1e-4, 1791)]:
+        series = green_series(beta, tol=tol)
+        assert len(series) == length
+        n = np.arange(length)
+        assert np.array_equal(series.coeffs, 1.0 / (1.0 + n * (n + 1.0)) ** beta)
 
 
-def test_regularized_green_series_carries_1_over_gamma():
-    reg = nullspace_regularize(laplacian_symbol("iterated", 2, 3), 0.25)
-    series = green_series(reg, tol=1e-8)
-    assert series.coeffs[0] == pytest.approx(4.0)
+def test_green_series_tol_is_keyword_only():
+    with pytest.raises(TypeError):
+        green_series(2.0, 1e-8)
 
 
 def test_check_compatibility():
-    assert check_compatibility(sobolev_symbol(2.5, 3), "dirac")
-    assert check_compatibility(sobolev_symbol(2.5, 3), "square_integrable")
-    assert not check_compatibility(laplacian_symbol("fractional", 2, 3), "dirac")
+    check_compatibility(2.5, "dirac")
+    check_compatibility(2.5, "square_integrable")
+    with pytest.raises(ValueError, match=r"decay order 1 is too small for dirac "
+                                         r"sampling \(needs > 2\)"):
+        check_compatibility(0.5, "dirac")  # growth 1, like fractional Laplacian q=2
     with pytest.raises(ValueError):
-        check_compatibility(sobolev_symbol(1.0), "patch")
-
-
-def test_symbol_memo_consistency():
-    sym = sobolev_symbol(1.5, 3)
-    v1 = sym(10)
-    v2 = sym(10)
-    assert v1 == v2 == sym(np.array([10]))[0]
+        check_compatibility(1.0, "patch")
+    # both thresholds are strict
+    check_compatibility(0.51, "square_integrable")
+    with pytest.raises(ValueError, match=r"square_integrable sampling \(needs > 1\)"):
+        check_compatibility(0.5, "square_integrable")
+    with pytest.raises(ValueError, match=r"dirac sampling \(needs > 2\)"):
+        check_compatibility(1.0, "dirac")

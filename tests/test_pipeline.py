@@ -245,8 +245,24 @@ def test_config_echo_makes_defaults_explicit():
     ("max_iter", lambda c: c.update(max_iter=2.9)),
     ("max_iter", lambda c: c.update(max_iter="50")),
     ("knots.fibonacci", lambda c: c.update(knots={"fibonacci": True})),
+    ("seed", lambda c: c.update(seed=2.9)),
+    ("seed", lambda c: c.update(seed=True)),
+    ("seed", lambda c: c.update(seed="7")),
+    ("sampling.synthetic.seed", lambda c: c["sampling"]["synthetic"].update(seed=2.9)),
+    ("sampling.synthetic.bumps", lambda c: c["sampling"]["synthetic"].update(bumps=2.9)),
+    ("sampling.synthetic.samples",
+     lambda c: c["sampling"]["synthetic"].update(samples="240")),
+    ("sampling.synthetic.quadrature_order", lambda c: c["sampling"].update(
+        synthetic={"kind": "counts", "quadrature_order": 2.9})),
+    ("sampling.synthetic.grid[0]", lambda c: c["sampling"].update(
+        synthetic={"kind": "counts", "grid": [6.5, 12]})),
+    ("sampling.quadrature_order", lambda c: c.update(
+        sampling={"patch_csv": "counts.csv", "quadrature_order": 2.9})),
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "l2ball", "rho_rel": "0.1"})),
 ], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
-        "max_iter_str", "fibonacci_bool"])
+        "max_iter_str", "fibonacci_bool", "seed_float", "seed_bool", "seed_str",
+        "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
+        "grid_float", "patch_quadrature_order_float", "rho_rel_str"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)
