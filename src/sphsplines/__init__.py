@@ -77,7 +77,6 @@ from .spline import (  # noqa: F401
 )
 from .pipeline import (  # noqa: F401
     RunConfig,
-    RunManifest,
     add_gaussian_noise,
     export_raster,
     load_coefficients_csv,

@@ -28,6 +28,8 @@ import numpy as np
 from . import __version__
 from .pipeline import (
     build_kernel,
+    check_kernel,
+    check_synthetic,
     export_raster,
     load_coefficients_csv,
     run_lambda_sweep,
@@ -40,17 +42,21 @@ from .sphere import fibonacci_lattice, lonlat_from_direction
 from .spline import synthesize
 
 
+# the kernel config keys the kernel flags set (each flag's dest)
+_KERNEL_KEYS = ("beta", "d", "k", "epsilon", "fwhm_deg", "convention")
+
+
 def _add_kernel_args(p):
     p.add_argument("--family", default="matern",
                    choices=["matern", "wendland", "sobolev"])
     p.add_argument("--beta", type=float, help="smoothness order (matern/sobolev)")
-    p.add_argument("--dim", type=int, default=3, help="wendland dimension d")
-    p.add_argument("--order", type=int, help="wendland smoothness index k")
+    p.add_argument("--dim", dest="d", type=int, help="wendland dimension d")
+    p.add_argument("--order", dest="k", type=int, help="wendland smoothness index k")
     p.add_argument("--epsilon", type=float, help="kernel scale")
     p.add_argument("--fwhm-deg", type=float,
                    help="target full width at half maximum, degrees")
-    p.add_argument("--convention", default="standard",
-                   choices=["standard", "eq60"])
+    p.add_argument("--convention", choices=["standard", "eq60"],
+                   help="matern scale convention")
 
 
 def _add_synth_args(p, func):
@@ -65,21 +71,11 @@ def _add_synth_args(p, func):
 
 
 def _kernel_spec(args):
-    spec = {"family": args.family}
-    if args.family == "matern":
-        spec["beta"] = args.beta
-        spec["convention"] = args.convention
-    elif args.family == "wendland":
-        spec["d"] = args.dim
-        spec["k"] = args.order
-    else:
-        spec["beta"] = args.beta
-    if args.family != "sobolev":
-        if args.epsilon is not None:
-            spec["epsilon"] = args.epsilon
-        if args.fwhm_deg is not None:
-            spec["fwhm_deg"] = args.fwhm_deg
-    return spec
+    """The kernel block of the flags that were given, checked as a run
+    config's ``kernel`` is (flags left out take its defaults)."""
+    spec = {key: getattr(args, key) for key in _KERNEL_KEYS
+            if getattr(args, key) is not None}
+    return check_kernel(dict(spec, family=args.family))
 
 
 def _cmd_reconstruct(args):
@@ -131,7 +127,7 @@ def _synthetic(args, **synth):
     synth.update(bumps=args.bumps, amplitude=[args.amp_lo, args.amp_hi],
                  seed=args.seed)
     functionals, y, _ = synthetic_measurements(
-        synth, kernel, fibonacci_lattice(args.knots)
+        check_synthetic(synth), kernel, fibonacci_lattice(args.knots)
     )
     return functionals, y
 
@@ -147,10 +143,9 @@ def _cmd_synth_scatter(args):
 
 
 def _cmd_synth_counts(args):
-    # patches use the 8-point rule of config runs (no flag sets it)
+    # patches use the quadrature rule of config runs (no flag sets it)
     functionals, counts = _synthetic(
-        args, kind="counts", grid=args.grid, rate_scale=args.rate_scale,
-        quadrature_order=8,
+        args, kind="counts", grid=args.grid, rate_scale=args.rate_scale
     )
     save_patch_counts_csv(args.output, [f.bounds for f in functionals], counts)
     print("wrote %d patch counts (total %d events) to %s"

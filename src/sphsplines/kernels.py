@@ -158,11 +158,8 @@ class WendlandPolynomial:
     r >= 1.  Normalised so phi(0) = 1; phi(1) = 0 exactly.
     """
 
-    def __init__(self, coeffs, d, k, ell):
+    def __init__(self, coeffs):
         self.coeffs = [Fraction(c) for c in coeffs]
-        self.d = int(d)
-        self.k = int(k)
-        self.ell = int(ell)
         if self.coeffs[0] != 1:
             raise ValueError("polynomial must be normalised to 1 at r = 0")
         if sum(self.coeffs) != 0:
@@ -175,9 +172,6 @@ class WendlandPolynomial:
             out = out * r + float(c)
         out = np.where(r < 1.0, out, 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def degree(self):
-        return len(self.coeffs) - 1
 
 
 def wendland_construct(d, k):
@@ -203,7 +197,7 @@ def wendland_construct(d, k):
         coeffs = [total - anti[0]] + [-a for a in anti[1:]]
     peak = coeffs[0]
     coeffs = [c / peak for c in coeffs]
-    return WendlandPolynomial(coeffs, d, k, ell)
+    return WendlandPolynomial(coeffs)
 
 
 def wendland_zonal(d, k, epsilon):

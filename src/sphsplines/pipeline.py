@@ -177,12 +177,11 @@ def plant_spline(kernel, pool, n_bumps, amplitude_range, seed):
     bound for signed fields; keep it positive when the field feeds a Poisson
     rate).  Deterministic for a given seed.
     """
-    n_bumps = int(n_bumps)
     if n_bumps < 1:
         raise ValueError("n_bumps must be >= 1")
     if n_bumps > len(pool):
         raise ValueError("pool has only %d knots" % len(pool))
-    lo, hi = map(float, amplitude_range)
+    lo, hi = amplitude_range
     if not lo < hi:
         raise ValueError("amplitude_range must be increasing")
     rng = np.random.default_rng(seed)
@@ -218,14 +217,14 @@ def poisson_counts(rates, seed):
 def random_directions(n, seed):
     """n directions drawn uniformly on the sphere (normalised Gaussians)."""
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal((int(n), 3))
+    d = rng.standard_normal((n, 3))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
 def synthetic_measurements(synth, kernel, knots):
     """(functionals, y, G) measuring a planted spline, per a complete
-    ``sampling.synthetic`` block (as `RunConfig` fills it in); G is the
-    patch Gram counts were drawn through (None for scatter).
+    ``sampling.synthetic`` block (as `check_synthetic` and `RunConfig` fill
+    it in); G is the patch Gram counts were drawn through (None for scatter).
 
     The field plants its bumps at ``seed``; scatter directions use seed + 1
     and noise seed + 2, Poisson counts seed + 1.
@@ -237,181 +236,221 @@ def synthetic_measurements(synth, kernel, knots):
         dirs = random_directions(synth["samples"], offset(1))
         values = evaluate(truth, dirs)
         if synth["psnr_db"] is not None:
-            values = add_gaussian_noise(values, float(synth["psnr_db"]), offset(2))
+            values = add_gaussian_noise(values, synth["psnr_db"], offset(2))
         return [DiracFunctional(d) for d in dirs], values, None
     n_lat, n_lon = synth["grid"]
     Q = synth["quadrature_order"]
     functionals = [PatchFunctional(b, Q) for b in equal_angle_patch_grid(n_lat, n_lon)]
     G = assemble_gram(kernel, functionals, knots)
-    rates = float(synth["rate_scale"]) * np.clip(G.matvec(truth.coeffs), 0.0, None)
+    rates = synth["rate_scale"] * np.clip(G.matvec(truth.coeffs), 0.0, None)
     counts = poisson_counts(rates, offset(1))
     return functionals, counts.astype(float), G
 
 
 # -------------------------------------------------------------- run configs
+#
+# The run-config format, one table per block: key -> (check, default).  A
+# check takes (value, dotted path) and returns the value, numbers as floats,
+# or raises ValueError naming the path.  A missing key's default goes through
+# its check too, so a key whose check rejects None is required.
+
+
+def _int(lowest, what="an integer"):
+    """Check: an integer >= ``lowest``; a bool, a float or a string is not."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
+            raise ValueError("%s must be %s >= %d" % (path, what, lowest))
+        return value
+    return check
+
+
+def _number(rule="", ok=lambda x: True):
+    """Check: a number passing ``ok`` (described by ``rule``), as a float;
+    a bool or a string is not a number."""
+    def check(value, path):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not ok(value)):
+            raise ValueError("%s must be a number%s" % (path, rule))
+        return float(value)
+    return check
+
+
+def _nullable(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _choice(*options):
+    def check(value, path):
+        if value not in options:
+            raise ValueError("%s must be one of %s" % (path, ", ".join(options)))
+        return value
+    return check
+
+
+def _text(value, path):
+    """Check: a string (a file or directory name)."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string" % path)
+    return value
+
+
+def _pair(check, what):
+    def pair(value, path):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError("%s must be %s" % (path, what))
+        return [check(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    return pair
+
+
+def _object(value, path):
+    """``value`` if it is a JSON object; an absent block reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError("%s must be an object" % (path or "a run config"))
+    return value
+
+
+def _block(rules):
+    """Check: a block with each key of ``rules`` checked and defaulted; any
+    other key fails, naming its dotted path."""
+    def block(value, path):
+        value = _object(value, path)
+        prefix = path + "." if path else ""
+        unknown = sorted(set(value) - set(rules))
+        if unknown:
+            raise ValueError("unknown config key %s%s (allowed here: %s)"
+                             % (prefix, unknown[0], ", ".join(sorted(rules))))
+        return {key: check(value.get(key, default), prefix + key)
+                for key, (check, default) in rules.items()}
+    return block
+
+
+def _variant(value, path, key, variants):
+    """A block whose ``key`` names its rules among ``variants``."""
+    choose = _choice(*variants)
+    name = choose(_object(value, path).get(key), path + "." + key)
+    return _block(dict(variants[name], **{key: (choose, None)}))(value, path)
+
+
+_positive = _number(" > 0", lambda x: x > 0)
+_nonnegative = _number(" >= 0", lambda x: x >= 0)
+
+_SCALE = {  # matern and wendland take exactly one
+    "epsilon": (_nullable(_number(" in (0, 1]", lambda x: 0 < x <= 1)), None),
+    "fwhm_deg": (_nullable(_positive), None),
+}
+_KERNEL = {
+    "matern": dict(_SCALE, beta=(_number(), None),
+                   convention=(_choice("standard", "eq60"), "standard")),
+    "wendland": dict(_SCALE, k=(_int(0, "an integer smoothness index"), None),
+                     d=(_int(1), 3)),
+    "sobolev": {"beta": (_number(), None), "tol": (_positive, 1e-8)},
+}
+_PLANTED = {
+    "bumps": (_int(1), 8),
+    "amplitude": (_pair(_number(), "two numbers [low, high]"), [0.5, 2.0]),
+    "seed": (_nullable(_int(0)), None),  # None: the run seed
+}
+_SYNTHETIC = {
+    "scatter": dict(_PLANTED, samples=(_nullable(_int(1)), None),  # None: 3 per knot
+                    psnr_db=(_nullable(_number()), None)),
+    "counts": dict(_PLANTED, grid=(_pair(_int(1), "[n_lat, n_lon]"), [12, 24]),
+                   rate_scale=(_nonnegative, 1.0), quadrature_order=(_int(1), 8)),
+}
+
+
+def check_kernel(value, path="kernel"):
+    """A kernel block checked by its family's rules, defaults filled in."""
+    kernel = _variant(value, path, "family", _KERNEL)
+    if kernel["family"] != "sobolev" and (
+            (kernel["epsilon"] is None) == (kernel["fwhm_deg"] is None)):
+        raise ValueError("%s needs exactly one of epsilon / fwhm_deg" % path)
+    return kernel
+
+
+def check_synthetic(value, path="sampling.synthetic"):
+    """A synthetic block checked per its kind; `RunConfig` fills its run defaults."""
+    return _variant(value, path, "kind", _SYNTHETIC)
+
+
+_SAMPLING = {  # source -> its rules
+    "scatter_csv": {"scatter_csv": (_text, None)},
+    "patch_csv": {"patch_csv": (_text, None), "quadrature_order": (_int(1), 8)},
+    "synthetic": {"synthetic": (check_synthetic, None)},
+}
+
+
+def _sampling(value, path):
+    """Check: a sampling block naming exactly one source, with its rules."""
+    sources = [s for s in _SAMPLING if s in _object(value, path)]
+    if len(sources) != 1:
+        raise ValueError("%s must name exactly one source (%s)"
+                         % (path, " | ".join(_SAMPLING)))
+    return _block(_SAMPLING[sources[0]])(value, path)
+
 
 # cost.kind -> the data-fit model for a cost block and measurements y
 _COST_KINDS = {
     "exact": lambda cost, y: ExactMatch(y),
-    "l2ball": lambda cost, y: L2Ball(y, float(cost["rho_rel"]) * np.linalg.norm(y)),
+    "l2ball": lambda cost, y: L2Ball(y, cost["rho_rel"] * np.linalg.norm(y)),
     "l1": lambda cost, y: L1(y),
     "kl": lambda cost, y: KL(y),
     "ls": lambda cost, y: LeastSquares(y),
 }
-_SOLVER_KINDS = ("pds", "apgd", "tikhonov")
-
-# the names a run config may use, per block (the README's reference)
-_SCALE_KEYS = ("family", "epsilon", "fwhm_deg")
-_KERNEL_KEYS = {
-    "matern": _SCALE_KEYS + ("beta", "convention"),
-    "wendland": _SCALE_KEYS + ("k", "d"),
-    "sobolev": ("family", "beta", "tol"),
+_COST = {"kind": (_choice(*_COST_KINDS), None), "rho_rel": (_nullable(_number()), None)}
+_SOLVER = {"kind": (_choice("pds", "apgd", "tikhonov"), None),
+           "mu": (_nullable(_positive), None)}
+_KNOTS = {"fibonacci": (_int(1), None)}
+_RASTER = {"n_lat": (_int(2), None), "n_lon": (_int(2), None), "path": (_text, None)}
+_OUTPUTS = {
+    "directory": (_text, "."),
+    "coefficients": (_text, "coefficients.csv"),
+    "manifest": (_text, "manifest.json"),
+    "trace": (_text, "trace.csv"),
+    "raster": (_nullable(_block(_RASTER)), None),
 }
-_SYNTH_KEYS = {
-    "scatter": ("kind", "bumps", "amplitude", "seed", "samples", "psnr_db"),
-    "counts": ("kind", "bumps", "amplitude", "seed", "grid", "rate_scale",
-               "quadrature_order"),
+_RUN = {
+    "kernel": (check_kernel, None),
+    "knots": (_block(_KNOTS), None),
+    "sampling": (_sampling, None),
+    "cost": (_block(_COST), None),
+    "solver": (_block(_SOLVER), None),
+    "lambda": (_nonnegative, 0.0),
+    "eps_stop": (_positive, 1e-4),
+    "max_iter": (_int(1), 20000),
+    "seed": (_nullable(_int(0)), None),
+    "outputs": (_block(_OUTPUTS), None),
 }
-
-
-def _check_keys(block, allowed, path):
-    """Reject any key of ``block`` outside ``allowed``, naming its dotted path."""
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ValueError("unknown config key %s%s (allowed here: %s)"
-                         % (path, unknown[0], ", ".join(sorted(allowed))))
-
-
-def _check_int(value, path, lowest):
-    """``value`` if it is an integer >= ``lowest`` (not a bool), else an
-    error naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-        raise ValueError("%s must be an integer >= %d" % (path, lowest))
-    return value
 
 
 class RunConfig:
     """Validated reconstruction run description (one JSON document).
 
-    See `to_dict` for the normalised layout; every default the run uses is
-    explicit there, and the manifest echoes it.
+    Each key is checked by its rule in the tables above.  See `to_dict` for
+    the normalised layout; every default the run uses is explicit there, and
+    the manifest echoes it.
     """
 
     def __init__(self, spec):
-        spec = dict(spec)
-        _check_keys(spec, ("kernel", "knots", "sampling", "cost", "solver", "lambda",
-                           "eps_stop", "max_iter", "seed", "outputs"), "")
-        kernel = dict(spec.get("kernel") or {})
-        family = kernel.get("family")
-        if family not in _KERNEL_KEYS:
-            raise ValueError("kernel.family must be matern, wendland or sobolev")
-        _check_keys(kernel, _KERNEL_KEYS[family], "kernel.")
-        if family != "sobolev" and ("epsilon" in kernel) == ("fwhm_deg" in kernel):
-            raise ValueError("kernel needs exactly one of epsilon / fwhm_deg")
-        if family == "matern":
-            kernel.setdefault("convention", "standard")
-        elif family == "wendland":
-            kernel.setdefault("d", 3)
-        self.kernel_spec = kernel
-
-        knots = dict(spec.get("knots") or {})
-        _check_keys(knots, ("fibonacci",), "knots.")
-        self.n_knots = _check_int(knots.get("fibonacci"), "knots.fibonacci", 1)
-        self.seed = spec.get("seed")
-        if self.seed is not None:
-            _check_int(self.seed, "seed", 0)
-
-        sampling = dict(spec.get("sampling") or {})
-        sources = [k for k in ("scatter_csv", "patch_csv", "synthetic") if k in sampling]
-        if len(sources) != 1:
-            raise ValueError(
-                "sampling must name exactly one source "
-                "(scatter_csv | patch_csv | synthetic)"
-            )
-        allowed = sources + (["quadrature_order"] if "patch_csv" in sampling else [])
-        _check_keys(sampling, allowed, "sampling.")
-        if "patch_csv" in sampling:
-            sampling.setdefault("quadrature_order", 8)
-            _check_int(sampling["quadrature_order"], "sampling.quadrature_order", 1)
-        if "synthetic" in sampling:
-            synth = dict(sampling["synthetic"])
-            if synth.get("kind") not in _SYNTH_KEYS:
-                raise ValueError("synthetic.kind must be scatter or counts")
-            _check_keys(synth, _SYNTH_KEYS[synth["kind"]], "sampling.synthetic.")
-            synth.setdefault("bumps", 8)
-            synth.setdefault("amplitude", [0.5, 2.0])
-            synth.setdefault("seed", self.seed)
-            if synth["kind"] == "scatter":
-                synth.setdefault("samples", 3 * self.n_knots)
-                synth.setdefault("psnr_db", None)
-                int_keys = ("bumps", "samples")
-            else:
-                synth.setdefault("grid", [12, 24])
-                synth.setdefault("rate_scale", 1.0)
-                synth.setdefault("quadrature_order", 8)
-                int_keys = ("bumps", "quadrature_order")
-                grid = synth["grid"]
-                if not isinstance(grid, (list, tuple)) or len(grid) != 2:
-                    raise ValueError("sampling.synthetic.grid must be [n_lat, n_lon]")
-                for i, n in enumerate(grid):
-                    _check_int(n, "sampling.synthetic.grid[%d]" % i, 1)
-            for key in int_keys:
-                _check_int(synth[key], "sampling.synthetic." + key, 1)
-            if synth["seed"] is not None:
-                _check_int(synth["seed"], "sampling.synthetic.seed", 0)
-            sampling = {"synthetic": synth}
-        self.sampling = sampling
-
-        cost = dict(spec.get("cost") or {})
-        _check_keys(cost, ("kind", "rho_rel"), "cost.")
-        if cost.get("kind") not in _COST_KINDS:
-            raise ValueError("cost.kind must be one of %s" % (tuple(_COST_KINDS),))
-        cost.setdefault("rho_rel", None)
-        rho = cost["rho_rel"]
-        if rho is not None and (isinstance(rho, bool)
-                                or not isinstance(rho, (int, float))):
-            raise ValueError("cost.rho_rel must be a number")
-        if cost["kind"] == "l2ball" and not (rho or 0) > 0:
-            raise ValueError("l2ball cost needs rho_rel > 0")
-        self.cost = cost
-
-        solver = dict(spec.get("solver") or {})
-        _check_keys(solver, ("kind", "mu"), "solver.")
-        if solver.get("kind") not in _SOLVER_KINDS:
-            raise ValueError("solver.kind must be one of %s" % (_SOLVER_KINDS,))
+        run = _block(_RUN)(spec, "")
+        cost, solver = run["cost"], run["solver"]
+        if cost["kind"] == "l2ball" and not (cost["rho_rel"] or 0) > 0:
+            raise ValueError("cost.rho_rel must be > 0 for the l2ball cost")
         if solver["kind"] == "apgd" and cost["kind"] != "ls":
-            raise ValueError("apgd needs the smooth ls cost")
-        if solver["kind"] == "tikhonov" and not solver.get("mu", 0) > 0:
-            raise ValueError("tikhonov solver needs mu > 0")
-        solver.setdefault("mu", None)
-        self.solver = solver
-
-        self.lam = float(spec.get("lambda", 0.0))
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        self.eps_stop = float(spec.get("eps_stop", 1e-4))
-        if not self.eps_stop > 0:
-            raise ValueError("eps_stop must be > 0")
-        self.max_iter = _check_int(spec.get("max_iter", 20000), "max_iter", 1)
-
-        outputs = dict(spec.get("outputs") or {})
-        _check_keys(outputs, ("directory", "coefficients", "manifest", "trace",
-                              "raster"), "outputs.")
-        outputs.setdefault("directory", ".")
-        outputs.setdefault("coefficients", "coefficients.csv")
-        outputs.setdefault("manifest", "manifest.json")
-        outputs.setdefault("trace", "trace.csv")
-        outputs.setdefault("raster", None)
-        if outputs["raster"] is not None:
-            raster = dict(outputs["raster"])
-            _check_keys(raster, ("n_lat", "n_lon", "path"), "outputs.raster.")
-            for key in ("n_lat", "n_lon", "path"):
-                if key not in raster:
-                    raise ValueError("outputs.raster needs n_lat, n_lon, path")
-            for key in ("n_lat", "n_lon"):
-                _check_int(raster[key], "outputs.raster." + key, 2)
-            outputs["raster"] = raster
-        self.outputs = outputs
+            raise ValueError("solver.kind apgd needs the smooth ls cost")
+        if solver["kind"] == "tikhonov" and solver["mu"] is None:
+            raise ValueError("solver.mu is required by the tikhonov solver")
+        synth = run["sampling"].get("synthetic")
+        if synth is not None:  # the defaults that depend on the run
+            if synth["seed"] is None:
+                synth["seed"] = run["seed"]
+            if synth.get("samples", 0) is None:
+                synth["samples"] = 3 * run["knots"]["fibonacci"]
+        self.kernel_spec, self.n_knots = run["kernel"], run["knots"]["fibonacci"]
+        self.sampling, self.cost, self.solver = run["sampling"], cost, solver
+        self.lam, self.eps_stop, self.max_iter = run["lambda"], run["eps_stop"], run["max_iter"]
+        self.seed, self.outputs = run["seed"], run["outputs"]
 
     def to_dict(self):
         return {
@@ -433,43 +472,16 @@ class RunConfig:
 
 
 def build_kernel(spec):
-    """ZonalKernel from a config kernel spec (dict)."""
-    family = spec.get("family")
-    if family in ("matern", "sobolev") and spec.get("beta") is None:
-        raise ValueError("%s kernel needs beta" % family)
-    if family == "sobolev":
-        return sobolev_green_zonal(float(spec["beta"]), tol=spec.get("tol", 1e-8))
-    if family == "matern":
-        beta = float(spec["beta"])
-        convention = spec.get("convention", "standard")
-        factory = lambda eps: matern_zonal(beta, eps, convention=convention)
-    elif family == "wendland":
-        if spec.get("k") is None:
-            raise ValueError("wendland kernel needs the smoothness index k")
-        d, k = int(spec.get("d", 3)), int(spec["k"])
-        factory = lambda eps: wendland_zonal(d, k, eps)
+    """ZonalKernel from a kernel block `check_kernel` has passed."""
+    if spec["family"] == "sobolev":
+        return sobolev_green_zonal(spec["beta"], tol=spec["tol"])
+    if spec["family"] == "matern":
+        factory = lambda eps: matern_zonal(spec["beta"], eps, convention=spec["convention"])
     else:
-        raise ValueError("unknown kernel family %r" % (family,))
-    if "fwhm_deg" in spec:
-        eps = epsilon_for_fwhm(factory, float(spec["fwhm_deg"]))
-    else:
-        eps = float(spec["epsilon"])
-    return factory(eps)
-
-
-class RunManifest:
-    """Run summary written alongside the artifacts."""
-
-    def __init__(self, data):
-        self.data = dict(data)
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        factory = lambda eps: wendland_zonal(spec["d"], spec["k"], eps)
+    if spec["fwhm_deg"] is None:
+        return factory(spec["epsilon"])
+    return factory(epsilon_for_fwhm(factory, spec["fwhm_deg"]))
 
 
 def _load_measurements(cfg, kernel, knots):
@@ -520,7 +532,7 @@ def _run_point(cfg, setup):
     y, model = setup.y, setup.model
     if cfg.solver["kind"] == "tikhonov":
         K = setup.K
-        mu = float(cfg.solver["mu"])
+        mu = cfg.solver["mu"]
         x = tikhonov_solve(K, y, mu)
         Kx = K @ x
         misfit = float(np.linalg.norm(Kx - y))
@@ -554,29 +566,29 @@ def _run_point(cfg, setup):
     if cfg.outputs["raster"] is not None:
         raster = cfg.outputs["raster"]
         raster_path = cfg.output_path("raster")
-        export_raster(field, int(raster["n_lat"]), int(raster["n_lon"]), raster_path)
+        export_raster(field, raster["n_lat"], raster["n_lon"], raster_path)
 
-    manifest = RunManifest(
-        {
-            "config": cfg.to_dict(),
-            "iterations": int(iterations),
-            "converged": bool(converged),
-            "final_objective": float(trace[-1]),
-            "residual_norms": residuals,
-            "sparsity_count": sparsity_report(field).count,
-            "wall_time_s": setup.seconds + time.perf_counter() - started,
-            "library_version": __version__,
-            "rng_seed": cfg.seed,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "outputs": {
-                "coefficients": coeff_path,
-                "trace": trace_path,
-                "raster": raster_path,
-                "manifest": cfg.output_path("manifest"),
-            },
-        }
-    )
-    manifest.write(cfg.output_path("manifest"))
+    manifest = {
+        "config": cfg.to_dict(),
+        "iterations": int(iterations),
+        "converged": bool(converged),
+        "final_objective": float(trace[-1]),
+        "residual_norms": residuals,
+        "sparsity_count": sparsity_report(field).count,
+        "wall_time_s": setup.seconds + time.perf_counter() - started,
+        "library_version": __version__,
+        "rng_seed": cfg.seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "outputs": {
+            "coefficients": coeff_path,
+            "trace": trace_path,
+            "raster": raster_path,
+            "manifest": cfg.output_path("manifest"),
+        },
+    }
+    with open(cfg.output_path("manifest"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest
 
 
@@ -585,8 +597,8 @@ def run_reconstruction(config):
 
     Returns
     -------
-    RunManifest
-        Also written as JSON to the configured manifest path.
+    dict
+        The manifest, also written as JSON to the configured manifest path.
     """
     cfg = config if isinstance(config, RunConfig) else RunConfig(config)
     return _run_point(cfg, _Setup(cfg))
@@ -612,7 +624,6 @@ def run_lambda_sweep(config, lambdas):
 def export_raster(field, n_lat, n_lon, path):
     """Write ``lon_deg,lat_deg,value`` at the cell centres of an equal-angle
     grid (south-to-north rows, west-to-east columns)."""
-    n_lat, n_lon = int(n_lat), int(n_lon)
     if n_lat < 2 or n_lon < 2:
         raise ValueError("raster needs n_lat, n_lon >= 2")
     lat = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)

@@ -218,3 +218,28 @@ def test_kernel_flag_validation(tmp_path, capsys):
     ])
     assert code == 1
     assert "smoothness index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "0.3", "--fwhm-deg", "20"], "exactly one of epsilon / fwhm_deg"),
+    ([], "exactly one of epsilon / fwhm_deg"),
+    (["--epsilon", "0.3", "--order", "1"], "unknown config key kernel.k"),
+], ids=["both_scales", "no_scale", "order_with_matern"])
+def test_kernel_flags_take_the_config_checks(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.csv"
+    code = main(["synth-scatter", "--family", "matern", "--beta", "2.5", *flags,
+                 "--output", str(out), "--knots", "50", "--samples", "20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and message in err
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_string_mu(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", cost={"kind": "ls"},
+                  solver={"kind": "tikhonov", "mu": "1e-3"})
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and "solver.mu must be a number" in err
+    assert not (tmp_path / "out").exists()

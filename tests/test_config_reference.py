@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import sphsplines.pipeline as pipeline
 from sphsplines.pipeline import RunConfig, build_kernel
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -33,6 +34,7 @@ DOCUMENTED = {
     "sobolev": {"kernel": SOBOLEV},
     "tol": {"kernel": dict(SOBOLEV, tol=1e-6)},
     "epsilon": {"kernel": WENDLAND},
+    "knots.fibonacci": {"knots": {"fibonacci": 32}},
     "fwhm_deg": {"kernel": {"family": "wendland", "k": 1, "fwhm_deg": 20.0}},
     "sampling": {"sampling": {"scatter_csv": "samples.csv"}},
     "scatter_csv": {"sampling": {"scatter_csv": "samples.csv"}},
@@ -61,6 +63,9 @@ DOCUMENTED = {
     "apgd": {"cost": {"kind": "ls"}, "solver": {"kind": "apgd"}},
     "tikhonov": {"cost": {"kind": "ls"}, "solver": {"kind": "tikhonov", "mu": 1e-3}},
     "mu": {"cost": {"kind": "ls"}, "solver": {"kind": "tikhonov", "mu": 1e-3}},
+    "lambda": {"lambda": 0.5},
+    "eps_stop": {"eps_stop": 1e-6},
+    "max_iter": {"max_iter": 500},
     "outputs": {"outputs": {"directory": "run"}},
     "directory": {"outputs": {"directory": "run"}},
     "coefficients": {"outputs": {"coefficients": "x.csv"}},
@@ -108,6 +113,35 @@ def test_documented_name_is_accepted(name):
     cfg = RunConfig(spec)
     build_kernel(cfg.kernel_spec)
     assert '"%s"' % name.rsplit(".", 1)[-1] in json.dumps(cfg.to_dict())
+
+
+def _is_rules(value):
+    # a validator table: key -> (check, default)
+    return isinstance(value, dict) and bool(value) and all(
+        isinstance(rule, tuple) and len(rule) == 2 and callable(rule[0])
+        for rule in value.values())
+
+
+def _validator_names():
+    """Every key of every rule table in the pipeline module, and the names of
+    the variants (kernel families, synthetic kinds, sampling sources) that
+    pick a table."""
+    names = set()
+    for value in vars(pipeline).values():
+        if _is_rules(value):
+            names |= set(value)
+        elif isinstance(value, dict) and value and all(map(_is_rules, value.values())):
+            names |= set(value).union(*value.values())
+    return names
+
+
+def test_every_key_the_validator_accepts_is_documented():
+    documented = {part for name in _reference_names() for part in name.split(".")}
+    accepted = _validator_names()
+    # the walk found the top-level, nested and per-variant tables
+    assert {"max_iter", "fibonacci", "n_lat", "tol", "rate_scale", "sobolev",
+            "patch_csv"} <= accepted
+    assert sorted(accepted - documented) == []
 
 
 def test_wendland_dim_order_spelling_names_the_key():

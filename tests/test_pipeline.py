@@ -259,10 +259,34 @@ def test_config_echo_makes_defaults_explicit():
     ("sampling.quadrature_order", lambda c: c.update(
         sampling={"patch_csv": "counts.csv", "quadrature_order": 2.9})),
     ("cost.rho_rel", lambda c: c.update(cost={"kind": "l2ball", "rho_rel": "0.1"})),
+    ("lambda", lambda c: c.update({"lambda": True})),
+    ("lambda", lambda c: c.update({"lambda": "0.1"})),
+    ("eps_stop", lambda c: c.update(eps_stop=True)),
+    ("solver.mu", lambda c: c.update(cost={"kind": "ls"},
+                                     solver={"kind": "tikhonov", "mu": "1e-3"})),
+    ("kernel.beta", lambda c: c["kernel"].update(beta="2.5")),
+    ("kernel.epsilon", lambda c: c["kernel"].update(epsilon="0.2")),
+    ("kernel.tol", lambda c: c.update(
+        kernel={"family": "sobolev", "beta": 2.0, "tol": "1e-8"})),
+    ("kernel.k", lambda c: c.update(
+        kernel={"family": "wendland", "k": 1.9, "epsilon": 0.3})),
+    ("kernel.k", lambda c: c.update(
+        kernel={"family": "wendland", "k": True, "epsilon": 0.3})),
+    ("kernel.d", lambda c: c.update(
+        kernel={"family": "wendland", "k": 1, "d": 3.7, "epsilon": 0.3})),
+    ("sampling.synthetic.rate_scale", lambda c: c["sampling"].update(
+        synthetic={"kind": "counts", "rate_scale": "2"})),
+    ("sampling.synthetic.amplitude",
+     lambda c: c["sampling"]["synthetic"].update(amplitude=["0.5", "2"])),
+    ("sampling.synthetic.amplitude",
+     lambda c: c["sampling"]["synthetic"].update(amplitude=[1])),
 ], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
         "max_iter_str", "fibonacci_bool", "seed_float", "seed_bool", "seed_str",
         "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
-        "grid_float", "patch_quadrature_order_float", "rho_rel_str"])
+        "grid_float", "patch_quadrature_order_float", "rho_rel_str", "lambda_bool",
+        "lambda_str", "eps_stop_bool", "mu_str", "beta_str", "epsilon_str", "tol_str",
+        "k_float", "k_bool", "d_float", "rate_scale_str", "amplitude_str",
+        "amplitude_one"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)
