@@ -29,6 +29,7 @@ from . import __version__
 from .pipeline import (
     build_kernel,
     check_kernel,
+    check_object,
     check_synthetic,
     export_raster,
     load_coefficients_csv,
@@ -70,27 +71,26 @@ def _add_synth_args(p, func):
     p.set_defaults(func=func)
 
 
-def _kernel_spec(args):
-    """The kernel block of the flags that were given, checked as a run
-    config's ``kernel`` is (flags left out take its defaults)."""
+def _kernel(args):
+    """The kernel of the flags that were given, checked as a run config's
+    ``kernel`` block is (flags left out take its defaults)."""
     spec = {key: getattr(args, key) for key in _KERNEL_KEYS
             if getattr(args, key) is not None}
-    return check_kernel(dict(spec, family=args.family))
+    return build_kernel(check_kernel(dict(spec, family=args.family)))
 
 
 def _cmd_reconstruct(args):
     with open(args.config) as fh:
-        spec = json.load(fh)
+        spec = check_object(json.load(fh), "")
     if args.lam is not None:
         spec["lambda"] = args.lam
     if args.solver is not None:
-        spec.setdefault("solver", {})
-        spec["solver"]["kind"] = args.solver
+        spec["solver"] = dict(check_object(spec.get("solver"), "solver"), kind=args.solver)
     if args.seed is not None:
         spec["seed"] = args.seed
     if args.output_dir is not None:
-        spec.setdefault("outputs", {})
-        spec["outputs"]["directory"] = args.output_dir
+        spec["outputs"] = dict(check_object(spec.get("outputs"), "outputs"),
+                               directory=args.output_dir)
 
     if args.lambda_sweep is not None:
         lo, hi, count = args.lambda_sweep
@@ -123,7 +123,7 @@ def _cmd_reconstruct(args):
 
 def _synthetic(args, **synth):
     """Measurements drawn as a run's ``sampling.synthetic`` block would."""
-    kernel = build_kernel(_kernel_spec(args))
+    kernel = _kernel(args)
     synth.update(bumps=args.bumps, amplitude=[args.amp_lo, args.amp_hi],
                  seed=args.seed)
     functionals, y, _ = synthetic_measurements(
@@ -155,7 +155,7 @@ def _cmd_synth_counts(args):
 
 def _cmd_raster(args):
     dirs, coeffs = load_coefficients_csv(args.coefficients)
-    kernel = build_kernel(_kernel_spec(args))
+    kernel = _kernel(args)
     field = synthesize(kernel, dirs, coeffs)
     export_raster(field, args.n_lat, args.n_lon, args.output)
     print("wrote %dx%d raster to %s" % (args.n_lat, args.n_lon, args.output))

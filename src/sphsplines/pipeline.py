@@ -7,7 +7,6 @@ objective trace, raster grid, JSON manifest).  Runs with the same config and
 seed write byte-identical coefficient files.
 """
 
-import copy
 import csv
 import json
 import os
@@ -302,7 +301,7 @@ def _pair(check, what):
     return pair
 
 
-def _object(value, path):
+def check_object(value, path):
     """``value`` if it is a JSON object; an absent block reads as {}."""
     if value is None:
         return {}
@@ -315,7 +314,7 @@ def _block(rules):
     """Check: a block with each key of ``rules`` checked and defaulted; any
     other key fails, naming its dotted path."""
     def block(value, path):
-        value = _object(value, path)
+        value = check_object(value, path)
         prefix = path + "." if path else ""
         unknown = sorted(set(value) - set(rules))
         if unknown:
@@ -329,7 +328,7 @@ def _block(rules):
 def _variant(value, path, key, variants):
     """A block whose ``key`` names its rules among ``variants``."""
     choose = _choice(*variants)
-    name = choose(_object(value, path).get(key), path + "." + key)
+    name = choose(check_object(value, path).get(key), path + "." + key)
     return _block(dict(variants[name], **{key: (choose, None)}))(value, path)
 
 
@@ -383,7 +382,7 @@ _SAMPLING = {  # source -> its rules
 
 def _sampling(value, path):
     """Check: a sampling block naming exactly one source, with its rules."""
-    sources = [s for s in _SAMPLING if s in _object(value, path)]
+    sources = [s for s in _SAMPLING if s in check_object(value, path)]
     if len(sources) != 1:
         raise ValueError("%s must name exactly one source (%s)"
                          % (path, " | ".join(_SAMPLING)))
@@ -424,12 +423,11 @@ _RUN = {
 }
 
 
-class RunConfig:
-    """Validated reconstruction run description (one JSON document).
-
-    Each key is checked by its rule in the tables above.  See `to_dict` for
-    the normalised layout; every default the run uses is explicit there, and
-    the manifest echoes it.
+class RunConfig(dict):
+    """A checked reconstruction run: the JSON document with each key checked
+    by its rule in the tables above and every default the run uses filled
+    in.  The run reads it by key and the manifest echoes it; checking a
+    RunConfig again gives an equal one.
     """
 
     def __init__(self, spec):
@@ -447,28 +445,12 @@ class RunConfig:
                 synth["seed"] = run["seed"]
             if synth.get("samples", 0) is None:
                 synth["samples"] = 3 * run["knots"]["fibonacci"]
-        self.kernel_spec, self.n_knots = run["kernel"], run["knots"]["fibonacci"]
-        self.sampling, self.cost, self.solver = run["sampling"], cost, solver
-        self.lam, self.eps_stop, self.max_iter = run["lambda"], run["eps_stop"], run["max_iter"]
-        self.seed, self.outputs = run["seed"], run["outputs"]
+        super().__init__(run)
 
-    def to_dict(self):
-        return {
-            "kernel": dict(self.kernel_spec),
-            "knots": {"fibonacci": self.n_knots},
-            "sampling": self.sampling,
-            "cost": dict(self.cost),
-            "solver": dict(self.solver),
-            "lambda": self.lam,
-            "eps_stop": self.eps_stop,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-            "outputs": self.outputs,
-        }
 
-    def output_path(self, name):
-        value = self.outputs[name] if name != "raster" else self.outputs["raster"]["path"]
-        return os.path.join(self.outputs["directory"], value)  # absolute paths stay
+def _output_path(outputs, name):
+    value = outputs["raster"]["path"] if name == "raster" else outputs[name]
+    return os.path.join(outputs["directory"], value)  # absolute paths stay
 
 
 def build_kernel(spec):
@@ -484,20 +466,20 @@ def build_kernel(spec):
     return factory(epsilon_for_fwhm(factory, spec["fwhm_deg"]))
 
 
-def _load_measurements(cfg, kernel, knots):
+def _load_measurements(sampling, kernel, knots):
     # (functionals, y, G): G is the Gram synthetic counts came from, or None
-    if "scatter_csv" in cfg.sampling:
-        dirs, values = load_scatter_csv(cfg.sampling["scatter_csv"])
+    if "scatter_csv" in sampling:
+        dirs, values = load_scatter_csv(sampling["scatter_csv"])
         if len(values) == 0:
-            raise ValueError("scatter file %r has no rows" % cfg.sampling["scatter_csv"])
+            raise ValueError("scatter file %r has no rows" % sampling["scatter_csv"])
         return [DiracFunctional(d) for d in dirs], values, None
-    if "patch_csv" in cfg.sampling:
-        bounds, counts = load_patch_counts_csv(cfg.sampling["patch_csv"])
+    if "patch_csv" in sampling:
+        bounds, counts = load_patch_counts_csv(sampling["patch_csv"])
         if len(counts) == 0:
-            raise ValueError("patch file %r has no rows" % cfg.sampling["patch_csv"])
-        Q = cfg.sampling["quadrature_order"]
+            raise ValueError("patch file %r has no rows" % sampling["patch_csv"])
+        Q = sampling["quadrature_order"]
         return [PatchFunctional(b, Q) for b in bounds], counts, None
-    return synthetic_measurements(cfg.sampling["synthetic"], kernel, knots)
+    return synthetic_measurements(sampling["synthetic"], kernel, knots)
 
 
 class _Setup:
@@ -507,11 +489,11 @@ class _Setup:
 
     def __init__(self, cfg):
         started = time.perf_counter()
-        kernel = build_kernel(cfg.kernel_spec)
-        knots = fibonacci_lattice(cfg.n_knots)
-        functionals, self.y, self.G = _load_measurements(cfg, kernel, knots)
-        self.model = _COST_KINDS[cfg.cost["kind"]](cfg.cost, self.y)
-        if cfg.solver["kind"] == "tikhonov":
+        kernel = build_kernel(cfg["kernel"])
+        knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
+        functionals, self.y, self.G = _load_measurements(cfg["sampling"], kernel, knots)
+        self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
+        if cfg["solver"]["kind"] == "tikhonov":
             if not all(isinstance(f, DiracFunctional) for f in functionals):
                 raise ValueError("the quadratic baseline supports point samples only")
             self.field_knots = np.array([f.direction for f in functionals])
@@ -526,13 +508,15 @@ class _Setup:
 
 
 def _run_point(cfg, setup):
-    """Solve at ``cfg.lam`` and write all artifacts; wall time counts the setup."""
+    """Solve at ``cfg["lambda"]`` and write all artifacts; wall time counts
+    the setup."""
     started = time.perf_counter()
-    os.makedirs(cfg.outputs["directory"], exist_ok=True)
+    outputs = cfg["outputs"]
+    os.makedirs(outputs["directory"], exist_ok=True)
     y, model = setup.y, setup.model
-    if cfg.solver["kind"] == "tikhonov":
+    if cfg["solver"]["kind"] == "tikhonov":
         K = setup.K
-        mu = cfg.solver["mu"]
+        mu = cfg["solver"]["mu"]
         x = tikhonov_solve(K, y, mu)
         Kx = K @ x
         misfit = float(np.linalg.norm(Kx - y))
@@ -545,8 +529,9 @@ def _run_point(cfg, setup):
         }
     else:
         G = setup.G
-        solver_cfg = SolverConfig(cfg.lam, eps_stop=cfg.eps_stop, max_iter=cfg.max_iter)
-        solve = apgd_solve if cfg.solver["kind"] == "apgd" else pds_solve
+        solver_cfg = SolverConfig(cfg["lambda"], eps_stop=cfg["eps_stop"],
+                                  max_iter=cfg["max_iter"])
+        solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
         result = solve(G, model, solver_cfg)
         x, trace = result.x, result.objective_trace
         iterations, converged = result.iterations, result.converged
@@ -556,20 +541,20 @@ def _run_point(cfg, setup):
         }
     field = synthesize(setup.field_kernel, setup.field_knots, x)
 
-    coeff_path = cfg.output_path("coefficients")
+    coeff_path = _output_path(outputs, "coefficients")
     save_coefficients_csv(coeff_path, field)
-    trace_path = cfg.output_path("trace")
+    trace_path = _output_path(outputs, "trace")
     with open(trace_path, "w", newline="") as fh:
         fh.write("iteration,objective\n")
         fh.writelines("%d,%s\n" % (i, FLOAT_FMT % v) for i, v in enumerate(trace, 1))
     raster_path = None
-    if cfg.outputs["raster"] is not None:
-        raster = cfg.outputs["raster"]
-        raster_path = cfg.output_path("raster")
+    if outputs["raster"] is not None:
+        raster = outputs["raster"]
+        raster_path = _output_path(outputs, "raster")
         export_raster(field, raster["n_lat"], raster["n_lon"], raster_path)
 
     manifest = {
-        "config": cfg.to_dict(),
+        "config": cfg,
         "iterations": int(iterations),
         "converged": bool(converged),
         "final_objective": float(trace[-1]),
@@ -577,16 +562,16 @@ def _run_point(cfg, setup):
         "sparsity_count": sparsity_report(field).count,
         "wall_time_s": setup.seconds + time.perf_counter() - started,
         "library_version": __version__,
-        "rng_seed": cfg.seed,
+        "rng_seed": cfg["seed"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {
             "coefficients": coeff_path,
             "trace": trace_path,
             "raster": raster_path,
-            "manifest": cfg.output_path("manifest"),
+            "manifest": _output_path(outputs, "manifest"),
         },
     }
-    with open(cfg.output_path("manifest"), "w") as fh:
+    with open(_output_path(outputs, "manifest"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -600,7 +585,7 @@ def run_reconstruction(config):
     dict
         The manifest, also written as JSON to the configured manifest path.
     """
-    cfg = config if isinstance(config, RunConfig) else RunConfig(config)
+    cfg = RunConfig(config)
     return _run_point(cfg, _Setup(cfg))
 
 
@@ -610,14 +595,12 @@ def run_lambda_sweep(config, lambdas):
     Point i writes into ``lambda_NN/`` (NN = i) of the output directory the
     files a single run with that ``lambda`` and directory writes.
     """
-    cfg = config if isinstance(config, RunConfig) else RunConfig(config)
+    cfg = RunConfig(config)
     setup = _Setup(cfg)
     for i, lam in enumerate(lambdas):
-        point = copy.copy(cfg)
-        point.lam = float(lam)
-        point.outputs = dict(
-            cfg.outputs, directory=os.path.join(cfg.outputs["directory"], "lambda_%02d" % i)
-        )
+        directory = os.path.join(cfg["outputs"]["directory"], "lambda_%02d" % i)
+        point = dict(cfg, outputs=dict(cfg["outputs"], directory=directory))
+        point["lambda"] = float(lam)
         yield _run_point(point, setup)
 
 

@@ -4,10 +4,13 @@ plus the quadratically penalised baseline and RKHS projection.
 The primal-dual iteration handles any proximable cost; the accelerated
 gradient variant requires a cost model with a gradient and trades dual
 variables for momentum.  Both iterate on a `GramMatrix` (a dense or sparse
-system matrix is wrapped in one on entry) and report a per-iteration
-objective trace (the finite part, i.e. indicator costs contribute 0 while
-feasible).
+system matrix is wrapped in one on entry), start from zero, and report a
+per-iteration objective trace (the finite part, i.e. indicator costs
+contribute 0 while feasible).  Their only settings are those of
+`SolverConfig`: the step sizes follow from ||G||_2 and the cost model.
 """
+
+import numbers
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -21,45 +24,41 @@ from .spline import SplineField
 ZERO_NORM_FLOOR = 1e-30
 
 
+# momentum (n - 1)/(n + a) of the accelerated iteration; any a > 2 gives
+# convergence of the iterates (Chambolle & Dossal, JOTA 2015)
+APGD_THETA = 75.0
+
+
+def _checked(value, name, kind, what, ok):
+    # numpy scalars pass; a bool or a string is never a number
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ValueError("%s must be %s" % (name, what))
+    return value
+
+
 class SolverConfig:
-    """Knobs shared by the proximal solvers.
+    """The settings of a proximal solve.
 
     Parameters
     ----------
-    lam : float >= 0
+    lam : real number >= 0
         Regularisation weight on ||x||_1.
-    eps_stop : float > 0
+    eps_stop : real number > 0
         Relative change threshold on successive primal iterates.
-    max_iter : int >= 1
-    tau, sigma : float, optional
-        Primal/dual step sizes.  Auto when absent: tau = sigma = 1/||G||_2
-        (and the missing one completes sigma*tau*||G||^2 = 1 when only one
-        is given).  Given values must satisfy sigma*tau*||G||^2 <= 1.
-    theta : float > 2
-        Momentum denominator of the accelerated iteration.
+    max_iter : integer >= 1
+        Iteration cap.
+
+    Numpy scalars are accepted; a bool or a string is never a number, and a
+    float is never an integer.  A bad value raises ValueError naming it.
     """
 
-    def __init__(self, lam, eps_stop=1e-4, max_iter=20000, tau=None, sigma=None,
-                 theta=75.0):
-        lam = float(lam)
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if eps_stop <= 0:
-            raise ValueError("eps_stop must be > 0")
-        max_iter = int(max_iter)
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if theta <= 2:
-            raise ValueError("theta must be > 2")
-        for name, v in (("tau", tau), ("sigma", sigma)):
-            if v is not None and v <= 0:
-                raise ValueError("%s must be > 0 when given" % name)
-        self.lam = lam
-        self.eps_stop = float(eps_stop)
-        self.max_iter = max_iter
-        self.tau = tau
-        self.sigma = sigma
-        self.theta = float(theta)
+    def __init__(self, lam, eps_stop=1e-4, max_iter=20000):
+        self.lam = float(_checked(lam, "lam", numbers.Real, "a real number >= 0",
+                                  lambda v: v >= 0))
+        self.eps_stop = float(_checked(eps_stop, "eps_stop", numbers.Real,
+                                       "a real number > 0", lambda v: v > 0))
+        self.max_iter = int(_checked(max_iter, "max_iter", numbers.Integral,
+                                     "an integer >= 1", lambda v: v >= 1))
 
     def __repr__(self):
         return "SolverConfig(lam=%g, eps_stop=%g, max_iter=%d)" % (
@@ -125,51 +124,30 @@ def _couple_auto_steps(norm):
     return best[1], best[2]
 
 
-def _step_sizes(config, norm):
-    tau, sigma = config.tau, config.sigma
-    if tau is None and sigma is None:
-        tau, sigma = _couple_auto_steps(norm)
-    elif tau is None:
-        tau = 1.0 / (sigma * norm * norm)
-    elif sigma is None:
-        sigma = 1.0 / (tau * norm * norm)
-    else:
-        if sigma * tau * norm * norm > 1.0 + 1e-12:
-            raise ValueError(
-                "step sizes violate sigma*tau*||G||^2 <= 1 (got %.6g)"
-                % (sigma * tau * norm * norm)
-            )
-    return tau, sigma
-
-
 def _stalled(delta, prev_norm, eps):
     if prev_norm < ZERO_NORM_FLOOR:
         return delta <= eps
     return delta <= eps * prev_norm
 
 
-def pds_solve(G, model, config, x0=None, z0=None):
+def pds_solve(G, model, config):
     """Primal-dual splitting for min F(y, Gx) + lambda*||x||_1.
 
     Per iteration: the primal step soft-thresholds a dual-adjusted gradient
     step, the dual step applies the conjugate prox at the extrapolated
     primal point.  Stops when both primal and dual iterates change by less
-    than ``eps_stop`` relatively (the dual check keeps the cold start
-    x0 = z0 = 0, whose first primal step is always stationary, from
-    terminating before the dual has reacted to the data).
+    than ``eps_stop`` relatively (the dual check keeps the start x = z = 0,
+    whose first primal step is always stationary, from terminating before
+    the dual has reacted to the data).  The steps are the balanced ones of
+    `_couple_auto_steps`, on the boundary sigma*tau*||G||^2 = 1.
     """
     G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
-    norm = spectral_norm(G)
-    tau, sigma = _step_sizes(config, norm)
+    tau, sigma = _couple_auto_steps(spectral_norm(G))
     lam, eps = config.lam, config.eps_stop
-    x = np.zeros(N) if x0 is None else np.array(x0, dtype=float)
-    z = np.zeros(L) if z0 is None else np.array(z0, dtype=float)
-    if x.shape != (N,) or z.shape != (L,):
-        raise ValueError("x0/z0 shapes must match the system")
-    gx = G.matvec(x)
+    x, z, gx = np.zeros(N), np.zeros(L), np.zeros(L)
     trace = []
     converged = False
     delta = np.inf
@@ -192,13 +170,14 @@ def pds_solve(G, model, config, x0=None, z0=None):
     return SolverResult(x, iterations, trace, converged, delta)
 
 
-def apgd_solve(G, model, config, x0=None):
+def apgd_solve(G, model, config):
     """Accelerated proximal gradient descent for smooth costs.
 
-    Per iteration: a gradient step on E(x) = F(y, Gx), whose gradient is
-    G^T grad F(Gx), followed by soft-thresholding, then momentum
-    extrapolation with weight (n - 1)/(n + theta).  Returns the proximal
-    (non-extrapolated) iterate.
+    Per iteration: a gradient step of size 1/(L_F ||G||^2) on
+    E(x) = F(y, Gx), whose gradient is G^T grad F(Gx), followed by
+    soft-thresholding, then momentum extrapolation with weight
+    (n - 1)/(n + APGD_THETA).  Returns the proximal (non-extrapolated)
+    iterate.
     """
     if not hasattr(model, "grad"):
         raise ValueError(
@@ -208,24 +187,19 @@ def apgd_solve(G, model, config, x0=None):
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
-    x = np.zeros(N) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (N,):
-        raise ValueError("x0 shape must match the knot count")
     # Lipschitz constant L_F ||G||^2 of the gradient of E, taken once
     norm = spectral_norm(G)
-    lipschitz = model.grad_lipschitz * norm * norm
-    tau = config.tau if config.tau is not None else 1.0 / lipschitz
-    lam, eps, theta = config.lam, config.eps_stop, config.theta
-    z_old = x.copy()
+    tau = 1.0 / (model.grad_lipschitz * norm * norm)
+    lam, eps = config.lam, config.eps_stop
+    x, z_old = np.zeros(N), np.zeros(N)
     trace = []
     converged = False
     delta = np.inf
     iterations = 0
-    z_new = x
     for n in range(1, config.max_iter + 1):
         gradient = G.rmatvec(model.grad(G.matvec(x)))
         z_new = soft_threshold(x - tau * gradient, lam * tau)
-        x_new = z_new + ((n - 1.0) / (n + theta)) * (z_new - z_old)
+        x_new = z_new + ((n - 1.0) / (n + APGD_THETA)) * (z_new - z_old)
         trace.append(lam * np.abs(z_new).sum() + model.finite_value(G.matvec(z_new)))
         delta = np.linalg.norm(x_new - x)
         stalled = _stalled(delta, np.linalg.norm(x), eps)

@@ -243,3 +243,17 @@ def test_reconstruct_rejects_string_mu(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error [") == 1 and "solver.mu must be a number" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, flags, block", [
+    ("[]", ["--seed", "3"], "a run config"),
+    ('{"solver": "pds"}', ["--solver", "pds"], "solver"),
+    ('{"outputs": "run"}', ["--output-dir", "o"], "outputs"),
+], ids=["top", "solver", "outputs"])
+def test_overrides_need_object_blocks(tmp_path, capsys, monkeypatch, text, flags, block):
+    (tmp_path / "run.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["reconstruct", "--config", "run.json"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and "%s must be an object" % block in err
+    assert os.listdir(tmp_path) == ["run.json"]

@@ -99,8 +99,8 @@ def _reference_names():
 
 def test_readme_example_is_a_valid_config():
     cfg = RunConfig(_example())
-    build_kernel(cfg.kernel_spec)
-    assert cfg.to_dict()["sampling"] == {"scatter_csv": "scatter.csv"}
+    build_kernel(cfg["kernel"])
+    assert cfg["sampling"] == {"scatter_csv": "scatter.csv"}
 
 
 def test_every_documented_name_has_a_config():
@@ -111,8 +111,8 @@ def test_every_documented_name_has_a_config():
 def test_documented_name_is_accepted(name):
     spec = dict(_example(), **DOCUMENTED[name])
     cfg = RunConfig(spec)
-    build_kernel(cfg.kernel_spec)
-    assert '"%s"' % name.rsplit(".", 1)[-1] in json.dumps(cfg.to_dict())
+    build_kernel(cfg["kernel"])
+    assert '"%s"' % name.rsplit(".", 1)[-1] in json.dumps(cfg)
 
 
 def _is_rules(value):
@@ -169,5 +169,5 @@ def test_misspelt_key_is_rejected_with_its_path(path, section):
 
 def test_normalised_config_round_trips():
     for name in sorted(DOCUMENTED):
-        normal = RunConfig(dict(_example(), **DOCUMENTED[name])).to_dict()
-        assert RunConfig(normal).to_dict() == normal, name
+        normal = RunConfig(dict(_example(), **DOCUMENTED[name]))
+        assert RunConfig(normal) == normal, name

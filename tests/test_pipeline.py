@@ -215,11 +215,11 @@ def test_config_solver_cost_compatibility():
         RunConfig({**base, "cost": {"kind": "l2ball"}, "solver": {"kind": "pds"}})
     cfg = RunConfig({**base, "cost": {"kind": "ls"}, "solver": {"kind": "apgd"},
                      "lambda": 0.1})
-    assert cfg.solver["kind"] == "apgd"
+    assert cfg["solver"]["kind"] == "apgd"
 
 
 def test_config_echo_makes_defaults_explicit():
-    cfg = RunConfig({
+    echo = RunConfig({
         "kernel": {"family": "matern", "beta": 2.5, "epsilon": 0.3},
         "knots": {"fibonacci": 10},
         "sampling": {"synthetic": {"kind": "scatter"}},
@@ -227,7 +227,6 @@ def test_config_echo_makes_defaults_explicit():
         "solver": {"kind": "pds"},
         "seed": 4,
     })
-    echo = cfg.to_dict()
     assert echo["kernel"]["convention"] == "standard"
     assert echo["eps_stop"] == 1e-4 and echo["max_iter"] == 20000
     synth = echo["sampling"]["synthetic"]
@@ -319,9 +318,9 @@ def _scatter_selftest_config(outdir, **overrides):
 
 def _gram_for(cfg_dict):
     cfg = RunConfig(cfg_dict)
-    kernel = build_kernel(cfg.kernel_spec)
-    knots = fibonacci_lattice(cfg.n_knots)
-    functionals, y, _ = pipeline._load_measurements(cfg, kernel, knots)
+    kernel = build_kernel(cfg["kernel"])
+    knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
+    functionals, y, _ = pipeline._load_measurements(cfg["sampling"], kernel, knots)
     return assemble_gram(kernel, functionals, knots), y, cfg
 
 
@@ -346,8 +345,8 @@ def test_manifest_objective_matches_recomputation(tmp_path):
     manifest = run_reconstruction(cfg)
     G, y, parsed = _gram_for(cfg)
     _, coeffs = load_coefficients_csv(manifest["outputs"]["coefficients"])
-    model = L2Ball(y, parsed.cost["rho_rel"] * np.linalg.norm(y))
-    obj = parsed.lam * np.abs(coeffs).sum() + model.finite_value(G.matvec(coeffs))
+    model = L2Ball(y, parsed["cost"]["rho_rel"] * np.linalg.norm(y))
+    obj = parsed["lambda"] * np.abs(coeffs).sum() + model.finite_value(G.matvec(coeffs))
     assert abs(obj - manifest["final_objective"]) <= 1e-9 * max(abs(obj), 1e-300)
 
 

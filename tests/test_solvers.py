@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from sphsplines.prox import KL, L1, ExactMatch, L2Ball, LeastSquares
 from sphsplines.solvers import (
     SolverConfig,
     SolverResult,
-    _step_sizes,
+    _couple_auto_steps,
     apgd_solve,
     pds_solve,
     rkhs_project,
@@ -28,27 +30,24 @@ def test_config_validation():
         SolverConfig(1.0, eps_stop=0.0)
     with pytest.raises(ValueError):
         SolverConfig(1.0, max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(1.0, theta=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(1.0, tau=-0.5)
+    # the run config's rules: a bool or a string is never a number, and a
+    # float is never an integer
+    for key, value in (("max_iter", 2.9), ("max_iter", True), ("max_iter", "50"),
+                       ("eps_stop", "1e-4"), ("eps_stop", True), ("lam", True),
+                       ("lam", "0.1")):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**dict({"lam": 1.0}, **{key: value}))
+    # numpy scalars are numbers
+    cfg = SolverConfig(np.float32(0.5), eps_stop=np.float64(1e-4), max_iter=np.int64(10))
+    assert (cfg.lam, cfg.eps_stop, cfg.max_iter) == (0.5, 1e-4, 10)
+    assert type(cfg.max_iter) is int
 
 
 def test_auto_steps_sit_on_convergence_boundary():
     norm = spectral_norm(GramMatrix(np.array([[3.0, 1.0], [0.0, 2.0]])))
-    tau, sigma = _step_sizes(SolverConfig(1.0), norm)
+    tau, sigma = _couple_auto_steps(norm)
     assert tau == sigma == 1.0 / norm
     assert abs(sigma * tau * norm**2 - 1.0) < 1e-12
-    # one given: the other completes the boundary product
-    tau, sigma = _step_sizes(SolverConfig(1.0, tau=0.1), norm)
-    assert abs(sigma * tau * norm**2 - 1.0) < 1e-12
-
-
-def test_explicit_steps_rejected_beyond_boundary():
-    G = GramMatrix(np.array([[2.0]]))
-    cfg = SolverConfig(1.0, tau=1.0, sigma=1.0)  # 1*1*4 > 1
-    with pytest.raises(ValueError, match="sigma"):
-        pds_solve(G, ExactMatch(np.array([1.0])), cfg)
 
 
 def test_result_invariants():
@@ -189,6 +188,42 @@ def test_pds_apgd_agree_on_lasso():
         o1 = pds_solve(G, model, cfg).objective_trace[-1]
         o2 = apgd_solve(G, model, cfg).objective_trace[-1]
         assert abs(o1 - o2) <= 1e-6 * abs(o1)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def test_solver_iterates_are_pinned():
+    # 300 iterations each, run to the cap; a change to the step rule, the
+    # momentum or the order of the arithmetic moves these bytes
+    rng = np.random.default_rng(2024)
+    x_true = np.zeros(30)
+    x_true[[3, 11, 25]] = [1.5, -2.0, 0.7]
+    A = rng.standard_normal((12, 30))
+    B = rng.uniform(0.0, 1.0, (20, 30))
+    counts = rng.poisson(10.0 * B @ np.abs(x_true)).astype(float)
+    C = rng.standard_normal((20, 40))
+    y = C[:, :30] @ x_true + 0.1 * rng.standard_normal(20)
+    runs = {
+        "pds-exact": pds_solve(GramMatrix(A), ExactMatch(A @ x_true),
+                               SolverConfig(0.1, eps_stop=1e-15, max_iter=300)),
+        "pds-kl": pds_solve(GramMatrix(B), KL(counts),
+                            SolverConfig(0.5, eps_stop=1e-15, max_iter=300)),
+        "apgd-ls": apgd_solve(GramMatrix(C), LeastSquares(y),
+                              SolverConfig(0.5, eps_stop=1e-15, max_iter=300)),
+    }
+    pinned = {
+        "pds-exact": ("23a84cf0641323cfd4c5f8d56fd7559ee5582266472525004e45cbef23613e54",
+                      "b4e50dff6ad47dec5830213a33b4655dc495457728be5c96eeefbe36fa0535e7"),
+        "pds-kl": ("dbda5f78d572b5c62340ad3e35991452d4215183a815df8a92a1c1ffd1be1255",
+                   "75b10c1e97e4729bfb4463dffb35f771298e077da2148e73e3c4f11cf35f4311"),
+        "apgd-ls": ("84a4d6fd780eb7ffb4197825fa2c33b6c6ade5cad62cf9391a747d8d55260ad7",
+                    "3760827c1167f5aeceb2874324ae829a4d8259aeb69f66eb12da51bbe0e85391"),
+    }
+    for name, res in runs.items():
+        assert res.iterations == 300, name
+        assert (_sha256(res.x), _sha256(res.objective_trace)) == pinned[name], name
 
 
 # ----------------------------------------------------------------- tikhonov

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every private function or
+class it defines at module level, is used in that module.
 
 An import statement whose first line carries ``# noqa: F401`` is a
-deliberate re-export (the package ``__init__``) and is skipped.
+deliberate re-export (the package ``__init__``) and is skipped.  A private
+helper whose last caller in its module is gone fails here even when a test
+still imports it.
 """
 
 import ast
@@ -28,6 +31,19 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_helpers(source):
+    """Private module-level functions and classes of ``source`` that no name
+    in the module refers to."""
+    tree = ast.parse(source)
+    defined = {
+        node.name: node.lineno for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in defined.items() if name not in used)
+
+
 def test_checker_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom a import b  # noqa: F401\nsep\n"
     assert unused_imports(source) == [(1, "math"), (2, "path")]
@@ -36,3 +52,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_private_helper():
+    source = ("def _dead():\n    pass\n\n\ndef _live():\n    pass\n\n\n"
+              "class _Gone:\n    pass\n\n\ndef __getattr__(name):\n    pass\n\n\n"
+              "def public():\n    return _live()\n")
+    assert unused_private_helpers(source) == [(1, "_dead"), (9, "_Gone")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_helpers(path):
+    assert unused_private_helpers(path.read_text()) == []
