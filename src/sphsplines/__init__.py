@@ -73,7 +73,6 @@ from .spline import (  # noqa: F401
     gtv_norm,
     native_norm,
     sparsity_report,
-    synthesize,
 )
 from .pipeline import (  # noqa: F401
     RunConfig,

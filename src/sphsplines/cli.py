@@ -38,9 +38,10 @@ from .pipeline import (
     save_patch_counts_csv,
     save_scatter_csv,
     synthetic_measurements,
+    write_table,
 )
 from .sphere import fibonacci_lattice, lonlat_from_direction
-from .spline import synthesize
+from .spline import SplineField
 
 
 # the kernel config keys the kernel flags set (each flag's dest)
@@ -156,25 +157,20 @@ def _cmd_synth_counts(args):
 def _cmd_raster(args):
     dirs, coeffs = load_coefficients_csv(args.coefficients)
     kernel = _kernel(args)
-    field = synthesize(kernel, dirs, coeffs)
+    field = SplineField(kernel, dirs, coeffs)
     export_raster(field, args.n_lat, args.n_lon, args.output)
     print("wrote %dx%d raster to %s" % (args.n_lat, args.n_lon, args.output))
     return 0
 
 
 def _cmd_lattice(args):
-    pts = fibonacci_lattice(args.n).points
-    lon, lat = lonlat_from_direction(pts)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        out.write("lon_deg,lat_deg\n")
-        for a, b in zip(lon, lat):
-            out.write("%.17g,%.17g\n" % (a, b))
-    finally:
-        if args.output:
-            out.close()
-    if args.output:
-        print("wrote %d lattice points to %s" % (args.n, args.output))
+    lon, lat = lonlat_from_direction(fibonacci_lattice(args.n).points)
+    if not args.output:
+        write_table(sys.stdout, ["lon_deg", "lat_deg"], [lon, lat])
+        return 0
+    with open(args.output, "w", newline="") as fh:
+        write_table(fh, ["lon_deg", "lat_deg"], [lon, lat])
+    print("wrote %d lattice points to %s" % (args.n, args.output))
     return 0
 
 

@@ -9,14 +9,13 @@ kernel at (point, knot) pairs, which visits only in-support pairs for
 compactly supported kernels.
 """
 
-import functools
 import math
 
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .legendre import LegendreSeries, gauss_legendre, resynthesize
+from .legendre import gauss_legendre
 from .pdo import check_compatibility
 from .sphere import KnotSet
 
@@ -253,18 +252,16 @@ def spectral_norm(G, tol=1e-10, max_iter=5000):
 def knot_gram(kernel, knots):
     """Dense symmetric kernel matrix K[m, n] = psi(<r_m, r_n>) on the knots.
 
-    Accepts a ZonalKernel or a LegendreSeries (e.g. a self-convolved kernel,
-    evaluated by resynthesis).  Strict positive definiteness of the zonal
-    family makes K positive definite for pairwise-distinct knots, which the
-    KnotSet constructor enforces.
+    ``kernel`` is any callable zonal function of t: a ZonalKernel, or a
+    LegendreSeries such as a self-convolved kernel, which evaluates by
+    resynthesis.  Strict positive definiteness of the zonal family makes K
+    positive definite for pairwise-distinct knots, which the KnotSet
+    constructor enforces.
     """
     if not isinstance(knots, KnotSet):
         knots = KnotSet(knots)
-    fn = kernel
-    if isinstance(kernel, LegendreSeries):
-        fn = functools.partial(resynthesize, kernel)
     t = np.clip(knots.points @ knots.points.T, -1.0, 1.0)
-    K = np.asarray(fn(t), dtype=float)
+    K = np.asarray(kernel(t), dtype=float)
     K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, float(fn(1.0)))
+    np.fill_diagonal(K, float(kernel(1.0)))
     return K

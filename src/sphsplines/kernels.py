@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .legendre import LegendreSeries, fourier_legendre, resynthesize
+from .legendre import LegendreSeries, fourier_legendre
 from .pdo import green_series
 
 
@@ -22,30 +22,25 @@ class ZonalKernel:
     Parameters
     ----------
     eval_fn : callable
-        Vectorised map t -> psi(t).
-    family : str
-        One of 'matern', 'wendland', 'sobolev_series', 'self_convolved',
-        'custom_series'.
+        Vectorised map t -> psi(t), e.g. a LegendreSeries.
     beta : float or None
         Smoothness order of the matching operator (coefficients decay like
-        (1 + eps*n)^(-2*beta)).
-    epsilon : float or None
-        Chord-scale parameter in (0, 1] for the scaled families.
+        (1 + eps*n)^(-2*beta)); None for unknown smoothness.
     support_tmin : float or None
         If set, psi(t) = 0 exactly for t <= support_tmin.
 
     Notes
     -----
     Named constructors guarantee ``psi(1) = 1``; kernels built from raw series
-    via `from_series` (e.g. self-convolutions) keep their natural scale.
+    via `from_series` (e.g. self-convolutions) keep their natural scale.  A
+    kernel holds only what is read from it: ``beta`` for the smoothness check
+    of `gram.assemble_gram` and ``support_tmin`` for its sparse assembly.
     Instances are immutable apart from their series cache.
     """
 
-    def __init__(self, eval_fn, family, beta=None, epsilon=None, support_tmin=None):
+    def __init__(self, eval_fn, beta=None, support_tmin=None):
         self._eval = eval_fn
-        self.family = family
         self.beta = beta
-        self.epsilon = epsilon
         self.support_tmin = support_tmin
         self._series_cache = {}
 
@@ -70,20 +65,19 @@ class ZonalKernel:
         return self._series_cache[key]
 
     @classmethod
-    def from_series(cls, series, family="custom_series", beta=None, epsilon=None,
-                    normalize=False):
-        """Kernel evaluated by resynthesis of a coefficient series."""
-        coeffs = series.coeffs
+    def from_series(cls, series, beta=None, normalize=False):
+        """Kernel evaluated by resynthesis of a coefficient series: it wraps
+        the series itself, or a copy divided by its value at t = 1 when
+        ``normalize`` is set.  ``beta`` is the smoothness order, if known."""
         if normalize:
-            peak = resynthesize(series, 1.0)
+            peak = series(1.0)
             if peak == 0:
                 raise ValueError("cannot peak-normalise a kernel vanishing at t=1")
-            coeffs = coeffs / peak
-        s = LegendreSeries(coeffs)
-        return cls(lambda t: resynthesize(s, t), family, beta=beta, epsilon=epsilon)
+            series = LegendreSeries(series.coeffs / peak)
+        return cls(series, beta=beta)
 
     def __repr__(self):
-        return "ZonalKernel(%s, beta=%s, eps=%s)" % (self.family, self.beta, self.epsilon)
+        return "ZonalKernel(beta=%s, support_tmin=%s)" % (self.beta, self.support_tmin)
 
 
 def matern_halfinteger(p, r):
@@ -148,7 +142,7 @@ def matern_zonal(beta, epsilon, convention="standard"):
         c = np.sqrt(np.clip(2.0 - 2.0 * t, 0.0, 4.0))
         return matern_halfinteger(p, c / scale)
 
-    return ZonalKernel(eval_fn, "matern", beta=beta, epsilon=epsilon)
+    return ZonalKernel(eval_fn, beta=beta)
 
 
 class WendlandPolynomial:
@@ -216,13 +210,7 @@ def wendland_zonal(d, k, epsilon):
         c = np.sqrt(np.clip(2.0 - 2.0 * t, 0.0, 4.0))
         return poly(c / epsilon)
 
-    return ZonalKernel(
-        eval_fn,
-        "wendland",
-        beta=k + d / 2.0,
-        epsilon=epsilon,
-        support_tmin=1.0 - epsilon**2 / 2.0,
-    )
+    return ZonalKernel(eval_fn, beta=k + d / 2.0, support_tmin=1.0 - epsilon**2 / 2.0)
 
 
 def sobolev_green_zonal(beta, *, tol=1e-8):
@@ -234,8 +222,7 @@ def sobolev_green_zonal(beta, *, tol=1e-8):
     give a continuous kernel.
     """
     beta = float(beta)
-    return ZonalKernel.from_series(green_series(beta, tol=tol),
-                                   family="sobolev_series", beta=beta,
+    return ZonalKernel.from_series(green_series(beta, tol=tol), beta=beta,
                                    normalize=True)
 
 

@@ -75,7 +75,11 @@ def gauss_legendre(Q):
 
 
 class LegendreSeries:
-    """Fourier-Legendre coefficients psi_hat[0..N_max] of a zonal kernel."""
+    """Fourier-Legendre coefficients psi_hat[0..N_max] of a zonal kernel.
+
+    Calling the series at t evaluates the kernel it represents, by
+    `resynthesize`, so it serves wherever a zonal function of t does.
+    """
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -91,6 +95,9 @@ class LegendreSeries:
 
     def __len__(self):
         return self.coeffs.size
+
+    def __call__(self, t):
+        return resynthesize(self, t)
 
 
 def fourier_legendre(kernel, N_max=512, Q=600):

@@ -26,7 +26,14 @@ from .kernels import (
     wendland_zonal,
 )
 from .prox import KL, L1, ExactMatch, L2Ball, LeastSquares
-from .solvers import SolverConfig, apgd_solve, pds_solve, tikhonov_solve
+from .solvers import (
+    SolverConfig,
+    apgd_solve,
+    check_integer,
+    check_number,
+    pds_solve,
+    tikhonov_solve,
+)
 from .sphere import (
     KnotSet,
     PatchBounds,
@@ -35,7 +42,7 @@ from .sphere import (
     fibonacci_lattice,
     lonlat_from_direction,
 )
-from .spline import SplineField, evaluate, sparsity_report, synthesize
+from .spline import SplineField, evaluate, sparsity_report
 
 # shortest representation that round-trips float64 exactly
 FLOAT_FMT = "%.17g"
@@ -43,23 +50,36 @@ FLOAT_FMT = "%.17g"
 SCATTER_HEADER = ["lon_deg", "lat_deg", "value"]
 COUNTS_HEADER = ["lon_min", "lon_max", "lat_min", "lat_max", "count"]
 COEFF_HEADER = ["index", "lon_deg", "lat_deg", "coeff"]
+TRACE_HEADER = ["iteration", "objective"]
 
 
 # ----------------------------------------------------------------- CSV I/O
+#
+# One writer and one reader serve every table; each load_*/save_* pair fixes
+# its format's header and column order.
 
 
-def _parse_float(text, path, line_no, what):
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            "%s line %d: cannot parse %s from %r" % (path, line_no, what, text)
-        )
+def write_table(fh, header, columns):
+    """Write ``header`` and one row per entry of the equal-length
+    ``columns`` to the open file ``fh``: integer columns as ``%d``, every
+    other column as FLOAT_FMT."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else FLOAT_FMT
+                   for c in columns) + "\n"
+    fh.write(",".join(header) + "\n")
+    fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
-def _csv_rows(path, header):
-    """Yield (line number, fields) of each nonempty data row after checking
-    the header line and every row's field count."""
+def read_table(path, header, kinds):
+    """(line numbers, columns) of the nonempty rows of a table file.
+
+    The first line must be ``header``; each row must have one field per
+    column, parsed by that column's kind in ``kinds`` (int or float).
+    ``columns`` is a (len(header), rows) float array with contiguous rows.
+    A bad header, field count or field raises ValueError naming the file
+    and line.
+    """
+    lines, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -71,7 +91,17 @@ def _csv_rows(path, header):
             if len(row) != len(header):
                 raise ValueError("%s line %d: expected %d fields, got %d"
                                  % (path, line_no, len(header), len(row)))
-            yield line_no, row
+            values = []
+            for name, kind, text in zip(header, kinds, row):
+                try:
+                    values.append(kind(text))
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError("%s line %d: %s must be %s, got %r"
+                                     % (path, line_no, name, what, text))
+            lines.append(line_no)
+            rows.append(values)
+    return lines, np.array(rows, dtype=float).reshape(-1, len(header)).T.copy()
 
 
 def load_scatter_csv(path):
@@ -83,29 +113,18 @@ def load_scatter_csv(path):
         ``(M, 3)`` unit directions and an ``(M,)`` value vector; both empty
         for a header-only file.
     """
-    lons, lats, values = [], [], []
-    for line_no, row in _csv_rows(path, SCATTER_HEADER):
-        lon = _parse_float(row[0], path, line_no, "lon_deg")
-        lat = _parse_float(row[1], path, line_no, "lat_deg")
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError("%s line %d: latitude %g out of [-90, 90]" % (path, line_no, lat))
-        lons.append(lon)
-        lats.append(lat)
-        values.append(_parse_float(row[2], path, line_no, "value"))
-    if not lons:
-        return np.empty((0, 3)), np.empty(0)
-    return direction_from_lonlat(np.array(lons), np.array(lats)), np.array(values)
+    lines, (lon, lat, values) = read_table(path, SCATTER_HEADER, (float,) * 3)
+    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0)))
+    if bad.size:
+        raise ValueError("%s line %d: latitude %g out of [-90, 90]"
+                         % (path, lines[bad[0]], lat[bad[0]]))
+    return direction_from_lonlat(lon, lat), values
 
 
 def save_scatter_csv(path, lon_deg, lat_deg, values):
-    """Write point samples in the `load_scatter_csv` format (17 digits)."""
-    lon_deg, lat_deg, values = map(np.atleast_1d, (lon_deg, lat_deg, values))
+    """Write point samples in the `load_scatter_csv` format."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SCATTER_HEADER) + "\n")
-        fh.writelines(
-            "%s,%s,%s\n" % (FLOAT_FMT % a, FLOAT_FMT % b, FLOAT_FMT % v)
-            for a, b, v in zip(lon_deg, lat_deg, values)
-        )
+        write_table(fh, SCATTER_HEADER, np.atleast_1d(lon_deg, lat_deg, values))
 
 
 def load_patch_counts_csv(path):
@@ -113,57 +132,38 @@ def load_patch_counts_csv(path):
 
     Counts must be nonnegative integers; patches may overlap.
     """
-    bounds, counts = [], []
-    for line_no, row in _csv_rows(path, COUNTS_HEADER):
-        edges = [_parse_float(row[i], path, line_no, COUNTS_HEADER[i]) for i in range(4)]
-        try:
-            count = int(row[4])
-        except ValueError:
-            raise ValueError(
-                "%s line %d: count must be an integer, got %r"
-                % (path, line_no, row[4])
-            )
+    lines, table = read_table(path, COUNTS_HEADER, (float,) * 4 + (int,))
+    bounds = []
+    for line_no, (*edges, count) in zip(lines, table.T.tolist()):
         if count < 0:
             raise ValueError("%s line %d: negative count %d" % (path, line_no, count))
         try:
             bounds.append(PatchBounds(*edges))
         except ValueError as exc:
             raise ValueError("%s line %d: %s" % (path, line_no, exc))
-        counts.append(count)
-    return bounds, np.array(counts, dtype=float)
+    return bounds, table[4]
 
 
 def save_patch_counts_csv(path, bounds, counts):
     """Write binned counts in the `load_patch_counts_csv` format."""
+    edges = [[getattr(b, name) for b in bounds] for name in COUNTS_HEADER[:4]]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(COUNTS_HEADER) + "\n")
-        for b, c in zip(bounds, counts):
-            fields = [FLOAT_FMT % u for u in (b.lon_min, b.lon_max, b.lat_min, b.lat_max)]
-            fh.write(",".join(fields) + ",%d\n" % int(c))
+        write_table(fh, COUNTS_HEADER,
+                    edges + [np.asarray(counts).astype(int)])
 
 
 def save_coefficients_csv(path, field):
     """Write ``index,lon_deg,lat_deg,coeff`` rows for a spline field."""
     lon, lat = lonlat_from_direction(field.knots.points)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(COEFF_HEADER) + "\n")
-        fh.writelines(
-            "%d,%s,%s,%s\n" % (i, FLOAT_FMT % lon[i], FLOAT_FMT % lat[i], FLOAT_FMT % c)
-            for i, c in enumerate(field.coeffs)
-        )
+        write_table(fh, COEFF_HEADER,
+                    [np.arange(len(field.coeffs)), lon, lat, field.coeffs])
 
 
 def load_coefficients_csv(path):
     """Read a coefficient file back into (directions, coeffs)."""
-    lons, lats, coeffs = [], [], []
-    for line_no, row in _csv_rows(path, COEFF_HEADER):
-        lons.append(_parse_float(row[1], path, line_no, "lon_deg"))
-        lats.append(_parse_float(row[2], path, line_no, "lat_deg"))
-        coeffs.append(_parse_float(row[3], path, line_no, "coeff"))
-    return (
-        direction_from_lonlat(np.array(lons), np.array(lats)),
-        np.array(coeffs),
-    )
+    _, (_, lon, lat, coeffs) = read_table(path, COEFF_HEADER, (int,) + (float,) * 3)
+    return direction_from_lonlat(lon, lat), coeffs
 
 
 # -------------------------------------------------------- synthetic sources
@@ -255,23 +255,14 @@ def synthetic_measurements(synth, kernel, knots):
 
 
 def _int(lowest, what="an integer"):
-    """Check: an integer >= ``lowest``; a bool, a float or a string is not."""
-    def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, int) or value < lowest:
-            raise ValueError("%s must be %s >= %d" % (path, what, lowest))
-        return value
-    return check
+    """Check: an integer >= ``lowest``, by `check_integer`."""
+    return lambda value, path: check_integer(value, path, lowest, what)
 
 
 def _number(rule="", ok=lambda x: True):
-    """Check: a number passing ``ok`` (described by ``rule``), as a float;
-    a bool or a string is not a number."""
-    def check(value, path):
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not ok(value)):
-            raise ValueError("%s must be a number%s" % (path, rule))
-        return float(value)
-    return check
+    """Check: a number passing ``ok`` (described by ``rule``), as a float,
+    by `check_number`."""
+    return lambda value, path: check_number(value, path, ok, rule)
 
 
 def _nullable(check):
@@ -299,6 +290,14 @@ def _pair(check, what):
             raise ValueError("%s must be %s" % (path, what))
         return [check(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
     return pair
+
+
+def _range(value, path):
+    """Check: two numbers [low, high] with low < high."""
+    low, high = _pair(_number(), "two numbers [low, high]")(value, path)
+    if not low < high:
+        raise ValueError("%s must be increasing: low < high" % path)
+    return [low, high]
 
 
 def check_object(value, path):
@@ -348,14 +347,14 @@ _KERNEL = {
 }
 _PLANTED = {
     "bumps": (_int(1), 8),
-    "amplitude": (_pair(_number(), "two numbers [low, high]"), [0.5, 2.0]),
+    "amplitude": (_range, [0.5, 2.0]),
     "seed": (_nullable(_int(0)), None),  # None: the run seed
 }
 _SYNTHETIC = {
     "scatter": dict(_PLANTED, samples=(_nullable(_int(1)), None),  # None: 3 per knot
                     psnr_db=(_nullable(_number()), None)),
     "counts": dict(_PLANTED, grid=(_pair(_int(1), "[n_lat, n_lon]"), [12, 24]),
-                   rate_scale=(_nonnegative, 1.0), quadrature_order=(_int(1), 8)),
+                   rate_scale=(_nonnegative, 1.0), quadrature_order=(_int(2), 8)),
 }
 
 
@@ -375,7 +374,7 @@ def check_synthetic(value, path="sampling.synthetic"):
 
 _SAMPLING = {  # source -> its rules
     "scatter_csv": {"scatter_csv": (_text, None)},
-    "patch_csv": {"patch_csv": (_text, None), "quadrature_order": (_int(1), 8)},
+    "patch_csv": {"patch_csv": (_text, None), "quadrature_order": (_int(2), 8)},
     "synthetic": {"synthetic": (check_synthetic, None)},
 }
 
@@ -437,10 +436,18 @@ class RunConfig(dict):
             raise ValueError("cost.rho_rel must be > 0 for the l2ball cost")
         if solver["kind"] == "apgd" and cost["kind"] != "ls":
             raise ValueError("solver.kind apgd needs the smooth ls cost")
-        if solver["kind"] == "tikhonov" and solver["mu"] is None:
-            raise ValueError("solver.mu is required by the tikhonov solver")
         synth = run["sampling"].get("synthetic")
+        if solver["kind"] == "tikhonov":
+            if "patch_csv" in run["sampling"] or (synth or {}).get("kind") == "counts":
+                raise ValueError("solver.kind tikhonov needs point samples "
+                                 "(scatter_csv or scatter synthetic)")
+            if cost["kind"] != "ls":
+                raise ValueError("solver.kind tikhonov needs the ls cost")
+            if solver["mu"] is None:
+                raise ValueError("solver.mu is required by the tikhonov solver")
         if synth is not None:  # the defaults that depend on the run
+            if synth["bumps"] > run["knots"]["fibonacci"]:
+                raise ValueError("sampling.synthetic.bumps must be <= knots.fibonacci")
             if synth["seed"] is None:
                 synth["seed"] = run["seed"]
             if synth.get("samples", 0) is None:
@@ -493,13 +500,11 @@ class _Setup:
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, self.y, self.G = _load_measurements(cfg["sampling"], kernel, knots)
         self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
-        if cfg["solver"]["kind"] == "tikhonov":
-            if not all(isinstance(f, DiracFunctional) for f in functionals):
-                raise ValueError("the quadratic baseline supports point samples only")
+        if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
             self.field_knots = np.array([f.direction for f in functionals])
             conv = self_convolve(kernel.series())
             self.K = knot_gram(conv, KnotSet(self.field_knots))
-            self.field_kernel = ZonalKernel.from_series(conv, family="self_convolved")
+            self.field_kernel = ZonalKernel.from_series(conv)
         else:
             if self.G is None:
                 self.G = assemble_gram(kernel, functionals, knots)
@@ -539,14 +544,13 @@ def _run_point(cfg, setup):
             "primal_step": result.primal_residual,
             "data_misfit": float(np.linalg.norm(G.matvec(x) - y)),
         }
-    field = synthesize(setup.field_kernel, setup.field_knots, x)
+    field = SplineField(setup.field_kernel, setup.field_knots, x)
 
     coeff_path = _output_path(outputs, "coefficients")
     save_coefficients_csv(coeff_path, field)
     trace_path = _output_path(outputs, "trace")
     with open(trace_path, "w", newline="") as fh:
-        fh.write("iteration,objective\n")
-        fh.writelines("%d,%s\n" % (i, FLOAT_FMT % v) for i, v in enumerate(trace, 1))
+        write_table(fh, TRACE_HEADER, [np.arange(1, len(trace) + 1), trace])
     raster_path = None
     if outputs["raster"] is not None:
         raster = outputs["raster"]

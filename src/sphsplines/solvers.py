@@ -29,11 +29,23 @@ ZERO_NORM_FLOOR = 1e-30
 APGD_THETA = 75.0
 
 
-def _checked(value, name, kind, what, ok):
-    # numpy scalars pass; a bool or a string is never a number
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise ValueError("%s must be %s" % (name, what))
-    return value
+# The integer and number rules of solver and run settings: numpy scalars
+# pass, a bool or a string never does, and a float is never an integer.
+
+
+def check_integer(value, name, lowest, what):
+    """``value`` as an int if it is an integer >= ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ValueError("%s must be %s >= %d" % (name, what, lowest))
+    return int(value)
+
+
+def check_number(value, name, ok, rule):
+    """``value`` as a float if it is a real number passing ``ok``, which
+    ``rule`` describes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError("%s must be a number%s" % (name, rule))
+    return float(value)
 
 
 class SolverConfig:
@@ -48,17 +60,14 @@ class SolverConfig:
     max_iter : integer >= 1
         Iteration cap.
 
-    Numpy scalars are accepted; a bool or a string is never a number, and a
-    float is never an integer.  A bad value raises ValueError naming it.
+    Checked by `check_number` and `check_integer`, the run config's rules: a
+    bad value raises ValueError naming it.
     """
 
     def __init__(self, lam, eps_stop=1e-4, max_iter=20000):
-        self.lam = float(_checked(lam, "lam", numbers.Real, "a real number >= 0",
-                                  lambda v: v >= 0))
-        self.eps_stop = float(_checked(eps_stop, "eps_stop", numbers.Real,
-                                       "a real number > 0", lambda v: v > 0))
-        self.max_iter = int(_checked(max_iter, "max_iter", numbers.Integral,
-                                     "an integer >= 1", lambda v: v >= 1))
+        self.lam = check_number(lam, "lam", lambda v: v >= 0, " >= 0")
+        self.eps_stop = check_number(eps_stop, "eps_stop", lambda v: v > 0, " > 0")
+        self.max_iter = check_integer(max_iter, "max_iter", 1, "an integer")
 
     def __repr__(self):
         return "SolverConfig(lam=%g, eps_stop=%g, max_iter=%d)" % (
@@ -211,6 +220,15 @@ def apgd_solve(G, model, config):
     return SolverResult(z_new, iterations, trace, converged, delta)
 
 
+def _cholesky_solve(A, b, name):
+    """Solve A x = b by Cholesky; ValueError naming the matrix ``name`` if A
+    is not positive definite."""
+    try:
+        return cho_solve(cho_factor(A), b)
+    except LinAlgError as exc:
+        raise ValueError("%s is not positive definite: %s" % (name, exc))
+
+
 def tikhonov_solve(K, y, mu):
     """Quadratically penalised baseline: solve (K + mu*I) x = y by Cholesky.
 
@@ -227,10 +245,7 @@ def tikhonov_solve(K, y, mu):
         raise ValueError("K must be square and match y")
     if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
         raise ValueError("K must be symmetric")
-    try:
-        return cho_solve(cho_factor(K + mu * np.eye(K.shape[0])), y)
-    except LinAlgError as exc:
-        raise ValueError("K + mu*I is not positive definite: %s" % exc)
+    return _cholesky_solve(K + mu * np.eye(K.shape[0]), y, "K + mu*I")
 
 
 def rkhs_project(kernel, knots, samples):
@@ -249,8 +264,4 @@ def rkhs_project(kernel, knots, samples):
     K = knot_gram(kernel, knots)
     if samples.shape != (K.shape[0],):
         raise ValueError("need one sample per knot")
-    try:
-        c = cho_solve(cho_factor(K), samples)
-    except LinAlgError as exc:
-        raise ValueError("knot Gram matrix is not positive definite: %s" % exc)
-    return SplineField(kernel, knots, c)
+    return SplineField(kernel, knots, _cholesky_solve(K, samples, "knot Gram matrix"))

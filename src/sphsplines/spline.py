@@ -1,4 +1,4 @@
-"""Spherical spline fields: synthesis, fast evaluation, and norms.
+"""Spherical spline fields: the kernel expansion, fast evaluation, and norms.
 
 A field is a finite kernel expansion ``f(r) = sum_n x_n psi(<r, r_n>)`` over
 lattice knots.  Evaluation visits only in-support knots for compactly
@@ -45,11 +45,6 @@ class SplineField:
 
     def __repr__(self):
         return "SplineField(%r, %d knots)" % (self.kernel, len(self.knots))
-
-
-def synthesize(kernel, knots, coeffs):
-    """Bundle (kernel, knots, coeffs) into a field; no computation."""
-    return SplineField(kernel, knots, coeffs)
 
 
 def evaluate(field, targets):

@@ -81,6 +81,36 @@ def test_synth_counts_bytes_are_pinned(tmp_path):
     assert _sha256(out) == SYNTH_COUNTS_SHA256
 
 
+# sha256 of the tables these commands wrote before every table shared one
+# writer; a change means the written bytes changed
+LATTICE_50_SHA256 = "baf562cbca82a134939b19aec23cf780e12f0db4151e0ce00f7e032f6fd8ed91"
+RUN_TABLES_SHA256 = {
+    "coefficients.csv": "e49adb63ea829baef997c98ffa04bb10b8a46031e22a090b8d7a9b1e6c03790c",
+    "trace.csv": "68877787b99893f9e631dc085f52f1dce98009062cdf06608e729e4f4a2a6318",
+    "r.csv": "a1a7c80a42f7c91217e16f4febfd37847f127e1828bff8df4f7cbbc8afc2d7a0",
+}
+
+
+def test_lattice_bytes_are_pinned(tmp_path, capsys):
+    assert main(["lattice", "--n", "50"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LATTICE_50_SHA256
+    out = tmp_path / "l.csv"
+    assert main(["lattice", "--n", "50", "--output", str(out)]) == 0
+    assert _sha256(out) == LATTICE_50_SHA256
+
+
+def test_run_table_bytes_are_pinned(tmp_path):
+    # one small seeded run: its coefficient, trace and 4x8 raster tables
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", max_iter=400,
+                  outputs={"directory": str(tmp_path / "out"),
+                           "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    written = {name: _sha256(tmp_path / "out" / name) for name in RUN_TABLES_SHA256}
+    assert written == RUN_TABLES_SHA256
+
+
 def test_synth_counts_writes_loadable_csv(tmp_path):
     out = tmp_path / "c.csv"
     code = main([

@@ -25,7 +25,7 @@ from sphsplines.sphere import (
 
 
 def constant_kernel():
-    return ZonalKernel(lambda t: np.ones_like(t), "custom_series")
+    return ZonalKernel(lambda t: np.ones_like(t))
 
 
 def random_directions(L, seed):
@@ -208,7 +208,7 @@ def test_assemble_across_blocks_matches_stacked_halves(kern, monkeypatch):
 
 def test_assemble_rejects_rough_kernel_for_diracs():
     # decay order 1.8 <= 2: too rough for point evaluation, fine for patches
-    rough = ZonalKernel(lambda t: np.exp(t - 1.0), "custom_series", beta=0.9)
+    rough = ZonalKernel(lambda t: np.exp(t - 1.0), beta=0.9)
     knots = fibonacci_lattice(10)
     with pytest.raises(ValueError, match="too small"):
         assemble_gram(rough, [DiracFunctional([0.0, 0.0, 1.0])], knots)

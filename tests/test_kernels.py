@@ -194,7 +194,7 @@ def test_bell_shape(kern):
 
 
 def test_lipschitz_constant_kernel():
-    kern = ZonalKernel(lambda t: np.ones_like(t), "custom_series")
+    kern = ZonalKernel(lambda t: np.ones_like(t))
     assert lipschitz_estimate(kern, 200) == 0.0
 
 

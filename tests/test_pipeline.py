@@ -31,7 +31,7 @@ from sphsplines.sphere import (
     fibonacci_lattice,
     lonlat_from_direction,
 )
-from sphsplines.spline import SplineField, evaluate, synthesize
+from sphsplines.spline import SplineField, evaluate
 
 import sphsplines.pipeline as pipeline
 
@@ -279,13 +279,26 @@ def test_config_echo_makes_defaults_explicit():
      lambda c: c["sampling"]["synthetic"].update(amplitude=["0.5", "2"])),
     ("sampling.synthetic.amplitude",
      lambda c: c["sampling"]["synthetic"].update(amplitude=[1])),
+    ("sampling.quadrature_order", lambda c: c.update(
+        sampling={"patch_csv": "counts.csv", "quadrature_order": 1})),
+    ("sampling.synthetic.quadrature_order", lambda c: c["sampling"].update(
+        synthetic={"kind": "counts", "quadrature_order": 1})),
+    ("solver.kind", lambda c: c.update(cost={"kind": "ls"},
+                                       solver={"kind": "tikhonov", "mu": 1e-3},
+                                       sampling={"patch_csv": "counts.csv"})),
+    ("solver.kind", lambda c: c.update(cost={"kind": "kl"},
+                                       solver={"kind": "tikhonov", "mu": 1e-3})),
+    ("sampling.synthetic.bumps", lambda c: c["sampling"]["synthetic"].update(bumps=81)),
+    ("sampling.synthetic.amplitude",
+     lambda c: c["sampling"]["synthetic"].update(amplitude=[2.0, 0.5])),
 ], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
         "max_iter_str", "fibonacci_bool", "seed_float", "seed_bool", "seed_str",
         "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
         "grid_float", "patch_quadrature_order_float", "rho_rel_str", "lambda_bool",
         "lambda_str", "eps_stop_bool", "mu_str", "beta_str", "epsilon_str", "tol_str",
         "k_float", "k_bool", "d_float", "rate_scale_str", "amplitude_str",
-        "amplitude_one"])
+        "amplitude_one", "patch_quadrature_order_one", "quadrature_order_one",
+        "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)

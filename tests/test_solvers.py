@@ -17,7 +17,7 @@ from sphsplines.solvers import (
     tikhonov_solve,
 )
 from sphsplines.sphere import KnotSet, fibonacci_lattice
-from sphsplines.spline import evaluate, synthesize
+from sphsplines.spline import SplineField, evaluate
 
 
 # ------------------------------------------------------------------- config
@@ -261,7 +261,7 @@ def test_rkhs_reproduces_lattice_spline():
     knots = fibonacci_lattice(100)
     rng = np.random.default_rng(0)
     c0 = rng.standard_normal(100)
-    f0 = synthesize(kern, knots, c0)
+    f0 = SplineField(kern, knots, c0)
     proj = rkhs_project(kern, knots, evaluate(f0, knots.points))
     err = np.abs(proj.coeffs - c0).max() / np.abs(c0).max()
     assert err < 1e-8
@@ -282,7 +282,7 @@ def test_rkhs_projection_error_decays():
     kern = matern_zonal(2.5, 0.2)
     rng = np.random.default_rng(0)
     off_lattice = fibonacci_lattice(10).points[:, [1, 2, 0]]
-    h = synthesize(kern, off_lattice, rng.standard_normal(10))
+    h = SplineField(kern, off_lattice, rng.standard_normal(10))
     probes = fibonacci_lattice(10000).points
     href = evaluate(h, probes)
     errs = []

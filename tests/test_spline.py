@@ -12,7 +12,6 @@ from sphsplines.spline import (
     gtv_norm,
     native_norm,
     sparsity_report,
-    synthesize,
 )
 from sphsplines.gram import knot_gram
 
@@ -24,14 +23,14 @@ def random_directions(M, seed):
 
 
 def test_zero_field_evaluates_to_zero():
-    f = synthesize(matern_zonal(1.5, 0.2), fibonacci_lattice(20), np.zeros(20))
+    f = SplineField(matern_zonal(1.5, 0.2), fibonacci_lattice(20), np.zeros(20))
     np.testing.assert_array_equal(evaluate(f, random_directions(10, 0)), np.zeros(10))
 
 
 def test_single_unit_coefficient_is_kernel_trace():
     kern = matern_zonal(1.5, 0.2)
     knot = np.array([[0.0, 0.0, 1.0]])
-    f = synthesize(kern, KnotSet(knot), np.array([1.0]))
+    f = SplineField(kern, KnotSet(knot), np.array([1.0]))
     targets = random_directions(50, 1)
     np.testing.assert_allclose(
         evaluate(f, targets), kern(targets @ knot[0]), atol=1e-15
@@ -40,7 +39,7 @@ def test_single_unit_coefficient_is_kernel_trace():
 
 
 def test_wendland_antipode_is_exact_zero():
-    f = synthesize(
+    f = SplineField(
         wendland_zonal(3, 1, 0.4),
         KnotSet(np.array([[0.0, 0.0, 1.0]])),
         np.array([1.0]),
@@ -52,7 +51,7 @@ def test_evaluate_matches_naive_oracle():
     kern = matern_zonal(2.5, 0.3, convention="eq60")
     knots = fibonacci_lattice(5)
     coeffs = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-    f = synthesize(kern, knots, coeffs)
+    f = SplineField(kern, knots, coeffs)
     targets = random_directions(3, 2)
     ref = naive_spline_sum(kern, knots.points, coeffs, targets)
     np.testing.assert_allclose(evaluate(f, targets), ref, atol=1e-12)
@@ -63,7 +62,7 @@ def test_pruned_evaluation_matches_full_sum():
     knots = fibonacci_lattice(500)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(500)
-    f = synthesize(kern, knots, coeffs)
+    f = SplineField(kern, knots, coeffs)
     targets = random_directions(200, 4)
     ref = naive_spline_sum(kern, knots.points, coeffs, targets)
     np.testing.assert_allclose(evaluate(f, targets), ref, atol=1e-12)
@@ -72,7 +71,7 @@ def test_pruned_evaluation_matches_full_sum():
 def test_series_kernel_evaluation_memory_is_bounded():
     # a degree-512 series kernel on 2e4 targets stays within tens of MB
     kern = ZonalKernel.from_series(matern_zonal(2.5, 0.3).series())
-    f = synthesize(kern, fibonacci_lattice(20), np.ones(20))
+    f = SplineField(kern, fibonacci_lattice(20), np.ones(20))
     targets = random_directions(20_000, 9)
     tracemalloc.start()
     try:
@@ -90,27 +89,27 @@ def test_evaluate_linear_in_coefficients():
     a, b = rng.standard_normal(30), rng.standard_normal(30)
     alpha, beta = 1.7, -0.3
     targets = random_directions(40, 6)
-    combo = evaluate(synthesize(kern, knots, alpha * a + beta * b), targets)
-    parts = alpha * evaluate(synthesize(kern, knots, a), targets) + beta * evaluate(
-        synthesize(kern, knots, b), targets
+    combo = evaluate(SplineField(kern, knots, alpha * a + beta * b), targets)
+    parts = alpha * evaluate(SplineField(kern, knots, a), targets) + beta * evaluate(
+        SplineField(kern, knots, b), targets
     )
     np.testing.assert_allclose(combo, parts, atol=1e-12)
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        synthesize(matern_zonal(1.5, 0.2), fibonacci_lattice(10), np.zeros(11))
+        SplineField(matern_zonal(1.5, 0.2), fibonacci_lattice(10), np.zeros(11))
     with pytest.raises(ValueError):
-        synthesize(matern_zonal(1.5, 0.2), fibonacci_lattice(2), [1.0, np.nan])
+        SplineField(matern_zonal(1.5, 0.2), fibonacci_lattice(2), [1.0, np.nan])
 
 
 def test_gtv_norm_values():
     knots = fibonacci_lattice(3)
     kern = matern_zonal(1.5, 0.2)
-    assert gtv_norm(synthesize(kern, knots, np.zeros(3))) == 0.0
-    f = synthesize(kern, knots, np.array([1.0, -2.0, 0.5]))
+    assert gtv_norm(SplineField(kern, knots, np.zeros(3))) == 0.0
+    f = SplineField(kern, knots, np.array([1.0, -2.0, 0.5]))
     assert gtv_norm(f) == 3.5
-    scaled = synthesize(kern, knots, -4.0 * f.coeffs)
+    scaled = SplineField(kern, knots, -4.0 * f.coeffs)
     assert scaled is not f
     np.testing.assert_allclose(gtv_norm(scaled), 4.0 * 3.5)
 
@@ -118,11 +117,11 @@ def test_gtv_norm_values():
 def test_native_norm_simple_cases():
     kern = matern_zonal(1.5, 0.2)
     one = KnotSet(np.array([[0.0, 0.0, 1.0]]))
-    assert native_norm(synthesize(kern, one, [0.0]), knot_gram(kern, one)) == 0.0
-    assert native_norm(synthesize(kern, one, [-3.0]), knot_gram(kern, one)) == 3.0
+    assert native_norm(SplineField(kern, one, [0.0]), knot_gram(kern, one)) == 0.0
+    assert native_norm(SplineField(kern, one, [-3.0]), knot_gram(kern, one)) == 3.0
     wend = wendland_zonal(3, 1, 0.5)
     two = KnotSet(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    f = synthesize(wend, two, [3.0, 4.0])
+    f = SplineField(wend, two, [3.0, 4.0])
     np.testing.assert_allclose(native_norm(f, knot_gram(wend, two)), 5.0)
 
 
@@ -132,7 +131,7 @@ def test_native_norm_reproducing_identity():
     knots = fibonacci_lattice(50)
     rng = np.random.default_rng(8)
     c = rng.standard_normal(50)
-    f = synthesize(kern, knots, c)
+    f = SplineField(kern, knots, c)
     K = knot_gram(kern, knots)
     lhs = native_norm(f, K) ** 2
     rhs = evaluate(f, knots.points) @ c
@@ -142,7 +141,7 @@ def test_native_norm_reproducing_identity():
 def test_native_norm_rejects_negative_form():
     kern = matern_zonal(1.5, 0.2)
     knots = fibonacci_lattice(4)
-    f = synthesize(kern, knots, np.ones(4))
+    f = SplineField(kern, knots, np.ones(4))
     with pytest.raises(ValueError, match="negative"):
         native_norm(f, -np.eye(4))
 
@@ -150,11 +149,11 @@ def test_native_norm_rejects_negative_form():
 def test_sparsity_report():
     kern = matern_zonal(1.5, 0.2)
     knots = fibonacci_lattice(2)
-    assert sparsity_report(synthesize(kern, knots, np.zeros(2))).count == 0
-    rep = sparsity_report(synthesize(kern, knots, [1.0, 1e-9]), rel_threshold=1e-4)
+    assert sparsity_report(SplineField(kern, knots, np.zeros(2))).count == 0
+    rep = sparsity_report(SplineField(kern, knots, [1.0, 1e-9]), rel_threshold=1e-4)
     assert rep.count == 1 and rep.indices == [0]
     with pytest.raises(ValueError):
-        sparsity_report(synthesize(kern, knots, [1.0, 0.0]), rel_threshold=1.5)
+        sparsity_report(SplineField(kern, knots, [1.0, 0.0]), rel_threshold=1.5)
 
 
 def test_field_callable_and_scalar_return():
