@@ -1,26 +1,24 @@
 #!/bin/sh
-# End-to-end command-line walkthrough: generate synthetic scattered samples,
-# reconstruct from a JSON run configuration, sweep the regularisation weight,
-# and rasterise the recovered field.  Run from the repository root after
-# `pip install -e . --no-build-isolation`.
+# End-to-end command-line walkthrough: draw synthetic scattered samples from a
+# run configuration, reconstruct from them, sweep the regularisation weight,
+# and rasterise the recovered field, all in a fresh temporary directory.
+# Needs `sphsplines` on PATH, as after `pip install -e . --no-build-isolation`
+# in the repository root.
 set -e
 
 workdir=$(mktemp -d)
 echo "working in $workdir"
+cd "$workdir"
 
 sphsplines lattice --n 8
 
-sphsplines synth-scatter --family matern --beta 2.5 --epsilon 0.35 \
-    --convention eq60 --knots 64 --bumps 4 --samples 192 --seed 3 \
-    --output "$workdir/scatter.csv"
-head -3 "$workdir/scatter.csv"
-
-cat > "$workdir/run.json" <<'JSON'
+# one run description: the kernel, knots, measurements, cost and solver
+cat > synth.json <<'JSON'
 {
   "kernel": {"family": "matern", "beta": 2.5, "epsilon": 0.35,
              "convention": "eq60"},
   "knots": {"fibonacci": 64},
-  "sampling": {"scatter_csv": "scatter.csv"},
+  "sampling": {"synthetic": {"kind": "scatter", "bumps": 4, "samples": 192}},
   "cost": {"kind": "exact"},
   "lambda": 1e-4,
   "solver": {"kind": "pds"},
@@ -30,18 +28,24 @@ cat > "$workdir/run.json" <<'JSON'
   "outputs": {"directory": "run"}
 }
 JSON
-(cd "$workdir" && sphsplines reconstruct --config run.json)
+sphsplines synth --config synth.json --output scatter.csv
+head -3 scatter.csv
 
-(cd "$workdir" && sphsplines reconstruct --config run.json \
-    --lambda-sweep 1e-5 1e-2 3 --output-dir sweep)
+# the same run, reading the samples from the file instead of drawing them
+python3 -c "import json; c = json.load(open('synth.json'));\
+c['sampling'] = {'scatter_csv': 'scatter.csv'};\
+json.dump(c, open('run.json', 'w'), indent=2)"
+sphsplines reconstruct --config run.json
 
-sphsplines raster --coefficients "$workdir/run/coefficients.csv" \
-    --family matern --beta 2.5 --epsilon 0.35 --convention eq60 \
-    --n-lat 18 --n-lon 36 --output "$workdir/run/field.csv"
-wc -l "$workdir/run/field.csv"
+sphsplines reconstruct --config run.json --lambda-sweep 1e-5 1e-2 3 \
+    --output-dir sweep
+
+sphsplines raster --config run.json --coefficients run/coefficients.csv \
+    --n-lat 18 --n-lon 36 --output run/field.csv
+wc -l run/field.csv
 
 echo "manifest summary:"
 python3 -c "import json,sys; m=json.load(open(sys.argv[1]));\
 print(' iterations', m['iterations'], 'converged', m['converged']);\
 print(' objective ', m['final_objective']);\
-print(' active    ', m['sparsity_count'])" "$workdir/run/manifest.json"
+print(' active    ', m['sparsity_count'])" run/manifest.json

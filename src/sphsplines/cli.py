@@ -3,13 +3,15 @@
 Subcommands
 -----------
 reconstruct
-    Run a reconstruction described by a JSON config, with optional overrides
-    for the penalty weight, solver, seed and output directory, or a geometric
-    sweep over penalty weights.
-synth-scatter / synth-counts
-    Generate seeded synthetic data files (point samples, binned counts).
+    Run a reconstruction described by a JSON run config, with optional
+    overrides for the penalty weight, solver, seed and output directory, or a
+    geometric sweep over penalty weights.
+synth
+    Write the seeded synthetic measurements (point samples or binned counts)
+    that a config's ``sampling.synthetic`` block describes.
 raster
-    Evaluate saved coefficients on an equal-angle grid for plotting.
+    Evaluate the coefficients a run wrote on an equal-angle grid for
+    plotting, in the kernel of that run's config.
 lattice
     Dump the knot lattice as lon/lat rows.
 
@@ -27,11 +29,11 @@ import numpy as np
 
 from . import __version__
 from .pipeline import (
+    RunConfig,
     build_kernel,
-    check_kernel,
     check_object,
-    check_synthetic,
     export_raster,
+    field_kernel,
     load_coefficients_csv,
     run_lambda_sweep,
     run_reconstruction,
@@ -44,45 +46,14 @@ from .sphere import fibonacci_lattice, lonlat_from_direction
 from .spline import SplineField
 
 
-# the kernel config keys the kernel flags set (each flag's dest)
-_KERNEL_KEYS = ("beta", "d", "k", "epsilon", "fwhm_deg", "convention")
-
-
-def _add_kernel_args(p):
-    p.add_argument("--family", default="matern",
-                   choices=["matern", "wendland", "sobolev"])
-    p.add_argument("--beta", type=float, help="smoothness order (matern/sobolev)")
-    p.add_argument("--dim", dest="d", type=int, help="wendland dimension d")
-    p.add_argument("--order", dest="k", type=int, help="wendland smoothness index k")
-    p.add_argument("--epsilon", type=float, help="kernel scale")
-    p.add_argument("--fwhm-deg", type=float,
-                   help="target full width at half maximum, degrees")
-    p.add_argument("--convention", choices=["standard", "eq60"],
-                   help="matern scale convention")
-
-
-def _add_synth_args(p, func):
-    _add_kernel_args(p)
-    p.add_argument("--output", required=True)
-    p.add_argument("--knots", type=int, default=500, help="lattice pool size")
-    p.add_argument("--bumps", type=int, default=8)
-    p.add_argument("--amp-lo", type=float, default=0.5)
-    p.add_argument("--amp-hi", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=func)
-
-
-def _kernel(args):
-    """The kernel of the flags that were given, checked as a run config's
-    ``kernel`` block is (flags left out take its defaults)."""
-    spec = {key: getattr(args, key) for key in _KERNEL_KEYS
-            if getattr(args, key) is not None}
-    return build_kernel(check_kernel(dict(spec, family=args.family)))
+def _load_config(path):
+    """The JSON object of a run-config file, not yet checked."""
+    with open(path) as fh:
+        return check_object(json.load(fh), "")
 
 
 def _cmd_reconstruct(args):
-    with open(args.config) as fh:
-        spec = check_object(json.load(fh), "")
+    spec = _load_config(args.config)
     if args.lam is not None:
         spec["lambda"] = args.lam
     if args.solver is not None:
@@ -122,43 +93,30 @@ def _cmd_reconstruct(args):
     return 0
 
 
-def _synthetic(args, **synth):
-    """Measurements drawn as a run's ``sampling.synthetic`` block would."""
-    kernel = _kernel(args)
-    synth.update(bumps=args.bumps, amplitude=[args.amp_lo, args.amp_hi],
-                 seed=args.seed)
+def _cmd_synth(args):
+    cfg = RunConfig(_load_config(args.config))
+    synth = cfg["sampling"].get("synthetic")
+    if synth is None:
+        raise ValueError("%s: synth needs a sampling.synthetic block" % args.config)
     functionals, y, _ = synthetic_measurements(
-        check_synthetic(synth), kernel, fibonacci_lattice(args.knots)
+        synth, build_kernel(cfg["kernel"]), fibonacci_lattice(cfg["knots"]["fibonacci"])
     )
-    return functionals, y
-
-
-def _cmd_synth_scatter(args):
-    functionals, values = _synthetic(
-        args, kind="scatter", samples=args.samples, psnr_db=args.psnr_db
-    )
-    lon, lat = lonlat_from_direction(np.array([f.direction for f in functionals]))
-    save_scatter_csv(args.output, lon, lat, values)
-    print("wrote %d samples to %s" % (values.size, args.output))
-    return 0
-
-
-def _cmd_synth_counts(args):
-    # patches use the quadrature rule of config runs (no flag sets it)
-    functionals, counts = _synthetic(
-        args, kind="counts", grid=args.grid, rate_scale=args.rate_scale
-    )
-    save_patch_counts_csv(args.output, [f.bounds for f in functionals], counts)
-    print("wrote %d patch counts (total %d events) to %s"
-          % (counts.size, int(counts.sum()), args.output))
+    if synth["kind"] == "scatter":
+        lon, lat = lonlat_from_direction(np.array([f.direction for f in functionals]))
+        save_scatter_csv(args.output, lon, lat, y)
+        print("wrote %d samples to %s" % (y.size, args.output))
+    else:
+        save_patch_counts_csv(args.output, [f.bounds for f in functionals], y)
+        print("wrote %d patch counts (total %d events) to %s"
+              % (y.size, int(y.sum()), args.output))
     return 0
 
 
 def _cmd_raster(args):
+    cfg = RunConfig(_load_config(args.config))
     dirs, coeffs = load_coefficients_csv(args.coefficients)
-    kernel = _kernel(args)
-    field = SplineField(kernel, dirs, coeffs)
-    export_raster(field, args.n_lat, args.n_lon, args.output)
+    kernel = field_kernel(cfg, build_kernel(cfg["kernel"]))
+    export_raster(SplineField(kernel, dirs, coeffs), args.n_lat, args.n_lon, args.output)
     print("wrote %dx%d raster to %s" % (args.n_lat, args.n_lon, args.output))
     return 0
 
@@ -196,21 +154,15 @@ def build_parser():
                    help="geometric sweep over penalty weights")
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("synth-scatter", help="generate noisy point samples")
-    _add_synth_args(p, _cmd_synth_scatter)
-    p.add_argument("--samples", type=int, default=1500)
-    p.add_argument("--psnr-db", type=float, help="peak SNR of added noise; "
-                   "omit for noiseless samples")
+    p = sub.add_parser("synth", help="write the measurements a config's "
+                       "sampling.synthetic block draws")
+    p.add_argument("--config", required=True, help="JSON run description")
+    p.add_argument("--output", required=True, help="scatter or patch-count CSV path")
+    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("synth-counts", help="generate Poisson patch counts")
-    _add_synth_args(p, _cmd_synth_counts)
-    p.add_argument("--grid", nargs=2, type=int, default=[12, 24],
-                   metavar=("N_LAT", "N_LON"))
-    p.add_argument("--rate-scale", type=float, default=50.0,
-                   help="multiplier applied to patch integrals before drawing")
-
-    p = sub.add_parser("raster", help="grid a saved coefficient file")
-    _add_kernel_args(p)
+    p = sub.add_parser("raster", help="grid a coefficient file a run wrote")
+    p.add_argument("--config", required=True, help="JSON run description of the run "
+                   "that wrote the coefficients")
     p.add_argument("--coefficients", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--n-lat", type=int, default=180)

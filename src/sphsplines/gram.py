@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .legendre import gauss_legendre
+from .legendre import check_integer, gauss_legendre
 from .pdo import check_compatibility
 from .sphere import KnotSet
 
@@ -49,11 +49,9 @@ class PatchFunctional:
     kind = "square_integrable"
 
     def __init__(self, bounds, quadrature_order=8):
-        quadrature_order = int(quadrature_order)
-        if quadrature_order < 2:
-            raise ValueError("patch quadrature order must be >= 2")
         self.bounds = bounds
-        self.quadrature_order = quadrature_order
+        self.quadrature_order = check_integer(
+            quadrature_order, "patch quadrature order", 2, "an integer")
 
     def nodes(self):
         """(directions, weights) of a Q x Q tensor Gauss rule for int_B.

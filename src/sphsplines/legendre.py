@@ -13,8 +13,29 @@ operator, so spherical self-convolution squares the coefficients.
 
 import functools
 import math
+import numbers
 
 import numpy as np
+
+
+# The integer and number rules of every checked setting (patch quadrature
+# orders, solver settings, run-config keys): numpy scalars pass, a bool or a
+# string never does, and a float is never an integer.
+
+
+def check_integer(value, name, lowest, what):
+    """``value`` as an int if it is an integer >= ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ValueError("%s must be %s >= %d" % (name, what, lowest))
+    return int(value)
+
+
+def check_number(value, name, ok, rule):
+    """``value`` as a float if it is a real number passing ``ok``, which
+    ``rule`` describes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError("%s must be a number%s" % (name, rule))
+    return float(value)
 
 
 def legendre_all(N_max, t):

@@ -9,6 +9,7 @@ seed write byte-identical coefficient files.
 
 import csv
 import json
+import math
 import os
 import time
 from datetime import datetime, timezone
@@ -25,15 +26,9 @@ from .kernels import (
     sobolev_green_zonal,
     wendland_zonal,
 )
+from .legendre import check_integer, check_number
 from .prox import KL, L1, ExactMatch, L2Ball, LeastSquares
-from .solvers import (
-    SolverConfig,
-    apgd_solve,
-    check_integer,
-    check_number,
-    pds_solve,
-    tikhonov_solve,
-)
+from .solvers import SolverConfig, apgd_solve, pds_solve, tikhonov_solve
 from .sphere import (
     KnotSet,
     PatchBounds,
@@ -70,14 +65,24 @@ def write_table(fh, header, columns):
     fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
+def _directions(path, lines, lon, lat):
+    """Unit directions of a table's lon/lat columns; a latitude outside
+    [-90, 90] raises ValueError naming the file and line."""
+    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0)))
+    if bad.size:
+        raise ValueError("%s line %d: latitude %g out of [-90, 90]"
+                         % (path, lines[bad[0]], lat[bad[0]]))
+    return direction_from_lonlat(lon, lat)
+
+
 def read_table(path, header, kinds):
     """(line numbers, columns) of the nonempty rows of a table file.
 
     The first line must be ``header``; each row must have one field per
-    column, parsed by that column's kind in ``kinds`` (int or float).
-    ``columns`` is a (len(header), rows) float array with contiguous rows.
-    A bad header, field count or field raises ValueError naming the file
-    and line.
+    column, parsed by that column's kind in ``kinds`` (int or float) to a
+    finite value.  ``columns`` is a (len(header), rows) float array with
+    contiguous rows.  A bad header, field count or field raises ValueError
+    naming the file and line.
     """
     lines, rows = [], []
     with open(path, newline="") as fh:
@@ -94,11 +99,14 @@ def read_table(path, header, kinds):
             values = []
             for name, kind, text in zip(header, kinds, row):
                 try:
-                    values.append(kind(text))
+                    value = kind(text)
                 except ValueError:
-                    what = "an integer" if kind is int else "a number"
+                    value = math.nan
+                if not math.isfinite(value):
+                    what = "an integer" if kind is int else "a finite number"
                     raise ValueError("%s line %d: %s must be %s, got %r"
                                      % (path, line_no, name, what, text))
+                values.append(value)
             lines.append(line_no)
             rows.append(values)
     return lines, np.array(rows, dtype=float).reshape(-1, len(header)).T.copy()
@@ -114,11 +122,7 @@ def load_scatter_csv(path):
         for a header-only file.
     """
     lines, (lon, lat, values) = read_table(path, SCATTER_HEADER, (float,) * 3)
-    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0)))
-    if bad.size:
-        raise ValueError("%s line %d: latitude %g out of [-90, 90]"
-                         % (path, lines[bad[0]], lat[bad[0]]))
-    return direction_from_lonlat(lon, lat), values
+    return _directions(path, lines, lon, lat), values
 
 
 def save_scatter_csv(path, lon_deg, lat_deg, values):
@@ -162,8 +166,8 @@ def save_coefficients_csv(path, field):
 
 def load_coefficients_csv(path):
     """Read a coefficient file back into (directions, coeffs)."""
-    _, (_, lon, lat, coeffs) = read_table(path, COEFF_HEADER, (int,) + (float,) * 3)
-    return direction_from_lonlat(lon, lat), coeffs
+    lines, (_, lon, lat, coeffs) = read_table(path, COEFF_HEADER, (int,) + (float,) * 3)
+    return _directions(path, lines, lon, lat), coeffs
 
 
 # -------------------------------------------------------- synthetic sources
@@ -222,8 +226,8 @@ def random_directions(n, seed):
 
 def synthetic_measurements(synth, kernel, knots):
     """(functionals, y, G) measuring a planted spline, per a complete
-    ``sampling.synthetic`` block (as `check_synthetic` and `RunConfig` fill
-    it in); G is the patch Gram counts were drawn through (None for scatter).
+    ``sampling.synthetic`` block (as `RunConfig` fills it in); G is the
+    patch Gram counts were drawn through (None for scatter).
 
     The field plants its bumps at ``seed``; scatter directions use seed + 1
     and noise seed + 2, Poisson counts seed + 1.
@@ -358,7 +362,7 @@ _SYNTHETIC = {
 }
 
 
-def check_kernel(value, path="kernel"):
+def _check_kernel(value, path):
     """A kernel block checked by its family's rules, defaults filled in."""
     kernel = _variant(value, path, "family", _KERNEL)
     if kernel["family"] != "sobolev" and (
@@ -367,7 +371,7 @@ def check_kernel(value, path="kernel"):
     return kernel
 
 
-def check_synthetic(value, path="sampling.synthetic"):
+def _check_synthetic(value, path):
     """A synthetic block checked per its kind; `RunConfig` fills its run defaults."""
     return _variant(value, path, "kind", _SYNTHETIC)
 
@@ -375,7 +379,7 @@ def check_synthetic(value, path="sampling.synthetic"):
 _SAMPLING = {  # source -> its rules
     "scatter_csv": {"scatter_csv": (_text, None)},
     "patch_csv": {"patch_csv": (_text, None), "quadrature_order": (_int(2), 8)},
-    "synthetic": {"synthetic": (check_synthetic, None)},
+    "synthetic": {"synthetic": (_check_synthetic, None)},
 }
 
 
@@ -409,7 +413,7 @@ _OUTPUTS = {
     "raster": (_nullable(_block(_RASTER)), None),
 }
 _RUN = {
-    "kernel": (check_kernel, None),
+    "kernel": (_check_kernel, None),
     "knots": (_block(_KNOTS), None),
     "sampling": (_sampling, None),
     "cost": (_block(_COST), None),
@@ -461,7 +465,7 @@ def _output_path(outputs, name):
 
 
 def build_kernel(spec):
-    """ZonalKernel from a kernel block `check_kernel` has passed."""
+    """ZonalKernel from a checked kernel block (a `RunConfig`'s ``kernel``)."""
     if spec["family"] == "sobolev":
         return sobolev_green_zonal(spec["beta"], tol=spec["tol"])
     if spec["family"] == "matern":
@@ -471,6 +475,15 @@ def build_kernel(spec):
     if spec["fwhm_deg"] is None:
         return factory(spec["epsilon"])
     return factory(epsilon_for_fwhm(factory, spec["fwhm_deg"]))
+
+
+def field_kernel(cfg, kernel):
+    """The kernel a run's field expands in, given the run's ``kernel``: that
+    kernel itself, or its self-convolution for the tikhonov solver, whose
+    field is ``sum_l x_l (psi * psi)(<., r_l>)`` over the sample directions."""
+    if cfg["solver"]["kind"] == "tikhonov":
+        return ZonalKernel.from_series(self_convolve(kernel.series()))
+    return kernel
 
 
 def _load_measurements(sampling, kernel, knots):
@@ -500,15 +513,14 @@ class _Setup:
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, self.y, self.G = _load_measurements(cfg["sampling"], kernel, knots)
         self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
+        self.field_kernel = field_kernel(cfg, kernel)
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
             self.field_knots = np.array([f.direction for f in functionals])
-            conv = self_convolve(kernel.series())
-            self.K = knot_gram(conv, KnotSet(self.field_knots))
-            self.field_kernel = ZonalKernel.from_series(conv)
+            self.K = knot_gram(self.field_kernel, KnotSet(self.field_knots))
         else:
             if self.G is None:
                 self.G = assemble_gram(kernel, functionals, knots)
-            self.field_kernel, self.field_knots = kernel, knots
+            self.field_knots = knots
         self.seconds = time.perf_counter() - started
 
 

@@ -10,12 +10,11 @@ contribute 0 while feasible).  Their only settings are those of
 `SolverConfig`: the step sizes follow from ||G||_2 and the cost model.
 """
 
-import numbers
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .gram import GramMatrix, knot_gram, spectral_norm
+from .legendre import check_integer, check_number
 from .prox import prox_conjugate, soft_threshold
 from .spline import SplineField
 
@@ -27,25 +26,6 @@ ZERO_NORM_FLOOR = 1e-30
 # momentum (n - 1)/(n + a) of the accelerated iteration; any a > 2 gives
 # convergence of the iterates (Chambolle & Dossal, JOTA 2015)
 APGD_THETA = 75.0
-
-
-# The integer and number rules of solver and run settings: numpy scalars
-# pass, a bool or a string never does, and a float is never an integer.
-
-
-def check_integer(value, name, lowest, what):
-    """``value`` as an int if it is an integer >= ``lowest``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
-        raise ValueError("%s must be %s >= %d" % (name, what, lowest))
-    return int(value)
-
-
-def check_number(value, name, ok, rule):
-    """``value`` as a float if it is a real number passing ``ok``, which
-    ``rule`` describes."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-        raise ValueError("%s must be a number%s" % (name, rule))
-    return float(value)
 
 
 class SolverConfig:

@@ -31,6 +31,29 @@ def _write_config(path, outdir, **overrides):
     return cfg
 
 
+# the synthetic configs of the synth tests: a noisy Matern scatter and
+# Wendland patch counts
+SYNTH_SCATTER = dict(
+    kernel={"family": "matern", "beta": 2.5, "epsilon": 0.3},
+    knots={"fibonacci": 50},
+    sampling={"synthetic": {"kind": "scatter", "bumps": 4, "samples": 120,
+                            "psnr_db": 15, "seed": 3}},
+)
+SYNTH_COUNTS = dict(
+    kernel={"family": "wendland", "k": 1, "epsilon": 0.4},
+    knots={"fibonacci": 60},
+    sampling={"synthetic": {"kind": "counts", "grid": [6, 12],
+                            "rate_scale": 30, "seed": 2}},
+)
+
+
+def _synth(tmp_path, out, **overrides):
+    """Exit code of ``synth`` on a config with ``overrides``, writing ``out``."""
+    cfg_path = tmp_path / "synth.json"
+    _write_config(cfg_path, tmp_path / "out", **overrides)
+    return main(["synth", "--config", str(cfg_path), "--output", str(out)])
+
+
 def test_lattice_dump(tmp_path, capsys):
     out = tmp_path / "lattice.csv"
     assert main(["lattice", "--n", "25", "--output", str(out)]) == 0
@@ -41,18 +64,14 @@ def test_lattice_dump(tmp_path, capsys):
 
 def test_synth_scatter_writes_loadable_csv(tmp_path):
     out = tmp_path / "s.csv"
-    code = main([
-        "synth-scatter", "--family", "matern", "--beta", "2.5",
-        "--epsilon", "0.3", "--output", str(out), "--knots", "50",
-        "--bumps", "4", "--samples", "120", "--psnr-db", "15", "--seed", "3",
-    ])
-    assert code == 0
+    assert _synth(tmp_path, out, **SYNTH_SCATTER) == 0
     dirs, values = load_scatter_csv(out)
     assert dirs.shape == (120, 3) and values.shape == (120,)
 
 
-# sha256 of the files these flags wrote before the subcommands shared the
-# pipeline's synthetic-data generator; a change means the data changed
+# sha256 of the files these synthetic configs write, recorded before the
+# subcommands shared the pipeline's synthetic-data generator; a change means
+# the data changed
 SYNTH_SCATTER_SHA256 = "f1cbfd20c83714b1b920fdd9e754601eeae15c2bfede4f89c952005c68d31952"
 SYNTH_COUNTS_SHA256 = "d4677f43b2a966b979cef69d5f2c00a55f106d45d695150148c608c5335430e0"
 
@@ -63,21 +82,13 @@ def _sha256(path):
 
 def test_synth_scatter_bytes_are_pinned(tmp_path):
     out = tmp_path / "s.csv"
-    assert main([
-        "synth-scatter", "--family", "matern", "--beta", "2.5",
-        "--epsilon", "0.3", "--output", str(out), "--knots", "50",
-        "--bumps", "4", "--samples", "120", "--psnr-db", "15", "--seed", "3",
-    ]) == 0
+    assert _synth(tmp_path, out, **SYNTH_SCATTER) == 0
     assert _sha256(out) == SYNTH_SCATTER_SHA256
 
 
 def test_synth_counts_bytes_are_pinned(tmp_path):
     out = tmp_path / "c.csv"
-    assert main([
-        "synth-counts", "--family", "wendland", "--order", "1",
-        "--epsilon", "0.4", "--output", str(out), "--knots", "60",
-        "--grid", "6", "12", "--rate-scale", "30", "--seed", "2",
-    ]) == 0
+    assert _synth(tmp_path, out, **SYNTH_COUNTS) == 0
     assert _sha256(out) == SYNTH_COUNTS_SHA256
 
 
@@ -113,12 +124,7 @@ def test_run_table_bytes_are_pinned(tmp_path):
 
 def test_synth_counts_writes_loadable_csv(tmp_path):
     out = tmp_path / "c.csv"
-    code = main([
-        "synth-counts", "--family", "wendland", "--order", "1",
-        "--epsilon", "0.4", "--output", str(out), "--knots", "60",
-        "--grid", "6", "12", "--rate-scale", "30", "--seed", "2",
-    ])
-    assert code == 0
+    assert _synth(tmp_path, out, **SYNTH_COUNTS) == 0
     bounds, counts = load_patch_counts_csv(out)
     assert len(bounds) == 72
     assert counts.min() >= 0
@@ -230,8 +236,7 @@ def test_raster_subcommand(tmp_path):
     assert main(["reconstruct", "--config", str(cfg_path)]) == 0
     out = tmp_path / "r.csv"
     code = main([
-        "raster", "--family", "matern", "--beta", "2.5", "--epsilon", "0.35",
-        "--convention", "eq60",
+        "raster", "--config", str(cfg_path),
         "--coefficients", str(tmp_path / "out" / "coefficients.csv"),
         "--output", str(out), "--n-lat", "5", "--n-lon", "10",
     ])
@@ -242,23 +247,22 @@ def test_raster_subcommand(tmp_path):
 
 
 def test_kernel_flag_validation(tmp_path, capsys):
-    code = main([
-        "synth-scatter", "--family", "wendland", "--epsilon", "0.3",
-        "--output", str(tmp_path / "x.csv"),
-    ])
+    code = _synth(tmp_path, tmp_path / "x.csv",
+                  kernel={"family": "wendland", "epsilon": 0.3})
     assert code == 1
     assert "smoothness index" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--epsilon", "0.3", "--fwhm-deg", "20"], "exactly one of epsilon / fwhm_deg"),
-    ([], "exactly one of epsilon / fwhm_deg"),
-    (["--epsilon", "0.3", "--order", "1"], "unknown config key kernel.k"),
+@pytest.mark.parametrize("keys, message", [
+    ({"epsilon": 0.3, "fwhm_deg": 20}, "exactly one of epsilon / fwhm_deg"),
+    ({}, "exactly one of epsilon / fwhm_deg"),
+    ({"epsilon": 0.3, "k": 1}, "unknown config key kernel.k"),
 ], ids=["both_scales", "no_scale", "order_with_matern"])
-def test_kernel_flags_take_the_config_checks(tmp_path, capsys, flags, message):
+def test_kernel_flags_take_the_config_checks(tmp_path, capsys, keys, message):
     out = tmp_path / "s.csv"
-    code = main(["synth-scatter", "--family", "matern", "--beta", "2.5", *flags,
-                 "--output", str(out), "--knots", "50", "--samples", "20"])
+    code = _synth(tmp_path, out, kernel=dict(keys, family="matern", beta=2.5),
+                  knots={"fibonacci": 50},
+                  sampling={"synthetic": {"kind": "scatter", "samples": 20}})
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("error [") == 1 and message in err
@@ -287,3 +291,36 @@ def test_overrides_need_object_blocks(tmp_path, capsys, monkeypatch, text, flags
     err = capsys.readouterr().err
     assert err.count("error [") == 1 and "%s must be an object" % block in err
     assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize("sampling, message", [
+    ({"synthetic": {"kind": "scatter", "bumps": 12}},
+     "sampling.synthetic.bumps must be <= knots.fibonacci"),
+    ({"scatter_csv": "s.csv"}, "synth needs a sampling.synthetic block"),
+], ids=["bumps_above_knots", "no_synthetic_block"])
+def test_synth_takes_the_run_config_checks(tmp_path, capsys, sampling, message):
+    out = tmp_path / "s.csv"
+    assert _synth(tmp_path, out, knots={"fibonacci": 10}, sampling=sampling) == 1
+    err = capsys.readouterr().err
+    assert err.count("error [") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"cost": {"kind": "ls"}, "solver": {"kind": "tikhonov", "mu": 1e-3}},
+], ids=["pds", "tikhonov"])
+def test_raster_grids_the_field_the_run_wrote(tmp_path, overrides):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", max_iter=400,
+                  outputs={"directory": str(tmp_path / "out"),
+                           "raster": {"n_lat": 6, "n_lon": 12, "path": "r.csv"}},
+                  **overrides)
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "again.csv"
+    assert main(["raster", "--config", str(cfg_path),
+                 "--coefficients", str(tmp_path / "out" / "coefficients.csv"),
+                 "--output", str(out), "--n-lat", "6", "--n-lon", "12"]) == 0
+    _, run_values = load_scatter_csv(tmp_path / "out" / "r.csv")
+    _, values = load_scatter_csv(out)
+    assert np.abs(values - run_values).max() <= 1e-12 * np.abs(run_values).max()

@@ -231,6 +231,12 @@ def test_patch_functional_order_validated():
         PatchFunctional(PatchBounds(0, 1, 0, 1), quadrature_order=1)
 
 
+@pytest.mark.parametrize("order", [2.9, True, "8"], ids=["float", "bool", "string"])
+def test_patch_functional_order_must_be_an_integer(order):
+    with pytest.raises(ValueError, match="quadrature order must be an integer >= 2"):
+        PatchFunctional(PatchBounds(0, 1, 0, 1), quadrature_order=order)
+
+
 def test_dirac_functional_unit_validated():
     with pytest.raises(ValueError):
         DiracFunctional([1.0, 1.0, 0.0])

@@ -75,6 +75,28 @@ def test_scatter_latitude_range_checked(tmp_path):
         load_scatter_csv(path)
 
 
+@pytest.mark.parametrize("load, text, field", [
+    (load_scatter_csv, "lon_deg,lat_deg,value\n0,0,1\ninf,10,2\n", "lon_deg"),
+    (load_scatter_csv, "lon_deg,lat_deg,value\n0,0,1\n10,10,nan\n", "value"),
+    (load_patch_counts_csv,
+     "lon_min,lon_max,lat_min,lat_max,count\n0,10,0,10,1\n0,-inf,0,10,1\n", "lon_max"),
+    (load_coefficients_csv,
+     "index,lon_deg,lat_deg,coeff\n0,0,0,1\n1,10,10,NaN\n", "coeff"),
+], ids=["scatter_inf_lon", "scatter_nan_value", "counts_inf_edge", "coeff_nan"])
+def test_tables_reject_nonfinite_fields(tmp_path, load, text, field):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="t.csv line 3: %s must be a finite" % field):
+        load(path)
+
+
+def test_coefficients_latitude_range_checked(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("index,lon_deg,lat_deg,coeff\n0,0,0,1\n1,0,95,1\n")
+    with pytest.raises(ValueError, match="c.csv line 3: latitude 95"):
+        load_coefficients_csv(path)
+
+
 def test_scatter_empty_data_is_valid(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("lon_deg,lat_deg,value\n")
