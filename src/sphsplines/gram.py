@@ -15,13 +15,18 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .legendre import check_integer, gauss_legendre
+from .legendre import gauss_legendre
 from .pdo import check_compatibility
-from .sphere import KnotSet
+from .sphere import KnotSet, check_integer, check_number
 
 # kernel values per block of `kernel_blocks` (2 MB of float64): bounds the
 # inner-product and kernel temporaries, whatever the number of points
 BLOCK_ENTRIES = 1 << 18
+
+# `spectral_norm` stops at this relative change, as the solvers' steps come from it
+NORM_TOL = 1e-10
+# and raises after this many power steps, so a near tie fails instead of running on
+NORM_MAX_ITER = 5000
 
 
 class DiracFunctional:
@@ -51,7 +56,7 @@ class PatchFunctional:
     def __init__(self, bounds, quadrature_order=8):
         self.bounds = bounds
         self.quadrature_order = check_integer(
-            quadrature_order, "patch quadrature order", 2, "an integer")
+            quadrature_order, "patch quadrature order", 2)
 
     def nodes(self):
         """(directions, weights) of a Q x Q tensor Gauss rule for int_B.
@@ -172,8 +177,7 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     functionals = list(functionals)
     if not functionals:
         raise ValueError("need at least one sampling functional")
-    if abs_cutoff < 0:
-        raise ValueError("abs_cutoff must be >= 0")
+    abs_cutoff = check_number(abs_cutoff, "abs_cutoff", lambda v: v >= 0, " >= 0")
     if kernel.beta is not None:
         for kind in sorted({f.kind for f in functionals}):
             check_compatibility(kernel.beta, kind)
@@ -202,19 +206,19 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     return GramMatrix(G)
 
 
-def spectral_norm(G, tol=1e-10, max_iter=5000):
+def spectral_norm(G):
     """Largest singular value of a GramMatrix by power iteration on G^T G.
 
     Starts from a fixed-seed random vector so repeated calls agree bit for
     bit; iterates until the Rayleigh quotient's relative change drops below
-    ``tol``.  The result is cached on the GramMatrix.
+    NORM_TOL.  The result is cached on the GramMatrix.
 
     Raises
     ------
     ValueError
         All-zero matrix.
     RuntimeError
-        No convergence within ``max_iter`` iterations.
+        No convergence within NORM_MAX_ITER iterations.
     """
     if G.spectral_norm_cache is not None:
         return G.spectral_norm_cache
@@ -226,7 +230,7 @@ def spectral_norm(G, tol=1e-10, max_iter=5000):
     v /= np.linalg.norm(v)
     s2_prev = -1.0
     s2 = 0.0
-    for _ in range(int(max_iter)):
+    for _ in range(NORM_MAX_ITER):
         w = A @ v
         s2 = float(w @ w)  # Rayleigh quotient of A^T A at the unit vector v
         if s2 == 0.0:
@@ -234,14 +238,14 @@ def spectral_norm(G, tol=1e-10, max_iter=5000):
             v = rng.standard_normal(A.shape[1])
             v /= np.linalg.norm(v)
             continue
-        if s2_prev >= 0.0 and abs(s2 - s2_prev) <= tol * s2:
+        if s2_prev >= 0.0 and abs(s2 - s2_prev) <= NORM_TOL * s2:
             break
         s2_prev = s2
         v = A.T @ w
         v /= np.linalg.norm(v)
     else:
         raise RuntimeError(
-            "power iteration did not converge within %d iterations" % max_iter
+            "power iteration did not converge within %d iterations" % NORM_MAX_ITER
         )
     G.spectral_norm_cache = math.sqrt(s2)
     return G.spectral_norm_cache

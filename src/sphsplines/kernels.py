@@ -14,6 +14,14 @@ import numpy as np
 
 from .legendre import LegendreSeries, fourier_legendre
 from .pdo import green_series
+from .sphere import check_integer, check_number
+
+# smallest chord scale `epsilon_for_fwhm` tries; so narrow a kernel needs ~1e8 knots
+FWHM_EPS_LO = 1e-4
+# largest one it tries: the named kernels take epsilon in (0, 1]
+FWHM_EPS_HI = 1.0
+# its bisection stops at this bracket width, far below any scale a run resolves
+FWHM_EPS_TOL = 1e-10
 
 
 class ZonalKernel:
@@ -59,7 +67,7 @@ class ZonalKernel:
         the default degree 512 for ``matern_zonal(2.5, 0.1)`` and
         ``wendland_zonal(3, 1, 0.2)``, below 1e-6 by degree 4096.
         """
-        key = (int(n_max), int(quad_order))
+        key = check_integer(n_max, "n_max", 0), check_integer(quad_order, "quad_order", 1)
         if key not in self._series_cache:
             self._series_cache[key] = fourier_legendre(self, *key)
         return self._series_cache[key]
@@ -94,9 +102,7 @@ def matern_halfinteger(p, r):
         Polynomial order; the smoothness index is nu = p + 1/2.
     r : float or array_like >= 0
     """
-    p = int(p)
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    p = check_integer(p, "p", 0)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be >= 0")
@@ -123,10 +129,8 @@ def matern_zonal(beta, epsilon, convention="standard"):
     S_nu(c/(epsilon*sqrt(2 nu))), e.g. (1 + c/eps) exp(-c/eps) at beta = 2.5.
     Both are peak-normalised with no compact support.
     """
-    beta = float(beta)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
+    beta = check_number(beta, "beta")
+    epsilon = check_number(epsilon, "epsilon", lambda v: 0 < v <= 1, " in (0, 1]")
     nu = beta - 1.0
     p = nu - 0.5
     if abs(p - round(p)) > 1e-12 or p < -1e-12:
@@ -177,9 +181,7 @@ def wendland_construct(d, k):
     at r = 0.  Yields a positive-definite kernel of smoothness 2k on R^d;
     e.g. (3,1) gives (1-r)^4 (1+4r).
     """
-    d, k = int(d), int(k)
-    if d < 1 or k < 0:
-        raise ValueError("need d >= 1 and k >= 0")
+    d, k = check_integer(d, "d", 1), check_integer(k, "k", 0)
     ell = d // 2 + k + 1
     # (1-r)^l expanded as ascending Fraction coefficients
     coeffs = [Fraction(math.comb(ell, j)) * (-1) ** j for j in range(ell + 1)]
@@ -199,11 +201,11 @@ def wendland_zonal(d, k, epsilon):
 
     ``psi(t) = phi_{d,k}(c/epsilon)`` with c = sqrt(2-2t); exactly zero for
     chords >= epsilon, i.e. t <= 1 - epsilon^2/2.  Matches operator
-    smoothness beta = k + d/2.
+    smoothness beta = k + d/2.  phi_{d,k} is positive definite on R^d only
+    (Wendland 1995), and the sphere sits in R^3, so d must be >= 3.
     """
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must be in (0, 1]")
+    d = check_integer(d, "d", 3)
+    epsilon = check_number(epsilon, "epsilon", lambda v: 0 < v <= 1, " in (0, 1]")
     poly = wendland_construct(d, k)
 
     def eval_fn(t):
@@ -221,7 +223,7 @@ def sobolev_green_zonal(beta, *, tol=1e-8):
     peak-normalised.  `green_series` raises for an order beta too small to
     give a continuous kernel.
     """
-    beta = float(beta)
+    beta = check_number(beta, "beta")
     return ZonalKernel.from_series(green_series(beta, tol=tol), beta=beta,
                                    normalize=True)
 
@@ -243,9 +245,7 @@ def lipschitz_estimate(kernel, grid=1000):
     maximises |psi(t_i) - psi(t_j)| / ||r_i - r_j|| over all pairs.  A lower
     bound on the true constant that stabilises under grid refinement.
     """
-    grid = int(grid)
-    if grid < 100:
-        raise ValueError("grid must be >= 100")
+    grid = check_integer(grid, "grid", 100)
     theta = np.linspace(0.0, np.pi, grid)
     vals = kernel(np.cos(theta))
     dv = np.abs(vals[:, None] - vals[None, :])
@@ -254,31 +254,30 @@ def lipschitz_estimate(kernel, grid=1000):
     return float(np.max(dv[mask] / gap[mask])) if np.any(mask) else 0.0
 
 
-def epsilon_for_fwhm(kernel_factory, fwhm_deg, eps_lo=1e-4, eps_hi=1.0, tol=1e-10):
+def epsilon_for_fwhm(kernel_factory, fwhm_deg):
     """Scale parameter giving a target angular full width at half maximum.
 
-    Solves ``psi_eps(cos(fwhm/2)) = 1/2`` for eps by bisection, using the
-    fact that widening the kernel raises its value at a fixed angle.
+    Solves ``psi_eps(cos(fwhm/2)) = 1/2`` for eps by bisection over
+    [FWHM_EPS_LO, FWHM_EPS_HI] to FWHM_EPS_TOL, using the fact that
+    widening the kernel raises its value at a fixed angle.
 
     Parameters
     ----------
     kernel_factory : callable
         Map eps -> ZonalKernel (e.g. ``lambda e: matern_zonal(2.5, e)``).
-    fwhm_deg : float
+    fwhm_deg : number > 0
         Target full width at half maximum in degrees of great-circle angle.
     """
-    if fwhm_deg <= 0:
-        raise ValueError("fwhm_deg must be > 0")
+    fwhm_deg = check_number(fwhm_deg, "fwhm_deg", lambda v: v > 0, " > 0")
     t_half = math.cos(math.radians(fwhm_deg) / 2.0)
 
     def gap(eps):
         return float(kernel_factory(eps)(t_half)) - 0.5
 
-    lo, hi = float(eps_lo), float(eps_hi)
-    glo, ghi = gap(lo), gap(hi)
-    if glo > 0 or ghi < 0:
-        raise ValueError("FWHM target not bracketed by [eps_lo, eps_hi]")
-    while hi - lo > tol:
+    lo, hi = FWHM_EPS_LO, FWHM_EPS_HI
+    if gap(lo) > 0 or gap(hi) < 0:
+        raise ValueError("FWHM target not bracketed by eps in [%g, %g]" % (lo, hi))
+    while hi - lo > FWHM_EPS_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0:
             lo = mid

@@ -13,29 +13,10 @@ operator, so spherical self-convolution squares the coefficients.
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-
-# The integer and number rules of every checked setting (patch quadrature
-# orders, solver settings, run-config keys): numpy scalars pass, a bool or a
-# string never does, and a float is never an integer.
-
-
-def check_integer(value, name, lowest, what):
-    """``value`` as an int if it is an integer >= ``lowest``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
-        raise ValueError("%s must be %s >= %d" % (name, what, lowest))
-    return int(value)
-
-
-def check_number(value, name, ok, rule):
-    """``value`` as a float if it is a real number passing ``ok``, which
-    ``rule`` describes."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
-        raise ValueError("%s must be a number%s" % (name, rule))
-    return float(value)
+from .sphere import check_integer
 
 
 def legendre_all(N_max, t):
@@ -43,7 +24,7 @@ def legendre_all(N_max, t):
 
     Parameters
     ----------
-    N_max : int
+    N_max : int >= 0
     t : float or array_like in [-1, 1]
 
     Returns
@@ -54,7 +35,7 @@ def legendre_all(N_max, t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + 1e-14):
         raise ValueError("|t| must be <= 1")
-    N_max = int(N_max)
+    N_max = check_integer(N_max, "N_max", 0)
     P = np.empty((N_max + 1,) + t.shape)
     P[0] = 1.0
     if N_max >= 1:
@@ -83,13 +64,11 @@ class QuadratureRule:
         return self.nodes * half + 0.5 * (a + b), self.weights * half
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def gauss_legendre(Q):
     """Gauss-Legendre rule with Q nodes (exact through degree 2Q-1); cached
-    per Q and shared, so its arrays are read-only."""
-    Q = int(Q)
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
+    per Q and its type (``True`` misses 1) and shared, so read-only."""
+    Q = check_integer(Q, "Q", 1)
     nodes, weights = np.polynomial.legendre.leggauss(Q)
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes, weights)
@@ -143,17 +122,17 @@ def fourier_legendre(kernel, N_max=512, Q=600):
     kernel : callable or ZonalKernel
         Evaluates psi(t) on [-1, 1]; a ``support_tmin`` attribute in
         (-1, 1) bounds the chord interval.
-    N_max : int
+    N_max : int >= 0
         Highest retained degree.  ``P_n(1 - c^2/2) * c`` has degree 2n+1 in
         c, so a Q-node rule integrates it exactly only if ``N_max < Q``;
         larger N_max would alias high modes and is rejected.
-    Q : int
+    Q : int >= 1
 
     Returns
     -------
     LegendreSeries
     """
-    N_max, Q = int(N_max), int(Q)
+    N_max, Q = check_integer(N_max, "N_max", 0), check_integer(Q, "Q", 1)
     if N_max >= Q:
         raise ValueError("aliasing: need N_max < Q (got N_max=%d, Q=%d)" % (N_max, Q))
     support_tmin = getattr(kernel, "support_tmin", None)

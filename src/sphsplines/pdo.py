@@ -12,6 +12,7 @@ uniformly to a continuous kernel.
 import numpy as np
 
 from .legendre import LegendreSeries
+from .sphere import check_number
 
 # growth-order thresholds on S^2 (d = 3): d - 1 and (d - 1)/2
 _THRESHOLDS = {"dirac": 2.0, "square_integrable": 1.0}
@@ -19,9 +20,7 @@ _THRESHOLDS = {"dirac": 2.0, "square_integrable": 1.0}
 
 def sobolev_symbol(beta, n):
     """Sobolev symbol ``(1 + n(n+1))^beta`` at integer degree(s) n >= 0."""
-    beta = float(beta)
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    beta = check_number(beta, "beta", lambda v: v > 0, " > 0")
     n = np.asarray(n)
     if np.any(n < 0):
         raise ValueError("degrees must be >= 0")
@@ -75,15 +74,13 @@ def green_series(beta, *, tol=1e-8):
     -------
     LegendreSeries
     """
-    beta = float(beta)
+    beta = check_number(beta, "beta")
     if not 2.0 * beta > _THRESHOLDS["dirac"]:
         raise ValueError(
             "symbol not spline-admissible: growth order %g <= %g"
             % (2.0 * beta, _THRESHOLDS["dirac"])
         )
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    tol = check_number(tol, "tol", lambda v: v > 0, " > 0")
     lo = hi = 1
     while _tail_bound(beta, hi) >= tol:
         hi *= 2

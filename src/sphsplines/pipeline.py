@@ -26,12 +26,13 @@ from .kernels import (
     sobolev_green_zonal,
     wendland_zonal,
 )
-from .legendre import check_integer, check_number
 from .prox import KL, L1, ExactMatch, L2Ball, LeastSquares
 from .solvers import SolverConfig, apgd_solve, pds_solve, tikhonov_solve
 from .sphere import (
     KnotSet,
     PatchBounds,
+    check_integer,
+    check_number,
     direction_from_lonlat,
     equal_angle_patch_grid,
     fibonacci_lattice,
@@ -180,13 +181,10 @@ def plant_spline(kernel, pool, n_bumps, amplitude_range, seed):
     bound for signed fields; keep it positive when the field feeds a Poisson
     rate).  Deterministic for a given seed.
     """
-    if n_bumps < 1:
-        raise ValueError("n_bumps must be >= 1")
+    n_bumps, seed = check_integer(n_bumps, "n_bumps", 1), _seed(seed, "seed")
     if n_bumps > len(pool):
         raise ValueError("pool has only %d knots" % len(pool))
-    lo, hi = amplitude_range
-    if not lo < hi:
-        raise ValueError("amplitude_range must be increasing")
+    lo, hi = _range(amplitude_range, "amplitude_range")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(pool), size=n_bumps, replace=False)
     coeffs = np.zeros(len(pool))
@@ -203,8 +201,8 @@ def add_gaussian_noise(values, psnr_db, seed):
     if peak == 0.0:
         raise ValueError("all-zero signal: peak signal-to-noise undefined")
     # negative exponent so extreme PSNR underflows to sigma = 0 cleanly
-    sigma = peak * 10.0 ** (-psnr_db / 20.0)
-    rng = np.random.default_rng(seed)
+    sigma = peak * 10.0 ** (-check_number(psnr_db, "psnr_db") / 20.0)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     return values + sigma * rng.standard_normal(values.shape)
 
 
@@ -213,13 +211,14 @@ def poisson_counts(rates, seed):
     rates = np.asarray(rates, dtype=float)
     if np.any(~np.isfinite(rates)) or np.any(rates < 0):
         raise ValueError("rates must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     return rng.poisson(rates)
 
 
 def random_directions(n, seed):
     """n directions drawn uniformly on the sphere (normalised Gaussians)."""
-    rng = np.random.default_rng(seed)
+    n = check_integer(n, "n", 1)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     d = rng.standard_normal((n, 3))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
@@ -271,6 +270,10 @@ def _number(rule="", ok=lambda x: True):
 
 def _nullable(check):
     return lambda value, path: None if value is None else check(value, path)
+
+
+# a seed of the run config or of a synthetic source: None, or an integer >= 0
+_seed = _nullable(_int(0))
 
 
 def _choice(*options):
@@ -346,13 +349,13 @@ _KERNEL = {
     "matern": dict(_SCALE, beta=(_number(), None),
                    convention=(_choice("standard", "eq60"), "standard")),
     "wendland": dict(_SCALE, k=(_int(0, "an integer smoothness index"), None),
-                     d=(_int(1), 3)),
+                     d=(_int(3), 3)),  # phi_{d,k} is positive definite on R^d only
     "sobolev": {"beta": (_number(), None), "tol": (_positive, 1e-8)},
 }
 _PLANTED = {
     "bumps": (_int(1), 8),
     "amplitude": (_range, [0.5, 2.0]),
-    "seed": (_nullable(_int(0)), None),  # None: the run seed
+    "seed": (_seed, None),  # None: the run seed
 }
 _SYNTHETIC = {
     "scatter": dict(_PLANTED, samples=(_nullable(_int(1)), None),  # None: 3 per knot
@@ -421,7 +424,7 @@ _RUN = {
     "lambda": (_nonnegative, 0.0),
     "eps_stop": (_positive, 1e-4),
     "max_iter": (_int(1), 20000),
-    "seed": (_nullable(_int(0)), None),
+    "seed": (_seed, None),
     "outputs": (_block(_OUTPUTS), None),
 }
 
@@ -623,8 +626,7 @@ def run_lambda_sweep(config, lambdas):
 def export_raster(field, n_lat, n_lon, path):
     """Write ``lon_deg,lat_deg,value`` at the cell centres of an equal-angle
     grid (south-to-north rows, west-to-east columns)."""
-    if n_lat < 2 or n_lon < 2:
-        raise ValueError("raster needs n_lat, n_lon >= 2")
+    n_lat, n_lon = check_integer(n_lat, "n_lat", 2), check_integer(n_lon, "n_lon", 2)
     lat = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
     lon = -180.0 + (np.arange(n_lon) + 0.5) * (360.0 / n_lon)
     lon_grid, lat_grid = np.meshgrid(lon, lat)  # (n_lat, n_lon)

@@ -10,6 +10,8 @@ smooth model also provides ``grad`` and that gradient's Lipschitz constant
 
 import numpy as np
 
+from .sphere import check_number
+
 # indicator feasibility is checked to this relative slack when reporting
 # cost values (the prox formulas themselves are exact)
 FEASIBILITY_RTOL = 1e-6
@@ -70,10 +72,7 @@ class L2Ball(CostModel):
 
     def __init__(self, y, radius):
         super().__init__(y)
-        radius = float(radius)
-        if radius <= 0:
-            raise ValueError("radius must be > 0")
-        self.radius = radius
+        self.radius = check_number(radius, "radius", lambda v: v > 0, " > 0")
 
     def value(self, z):
         slack = FEASIBILITY_RTOL * max(1.0, self.radius)

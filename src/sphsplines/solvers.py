@@ -14,8 +14,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .gram import GramMatrix, knot_gram, spectral_norm
-from .legendre import check_integer, check_number
 from .prox import prox_conjugate, soft_threshold
+from .sphere import check_integer, check_number
 from .spline import SplineField
 
 # relative-stop rule is undefined at x = 0; below this norm an absolute
@@ -47,7 +47,7 @@ class SolverConfig:
     def __init__(self, lam, eps_stop=1e-4, max_iter=20000):
         self.lam = check_number(lam, "lam", lambda v: v >= 0, " >= 0")
         self.eps_stop = check_number(eps_stop, "eps_stop", lambda v: v > 0, " > 0")
-        self.max_iter = check_integer(max_iter, "max_iter", 1, "an integer")
+        self.max_iter = check_integer(max_iter, "max_iter", 1)
 
     def __repr__(self):
         return "SolverConfig(lam=%g, eps_stop=%g, max_iter=%d)" % (
@@ -219,8 +219,7 @@ def tikhonov_solve(K, y, mu):
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+    mu = check_number(mu, "mu", lambda v: v > 0, " > 0")
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] != y.size:
         raise ValueError("K must be square and match y")
     if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):

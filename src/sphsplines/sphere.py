@@ -7,6 +7,9 @@ R^3 restricted to the sphere, which lets neighbour queries use standard
 kd-trees.
 """
 
+import math
+import numbers
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -15,6 +18,26 @@ SPHERE_AREA = 4.0 * np.pi
 # chord separation below which two knots count as duplicates (Gram matrices
 # need distinct knots)
 DISTINCT_KNOT_TOL = 1e-10
+
+
+# The integer and number rules of the library's sizes, orders, scales and seeds,
+# and of the run config's numeric keys: numpy scalars pass, a bool or a string
+# never does, and a float is never an integer.  Every other module imports them.
+
+
+def check_integer(value, name, lowest, what="an integer"):
+    """``value`` as an int if it is an integer >= ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lowest:
+        raise ValueError("%s must be %s >= %d" % (name, what, lowest))
+    return int(value)
+
+
+def check_number(value, name, ok=math.isfinite, rule=""):
+    """``value`` as a float if it is a real number passing ``ok``, which
+    ``rule`` describes (by default: any finite number)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise ValueError("%s must be a number%s" % (name, rule))
+    return float(value)
 
 
 def direction_from_lonlat(lon_deg, lat_deg):
@@ -112,9 +135,7 @@ def fibonacci_lattice(N):
     -------
     KnotSet
     """
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = check_integer(N, "N", 1)
     n = np.arange(1, N + 1, dtype=float)
     phi = 2.0 * np.pi * n * (1.0 - 2.0 / (1.0 + np.sqrt(5.0)))
     cos_theta = 1.0 - 2.0 * n / N
@@ -149,9 +170,7 @@ def nodal_width(knots, probe_resolution=None):
     N = len(knots)
     if probe_resolution is None:
         probe_resolution = 100 * N
-    probe_resolution = int(probe_resolution)
-    if probe_resolution < 1:
-        raise ValueError("probe_resolution must be positive")
+    probe_resolution = check_integer(probe_resolution, "probe_resolution", 1)
     probes = fibonacci_lattice(probe_resolution).points
     dist, _ = cKDTree(knots.points).query(probes, k=1)
     return float(dist.max())
@@ -165,8 +184,10 @@ class PatchBounds:
     """
 
     def __init__(self, lon_min, lon_max, lat_min, lat_max):
-        lon_min, lon_max = float(lon_min), float(lon_max)
-        lat_min, lat_max = float(lat_min), float(lat_max)
+        lon_min = check_number(lon_min, "lon_min")
+        lon_max = check_number(lon_max, "lon_max")
+        lat_min = check_number(lat_min, "lat_min")
+        lat_max = check_number(lat_max, "lat_max")
         if not (lon_min < lon_max <= lon_min + 360.0):
             raise ValueError("need lon_min < lon_max <= lon_min + 360")
         if not (-90.0 <= lat_min < lat_max <= 90.0):
@@ -205,9 +226,7 @@ def equal_angle_patch_grid(n_lat, n_lon):
         ``n_lat * n_lon`` non-overlapping patches covering
         [-180, 180] x [-90, 90], row-major from the south.
     """
-    n_lat, n_lon = int(n_lat), int(n_lon)
-    if n_lat < 1 or n_lon < 1:
-        raise ValueError("n_lat and n_lon must be >= 1")
+    n_lat, n_lon = check_integer(n_lat, "n_lat", 1), check_integer(n_lon, "n_lon", 1)
     lat_edges = np.linspace(-90.0, 90.0, n_lat + 1)
     lon_edges = np.linspace(-180.0, 180.0, n_lon + 1)
     return [

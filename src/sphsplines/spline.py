@@ -12,7 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 from .gram import kernel_blocks
-from .sphere import KnotSet
+from .sphere import KnotSet, check_number
 
 
 class SplineField:
@@ -88,8 +88,8 @@ SparsityReport = namedtuple("SparsityReport", ["count", "indices"])
 
 def sparsity_report(field, rel_threshold=1e-4):
     """Count coefficients above ``rel_threshold * max|coeff|``."""
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must be in (0, 1)")
+    rel_threshold = check_number(rel_threshold, "rel_threshold", lambda v: 0 < v < 1,
+                                 " in (0, 1)")
     mag = np.abs(field.coeffs)
     peak = mag.max() if mag.size else 0.0
     if peak == 0.0:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sphsplines.gram import knot_gram
 from sphsplines.kernels import (
     ZonalKernel,
     epsilon_for_fwhm,
@@ -16,6 +17,7 @@ from sphsplines.kernels import (
 )
 from sphsplines.legendre import LegendreSeries, fourier_legendre, resynthesize
 from sphsplines.pdo import green_series
+from sphsplines.sphere import fibonacci_lattice
 
 from oracles import matern_bessel, self_convolution_quad
 
@@ -107,6 +109,19 @@ def test_wendland_zonal_values():
     assert kern(1 - 0.1**2 / 2) == pytest.approx(0.1875, rel=1e-12)
     assert kern.beta == pytest.approx(2.5)
     assert kern.support_tmin == pytest.approx(1 - 0.02)
+
+
+def test_wendland_zonal_needs_d_at_least_3():
+    # phi_{d,k} is positive definite on R^d only: restricted from R^3 to the
+    # sphere, the R^1 polynomial phi_{1,0} gives an indefinite knot Gram
+    knots = fibonacci_lattice(400)
+    phi = wendland_construct(1, 0)
+    rough = ZonalKernel(lambda t: phi(np.sqrt(2.0 - 2.0 * t) / 0.5))
+    assert np.linalg.eigvalsh(knot_gram(rough, knots)).min() < -0.1
+    assert np.linalg.eigvalsh(knot_gram(wendland_zonal(3, 0, 0.5), knots)).min() > 0
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="d must be an integer >= 3"):
+            wendland_zonal(d, 0, 0.5)
 
 
 def test_sobolev_green_zonal_domain_error():

@@ -295,6 +295,8 @@ def test_config_echo_makes_defaults_explicit():
         kernel={"family": "wendland", "k": True, "epsilon": 0.3})),
     ("kernel.d", lambda c: c.update(
         kernel={"family": "wendland", "k": 1, "d": 3.7, "epsilon": 0.3})),
+    ("kernel.d", lambda c: c.update(
+        kernel={"family": "wendland", "k": 1, "d": 1, "epsilon": 0.3})),
     ("sampling.synthetic.rate_scale", lambda c: c["sampling"].update(
         synthetic={"kind": "counts", "rate_scale": "2"})),
     ("sampling.synthetic.amplitude",
@@ -318,7 +320,7 @@ def test_config_echo_makes_defaults_explicit():
         "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
         "grid_float", "patch_quadrature_order_float", "rho_rel_str", "lambda_bool",
         "lambda_str", "eps_stop_bool", "mu_str", "beta_str", "epsilon_str", "tol_str",
-        "k_float", "k_bool", "d_float", "rate_scale_str", "amplitude_str",
+        "k_float", "k_bool", "d_float", "d_one", "rate_scale_str", "amplitude_str",
         "amplitude_one", "patch_quadrature_order_one", "quadrature_order_one",
         "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
