@@ -82,7 +82,13 @@ class PatchFunctional:
 
 
 class GramMatrix:
-    """Immutable sparse system matrix with a spectral-norm cache.
+    """Immutable sparse system matrix in both orientations, with a
+    spectral-norm cache.
+
+    ``matrix`` is G in CSR form and ``matrix_t`` is G^T, built once here as
+    the CSC view over the same data, index and pointer arrays: it costs no
+    memory, gives the bytes of ``matrix.T @ y``, and spares every product
+    G^T y the building of a new transpose.
 
     Parameters
     ----------
@@ -97,6 +103,7 @@ class GramMatrix:
         if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise ValueError("Gram entries must be finite")
         self.matrix = csr
+        self.matrix_t = csr.T
         self.shape = csr.shape
         self.spectral_norm_cache = None
 
@@ -104,7 +111,7 @@ class GramMatrix:
         return self.matrix @ x
 
     def rmatvec(self, y):
-        return self.matrix.T @ y
+        return self.matrix_t @ y
 
     def toarray(self):
         return self.matrix.toarray()
@@ -222,7 +229,7 @@ def spectral_norm(G):
     """
     if G.spectral_norm_cache is not None:
         return G.spectral_norm_cache
-    A = G.matrix
+    A, At = G.matrix, G.matrix_t
     if A.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
     rng = np.random.default_rng(0)
@@ -241,7 +248,7 @@ def spectral_norm(G):
         if s2_prev >= 0.0 and abs(s2 - s2_prev) <= NORM_TOL * s2:
             break
         s2_prev = s2
-        v = A.T @ w
+        v = At @ w
         v /= np.linalg.norm(v)
     else:
         raise RuntimeError(

@@ -262,9 +262,9 @@ def _int(lowest, what="an integer"):
     return lambda value, path: check_integer(value, path, lowest, what)
 
 
-def _number(rule="", ok=lambda x: True):
-    """Check: a number passing ``ok`` (described by ``rule``), as a float,
-    by `check_number`."""
+def _number(rule="", ok=None):
+    """Check: a finite number passing ``ok``, if given (described by
+    ``rule``), as a float, by `check_number`."""
     return lambda value, path: check_number(value, path, ok, rule)
 
 
@@ -541,6 +541,7 @@ def _run_point(cfg, setup):
         Kx = K @ x
         misfit = float(np.linalg.norm(Kx - y))
         trace, iterations, converged = [misfit**2 + mu * float(x @ Kx)], 1, True
+        gram = None
         residuals = {
             "system_relative": float(
                 np.linalg.norm(Kx + mu * x - y) / max(np.linalg.norm(y), 1e-300)
@@ -559,6 +560,9 @@ def _run_point(cfg, setup):
             "primal_step": result.primal_residual,
             "data_misfit": float(np.linalg.norm(G.matvec(x) - y)),
         }
+        # the system matrix the solve ran on, and the norm its steps came from
+        gram = {"shape": list(G.shape), "nnz": G.nnz, "density": G.density,
+                "spectral_norm": G.spectral_norm_cache}
     field = SplineField(setup.field_kernel, setup.field_knots, x)
 
     coeff_path = _output_path(outputs, "coefficients")
@@ -577,6 +581,7 @@ def _run_point(cfg, setup):
         "iterations": int(iterations),
         "converged": bool(converged),
         "final_objective": float(trace[-1]),
+        "gram": gram,
         "residual_norms": residuals,
         "sparsity_count": sparsity_report(field).count,
         "wall_time_s": setup.seconds + time.perf_counter() - started,

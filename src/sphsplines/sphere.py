@@ -22,7 +22,8 @@ DISTINCT_KNOT_TOL = 1e-10
 
 # The integer and number rules of the library's sizes, orders, scales and seeds,
 # and of the run config's numeric keys: numpy scalars pass, a bool or a string
-# never does, and a float is never an integer.  Every other module imports them.
+# never does, a float is never an integer, and a number is always finite.  Every
+# other module imports them.
 
 
 def check_integer(value, name, lowest, what="an integer"):
@@ -32,10 +33,11 @@ def check_integer(value, name, lowest, what="an integer"):
     return int(value)
 
 
-def check_number(value, name, ok=math.isfinite, rule=""):
-    """``value`` as a float if it is a real number passing ``ok``, which
-    ``rule`` describes (by default: any finite number)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+def check_number(value, name, ok=None, rule=""):
+    """``value`` as a float if it is a finite real number passing ``ok``, if
+    given, which ``rule`` describes."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not (ok is None or ok(value))):
         raise ValueError("%s must be a number%s" % (name, rule))
     return float(value)
 

@@ -2,9 +2,10 @@
 
 Every size, order, scale and seed a public function or constructor takes
 goes through `sphere.check_integer` or `sphere.check_number`: a float is
-never an integer, a bool or a string is never a number, and a value out of
-range fails, each with a ValueError naming the argument.  An AST guard keeps
-hand-written ``int(p)``/``float(p)`` casts of parameters out of the package.
+never an integer, a bool or a string is never a number, a number is
+finite, and a value out of range fails, each with a ValueError naming the
+argument.  An AST guard keeps hand-written ``int(p)``/``float(p)`` casts of
+parameters out of the package.
 """
 
 import ast
@@ -20,6 +21,7 @@ from sphsplines import (
     DiracFunctional,
     L2Ball,
     PatchBounds,
+    SolverConfig,
     SplineField,
     assemble_gram,
     epsilon_for_fwhm,
@@ -171,7 +173,13 @@ NUMBERS = {
         lambda v: assemble_gram(_matern(), [DiracFunctional([0.0, 0.0, 1.0])],
                                 fibonacci_lattice(4), v),
         "abs_cutoff", -1e-3),
+    "solver_config_lam": (SolverConfig, "lam", -1.0),
+    "solver_config_eps_stop": (lambda v: SolverConfig(1.0, eps_stop=v), "eps_stop", 0.0),
 }
+
+# numbers whose range holds +inf, so the rule checks finiteness apart from it
+UNBOUNDED = ("epsilon_for_fwhm", "green_series_tol", "l2ball_radius", "tikhonov_solve_mu",
+             "assemble_gram_abs_cutoff", "solver_config_lam", "solver_config_eps_stop")
 
 CASES = (
     [pytest.param(call, name, bad, id="%s-%s" % (key, label))
@@ -183,6 +191,8 @@ CASES = (
        for label, bad in (("bool", True), ("str", "8"), ("outside", outside))]
     + [pytest.param(INTEGERS[key][0], INTEGERS[key][1], 2.5, id=key + "-2.5")
        for key in ("export_raster_n_lat", "export_raster_n_lon")]
+    + [pytest.param(NUMBERS[key][0], NUMBERS[key][1], math.inf, id=key + "-inf")
+       for key in UNBOUNDED]
 )
 
 

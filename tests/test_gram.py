@@ -15,6 +15,8 @@ from sphsplines.gram import (
     spectral_norm,
 )
 from sphsplines.kernels import ZonalKernel, matern_zonal, self_convolve, wendland_zonal
+from sphsplines.prox import LeastSquares
+from sphsplines.solvers import SolverConfig, apgd_solve, pds_solve
 from sphsplines.sphere import (
     KnotSet,
     PatchBounds,
@@ -286,6 +288,41 @@ def test_spectral_norm_cached():
 def test_spectral_norm_zero_matrix_rejected():
     with pytest.raises(ValueError):
         spectral_norm(GramMatrix(np.zeros((3, 4))))
+
+
+# -------------------------------------------------------------- orientations
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_rmatvec_is_bitwise_the_transpose_product(dense):
+    A = sparse.random(30, 50, density=0.3, random_state=np.random.default_rng(8),
+                      format="csr")
+    G = GramMatrix(A.toarray() if dense else A)
+    y = np.random.default_rng(9).standard_normal(30)
+    assert G.rmatvec(y).tobytes() == (G.matrix.T @ y).tobytes()
+    # G^T is a view: no second copy of the entries
+    assert np.shares_memory(G.matrix_t.data, G.matrix.data)
+
+
+def test_products_build_no_transpose(monkeypatch):
+    # G^T is built once, with the GramMatrix; a norm and two solves reuse it
+    A = sparse.random(20, 40, density=0.3, random_state=np.random.default_rng(4),
+                      format="csr")
+    G = GramMatrix(A)
+    built = []
+    transpose = sparse.csr_matrix.transpose
+
+    def counted(self, *args, **kwargs):
+        built.append(self.shape)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_matrix, "transpose", counted)
+    y = np.random.default_rng(5).standard_normal(20)
+    spectral_norm(G)
+    config = SolverConfig(0.1, eps_stop=1e-300, max_iter=50)
+    assert pds_solve(G, LeastSquares(y), config).iterations == 50
+    assert apgd_solve(G, LeastSquares(y), config).iterations == 50
+    assert built == []
 
 
 # ----------------------------------------------------------------- knot gram

@@ -1,6 +1,7 @@
 """End-to-end run tests: CSV formats, synthetic sources, manifests, rasters."""
 
 import json
+import math
 import os
 import re
 import time
@@ -8,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sphsplines.gram import DiracFunctional, assemble_gram
+from sphsplines.gram import DiracFunctional, assemble_gram, spectral_norm
 from sphsplines.kernels import matern_zonal, wendland_zonal
 from sphsplines.pipeline import (
     RunConfig,
@@ -315,6 +316,18 @@ def test_config_echo_makes_defaults_explicit():
     ("sampling.synthetic.bumps", lambda c: c["sampling"]["synthetic"].update(bumps=81)),
     ("sampling.synthetic.amplitude",
      lambda c: c["sampling"]["synthetic"].update(amplitude=[2.0, 0.5])),
+    # numbers must be finite: JSON's NaN and Infinity parse to floats
+    ("lambda", lambda c: c.update({"lambda": math.inf})),
+    ("eps_stop", lambda c: c.update(eps_stop=math.inf)),
+    ("kernel.beta", lambda c: c["kernel"].update(beta=math.nan)),
+    ("kernel.beta", lambda c: c["kernel"].update(beta=-math.inf)),
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "l2ball", "rho_rel": math.inf})),
+    ("solver.mu", lambda c: c.update(cost={"kind": "ls"},
+                                     solver={"kind": "tikhonov", "mu": math.inf})),
+    ("sampling.synthetic.psnr_db",
+     lambda c: c["sampling"]["synthetic"].update(psnr_db=math.nan)),
+    ("sampling.synthetic.psnr_db",
+     lambda c: c["sampling"]["synthetic"].update(psnr_db=math.inf)),
 ], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
         "max_iter_str", "fibonacci_bool", "seed_float", "seed_bool", "seed_str",
         "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
@@ -322,7 +335,9 @@ def test_config_echo_makes_defaults_explicit():
         "lambda_str", "eps_stop_bool", "mu_str", "beta_str", "epsilon_str", "tol_str",
         "k_float", "k_bool", "d_float", "d_one", "rate_scale_str", "amplitude_str",
         "amplitude_one", "patch_quadrature_order_one", "quadrature_order_one",
-        "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing"])
+        "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing",
+        "lambda_inf", "eps_stop_inf", "beta_nan", "beta_neg_inf", "rho_rel_inf",
+        "mu_inf", "psnr_db_nan", "psnr_db_inf"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)
@@ -391,7 +406,7 @@ def test_manifest_fields_populated(tmp_path):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=200, eps_stop=1e-4)
     manifest = run_reconstruction(cfg)
     data = json.loads(open(manifest["outputs"]["manifest"]).read())
-    for key in ("config", "iterations", "converged", "final_objective",
+    for key in ("config", "iterations", "converged", "final_objective", "gram",
                 "residual_norms", "sparsity_count", "wall_time_s",
                 "library_version", "rng_seed", "timestamp", "outputs"):
         assert key in data
@@ -400,6 +415,23 @@ def test_manifest_fields_populated(tmp_path):
     # ISO-8601 with timezone
     assert "T" in data["timestamp"] and data["timestamp"].endswith("+00:00")
     assert data["config"]["lambda"] == cfg["lambda"]
+
+    # the gram block describes the system matrix the solve ran on
+    G, _, _ = _gram_for(cfg)
+    gram = {"shape": [240, 80], "nnz": G.nnz, "density": G.nnz / (240 * 80),
+            "spectral_norm": spectral_norm(G)}
+    assert data["gram"] == gram
+    # every point of an APGD sweep shares one matrix, so one block
+    sweep = _scatter_selftest_config(tmp_path / "sweep", cost={"kind": "ls"},
+                                     solver={"kind": "apgd"}, max_iter=20)
+    for point in pipeline.run_lambda_sweep(sweep, [1e-4, 1e-2]):
+        assert json.load(open(point["outputs"]["manifest"]))["gram"] == gram
+    # a tikhonov solve has no G
+    tik = _scatter_selftest_config(tmp_path / "tik", cost={"kind": "ls"},
+                                   solver={"kind": "tikhonov", "mu": 1e-3})
+    tik["sampling"]["synthetic"].update(samples=60, psnr_db=25.0)
+    manifest = run_reconstruction(tik)
+    assert json.load(open(manifest["outputs"]["manifest"]))["gram"] is None
 
 
 def test_reruns_are_byte_identical(tmp_path):
