@@ -263,14 +263,18 @@ def knot_gram(kernel, knots):
 
     ``kernel`` is any callable zonal function of t: a ZonalKernel, or a
     LegendreSeries such as a self-convolved kernel, which evaluates by
-    resynthesis.  Strict positive definiteness of the zonal family makes K
-    positive definite for pairwise-distinct knots, which the KnotSet
-    constructor enforces.
+    resynthesis.  It is evaluated on the strict upper triangle only, which
+    is mirrored, and the diagonal is psi(1).  That is exact symmetrisation:
+    numpy forms ``P @ P.T`` with one symmetric rank-k update, so the inner
+    products are bitwise symmetric.  Strict positive definiteness of the
+    zonal family makes K positive definite for pairwise-distinct knots,
+    which the KnotSet constructor enforces.
     """
     if not isinstance(knots, KnotSet):
         knots = KnotSet(knots)
     t = np.clip(knots.points @ knots.points.T, -1.0, 1.0)
-    K = np.asarray(kernel(t), dtype=float)
-    K = 0.5 * (K + K.T)
+    upper = np.triu_indices(len(t), 1)
+    K = np.empty_like(t)
+    K[upper] = K[upper[::-1]] = np.asarray(kernel(t[upper]), dtype=float)
     np.fill_diagonal(K, float(kernel(1.0)))
     return K

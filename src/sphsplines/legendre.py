@@ -18,6 +18,20 @@ import numpy as np
 
 from .sphere import check_integer
 
+# values of t per chunk of `resynthesize` (128 kB of float64): its three work
+# arrays stay in cache through the whole recurrence, whatever the size of t
+RESYNTH_CHUNK = 1 << 14
+
+
+def _check_t(t):
+    """``t`` as a float array; ValueError naming t unless every value is
+    finite and in [-1, 1] (one reduction each way, no temporary: NaN fails
+    both comparisons)."""
+    t = np.asarray(t, dtype=float)
+    if t.size and not (-1.0 - 1e-14 <= t.min() and t.max() <= 1.0 + 1e-14):
+        raise ValueError("t must be finite and in [-1, 1]")
+    return t
+
 
 def legendre_all(N_max, t):
     """Legendre polynomials P_0(t) .. P_{N_max}(t) by the three-term recurrence.
@@ -25,16 +39,14 @@ def legendre_all(N_max, t):
     Parameters
     ----------
     N_max : int >= 0
-    t : float or array_like in [-1, 1]
+    t : float or array_like, finite and in [-1, 1]
 
     Returns
     -------
     ndarray
         Shape ``(N_max + 1,) + shape(t)``.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-14):
-        raise ValueError("|t| must be <= 1")
+    t = _check_t(t)
     N_max = check_integer(N_max, "N_max", 0)
     P = np.empty((N_max + 1,) + t.shape)
     P[0] = 1.0
@@ -153,28 +165,38 @@ def resynthesize(series, t):
     """Evaluate ``sum_n (2n+1)/(4*pi) * psi_hat[n] * P_n(t)``.
 
     Clenshaw summation (Clenshaw 1955) runs the Legendre recurrence
-    backwards over the coefficients, so memory is a few arrays of the shape
-    of ``t`` whatever the degree.
+    backwards over the coefficients.  It runs over the flattened ``t`` in
+    chunks of RESYNTH_CHUNK values through three work arrays of one chunk,
+    updated in place, so memory is the output plus one chunk's work arrays
+    whatever the degree and the size of ``t``.  Each value depends on its
+    own t alone, so the result is bitwise the same for any chunking.
 
     Parameters
     ----------
     series : LegendreSeries
-    t : float or array_like in [-1, 1]
+    t : float or array_like, finite and in [-1, 1]
 
     Returns
     -------
     float or ndarray matching the shape of ``t``
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + 1e-14):
-        raise ValueError("|t| must be <= 1")
+    t_arr = _check_t(t)
     a = (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
-    # b_n = a_n + (2n+1)/(n+1) t b_{n+1} - (n+1)/(n+2) b_{n+2}; the sum is b_0
-    b1 = np.zeros_like(t_arr)
-    b2 = np.zeros_like(t_arr)
-    for n in range(series.n_max, -1, -1):
-        b2 *= -(n + 1.0) / (n + 2.0)
-        b2 += a[n]
-        b2 += ((2.0 * n + 1.0) / (n + 1.0)) * t_arr * b1
-        b1, b2 = b2, b1
-    return float(b1) if np.isscalar(t) or t_arr.ndim == 0 else b1
+    flat = t_arr.reshape(-1)
+    out = np.empty(flat.shape)
+    work = np.empty((3, min(flat.size, RESYNTH_CHUNK)))
+    for lo in range(0, flat.size, RESYNTH_CHUNK):
+        tc = flat[lo : lo + RESYNTH_CHUNK]
+        b1, b2, tmp = work[:, : tc.size]
+        b1.fill(0.0)
+        b2.fill(0.0)
+        # b_n = a_n + (2n+1)/(n+1) t b_{n+1} - (n+1)/(n+2) b_{n+2}; the sum is b_0
+        for n in range(series.n_max, -1, -1):
+            b2 *= -(n + 1.0) / (n + 2.0)
+            b2 += a[n]
+            np.multiply((2.0 * n + 1.0) / (n + 1.0), tc, out=tmp)
+            tmp *= b1
+            b2 += tmp
+            b1, b2 = b2, b1
+        out[lo : lo + tc.size] = b1
+    return float(out[0]) if np.isscalar(t) or t_arr.ndim == 0 else out.reshape(t_arr.shape)

@@ -11,13 +11,21 @@ import csv
 import json
 import math
 import os
+import resource
+import sys
 import time
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .gram import DiracFunctional, PatchFunctional, assemble_gram, knot_gram
+from .gram import (
+    DiracFunctional,
+    PatchFunctional,
+    assemble_gram,
+    knot_gram,
+    spectral_norm,
+)
 from .kernels import (
     ZonalKernel,
     epsilon_for_fwhm,
@@ -223,10 +231,11 @@ def random_directions(n, seed):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def synthetic_measurements(synth, kernel, knots):
+def synthetic_measurements(synth, kernel, knots, stages=None):
     """(functionals, y, G) measuring a planted spline, per a complete
     ``sampling.synthetic`` block (as `RunConfig` fills it in); G is the
-    patch Gram counts were drawn through (None for scatter).
+    patch Gram counts were drawn through (None for scatter), its assembly
+    timed into the dict ``stages``, if given.
 
     The field plants its bumps at ``seed``; scatter directions use seed + 1
     and noise seed + 2, Poisson counts seed + 1.
@@ -243,7 +252,8 @@ def synthetic_measurements(synth, kernel, knots):
     n_lat, n_lon = synth["grid"]
     Q = synth["quadrature_order"]
     functionals = [PatchFunctional(b, Q) for b in equal_angle_patch_grid(n_lat, n_lon)]
-    G = assemble_gram(kernel, functionals, knots)
+    G = _timed({} if stages is None else stages, "assemble",
+               assemble_gram, kernel, functionals, knots)
     rates = synth["rate_scale"] * np.clip(G.matvec(truth.coeffs), 0.0, None)
     counts = poisson_counts(rates, offset(1))
     return functionals, counts.astype(float), G
@@ -489,40 +499,64 @@ def field_kernel(cfg, kernel):
     return kernel
 
 
-def _load_measurements(sampling, kernel, knots):
+def _timed(stages, name, fn, *args):
+    """``fn(*args)``, adding its seconds to ``stages[name]``."""
+    started = time.perf_counter()
+    result = fn(*args)
+    stages[name] = stages.get(name, 0.0) + time.perf_counter() - started
+    return result
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # B / kB
+
+
+def _load_measurements(sampling, kernel, knots, stages):
     # (functionals, y, G): G is the Gram synthetic counts came from, or None
     if "scatter_csv" in sampling:
-        dirs, values = load_scatter_csv(sampling["scatter_csv"])
+        dirs, values = _timed(stages, "load_csv", load_scatter_csv, sampling["scatter_csv"])
         if len(values) == 0:
             raise ValueError("scatter file %r has no rows" % sampling["scatter_csv"])
         return [DiracFunctional(d) for d in dirs], values, None
     if "patch_csv" in sampling:
-        bounds, counts = load_patch_counts_csv(sampling["patch_csv"])
+        bounds, counts = _timed(stages, "load_csv", load_patch_counts_csv,
+                                sampling["patch_csv"])
         if len(counts) == 0:
             raise ValueError("patch file %r has no rows" % sampling["patch_csv"])
         Q = sampling["quadrature_order"]
         return [PatchFunctional(b, Q) for b in bounds], counts, None
-    return synthetic_measurements(sampling["synthetic"], kernel, knots)
+    return synthetic_measurements(sampling["synthetic"], kernel, knots, stages)
 
 
 class _Setup:
     """What a run needs before lambda enters, built once per sweep: kernel,
-    knots, measurements, cost model, and the system matrix (G, whose spectral
-    norm is cached on first use, or the quadratic baseline's K)."""
+    knots, measurements, cost model, and the system matrix (G with its
+    cached spectral norm, or the quadratic baseline's K), with the seconds
+    of each setup stage."""
 
     def __init__(self, cfg):
         started = time.perf_counter()
-        kernel = build_kernel(cfg["kernel"])
+        self.stages = {}
+        kernel = _timed(self.stages, "build_kernel", build_kernel, cfg["kernel"])
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
-        functionals, self.y, self.G = _load_measurements(cfg["sampling"], kernel, knots)
+        functionals, self.y, self.G = _load_measurements(
+            cfg["sampling"], kernel, knots, self.stages)
         self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
-        self.field_kernel = field_kernel(cfg, kernel)
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
+            # the series field_kernel convolves, timed here and then cached
+            _timed(self.stages, "series", kernel.series)
+            self.field_kernel = field_kernel(cfg, kernel)
             self.field_knots = np.array([f.direction for f in functionals])
-            self.K = knot_gram(self.field_kernel, KnotSet(self.field_knots))
+            self.K = _timed(self.stages, "knot_gram", knot_gram,
+                            self.field_kernel, KnotSet(self.field_knots))
         else:
             if self.G is None:
-                self.G = assemble_gram(kernel, functionals, knots)
+                self.G = _timed(self.stages, "assemble", assemble_gram,
+                                kernel, functionals, knots)
+            _timed(self.stages, "spectral_norm", spectral_norm, self.G)
+            self.field_kernel = field_kernel(cfg, kernel)
             self.field_knots = knots
         self.seconds = time.perf_counter() - started
 
@@ -531,13 +565,14 @@ def _run_point(cfg, setup):
     """Solve at ``cfg["lambda"]`` and write all artifacts; wall time counts
     the setup."""
     started = time.perf_counter()
+    stages = dict(setup.stages)
     outputs = cfg["outputs"]
     os.makedirs(outputs["directory"], exist_ok=True)
     y, model = setup.y, setup.model
     if cfg["solver"]["kind"] == "tikhonov":
         K = setup.K
         mu = cfg["solver"]["mu"]
-        x = tikhonov_solve(K, y, mu)
+        x = _timed(stages, "solve", tikhonov_solve, K, y, mu)
         Kx = K @ x
         misfit = float(np.linalg.norm(Kx - y))
         trace, iterations, converged = [misfit**2 + mu * float(x @ Kx)], 1, True
@@ -553,7 +588,7 @@ def _run_point(cfg, setup):
         solver_cfg = SolverConfig(cfg["lambda"], eps_stop=cfg["eps_stop"],
                                   max_iter=cfg["max_iter"])
         solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
-        result = solve(G, model, solver_cfg)
+        result = _timed(stages, "solve", solve, G, model, solver_cfg)
         x, trace = result.x, result.objective_trace
         iterations, converged = result.iterations, result.converged
         residuals = {
@@ -566,7 +601,7 @@ def _run_point(cfg, setup):
     field = SplineField(setup.field_kernel, setup.field_knots, x)
 
     coeff_path = _output_path(outputs, "coefficients")
-    save_coefficients_csv(coeff_path, field)
+    _timed(stages, "save_coefficients", save_coefficients_csv, coeff_path, field)
     trace_path = _output_path(outputs, "trace")
     with open(trace_path, "w", newline="") as fh:
         write_table(fh, TRACE_HEADER, [np.arange(1, len(trace) + 1), trace])
@@ -574,7 +609,8 @@ def _run_point(cfg, setup):
     if outputs["raster"] is not None:
         raster = outputs["raster"]
         raster_path = _output_path(outputs, "raster")
-        export_raster(field, raster["n_lat"], raster["n_lon"], raster_path)
+        _timed(stages, "export_raster", export_raster,
+               field, raster["n_lat"], raster["n_lon"], raster_path)
 
     manifest = {
         "config": cfg,
@@ -584,6 +620,8 @@ def _run_point(cfg, setup):
         "gram": gram,
         "residual_norms": residuals,
         "sparsity_count": sparsity_report(field).count,
+        "stages": stages,
+        "peak_rss_mb": _peak_rss_mb(),
         "wall_time_s": setup.seconds + time.perf_counter() - started,
         "library_version": __version__,
         "rng_seed": cfg["seed"],

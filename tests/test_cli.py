@@ -122,6 +122,30 @@ def test_run_table_bytes_are_pinned(tmp_path):
     assert written == RUN_TABLES_SHA256
 
 
+# sha256 of the tables a tikhonov run wrote before resynthesis ran in chunks
+# and the knot Gram evaluated one triangle; a change means the bytes changed
+TIKHONOV_TABLES_SHA256 = {
+    "coefficients.csv": "cd96b8250e85e9b609203d1fb119b5a1a78e46d15f9a8c2273fc087509bb9202",
+    "trace.csv": "78c160868e8d67b2c1e9cfeafce440a1722a1f1af1491b7c59155b34cd2df8c7",
+    "r.csv": "3119f4f7f4042b31315e4d7655cdc12c642443ec42a7b84e3ab3d6307500602d",
+}
+
+
+def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
+    # 200 samples: the knot Gram's 19,900 off-diagonal values and the 4x8
+    # raster's 6,400 go through the self-convolved series by resynthesis
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out",
+                  sampling={"synthetic": {"kind": "scatter", "bumps": 4,
+                                          "samples": 200, "psnr_db": 30}},
+                  cost={"kind": "ls"}, solver={"kind": "tikhonov", "mu": 1e-3},
+                  outputs={"directory": str(tmp_path / "out"),
+                           "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    written = {name: _sha256(tmp_path / "out" / name) for name in TIKHONOV_TABLES_SHA256}
+    assert written == TIKHONOV_TABLES_SHA256
+
+
 def test_synth_counts_writes_loadable_csv(tmp_path):
     out = tmp_path / "c.csv"
     assert _synth(tmp_path, out, **SYNTH_COUNTS) == 0

@@ -351,6 +351,34 @@ def test_knot_gram_duplicate_knots_rejected():
         knot_gram(matern_zonal(1.5, 0.2), pts)
 
 
+def _full_knot_gram(kernel, knots):
+    # the kernel on all of t, symmetrised, as knot_gram ran before it
+    # evaluated one triangle
+    t = np.clip(knots.points @ knots.points.T, -1.0, 1.0)
+    K = np.asarray(kernel(t), dtype=float)
+    K = 0.5 * (K + K.T)
+    np.fill_diagonal(K, float(kernel(1.0)))
+    return K
+
+
+KNOT_GRAM_KERNELS = {
+    "matern": lambda: matern_zonal(2.5, 0.35, convention="eq60"),
+    "wendland": lambda: wendland_zonal(3, 1, 0.3),
+    "self_convolved": lambda: ZonalKernel.from_series(
+        self_convolve(matern_zonal(2.5, 0.35, convention="eq60").series())),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 80, 450])
+@pytest.mark.parametrize("name", sorted(KNOT_GRAM_KERNELS))
+def test_knot_gram_is_bitwise_the_full_matrix_formula(name, n):
+    kernel = KNOT_GRAM_KERNELS[name]()
+    knots = fibonacci_lattice(n)
+    K = knot_gram(kernel, knots)
+    assert K.shape == (n, n)
+    assert K.tobytes() == _full_knot_gram(kernel, knots).tobytes()
+
+
 def test_knot_gram_accepts_series():
     kern = wendland_zonal(3, 1, 0.4)
     conv = self_convolve(kern.series())

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sphsplines import legendre
 from sphsplines.legendre import (
     LegendreSeries,
     fourier_legendre,
@@ -31,8 +32,11 @@ def test_legendre_bounded():
 
 
 def test_legendre_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        legendre_all(4, 1.5)
+    for bad in (1.5, -1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            legendre_all(4, bad)
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            legendre_all(4, np.array([0.5, bad, -0.25]))
 
 
 def test_gauss_legendre_small_rules():
@@ -122,9 +126,62 @@ def test_resynthesize_memory_does_not_grow_with_degree():
     assert peak < 8 * t.nbytes
 
 
+def test_resynthesize_memory_is_one_chunk_beyond_the_output():
+    # a low-degree series on 1e5 and 1e6 points: beyond its output, the
+    # range check and the recurrence take one chunk's work arrays, however
+    # many points there are
+    series = LegendreSeries(1.0 / (1.0 + np.arange(9.0)) ** 4)
+    bound = 3 * legendre.RESYNTH_CHUNK * 8 + 65_536
+    for size in (100_000, 1_000_000):
+        t = np.linspace(-1.0, 1.0, size)
+        tracemalloc.start()
+        try:
+            resynthesize(series, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - t.nbytes < bound
+
+
 def test_resynthesize_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        resynthesize(LegendreSeries([1.0]), 1.2)
+    for bad in (1.2, -1.2, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            resynthesize(LegendreSeries([1.0]), bad)
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            resynthesize(LegendreSeries([1.0, 0.5]), np.array([[0.5, bad], [0.0, 1.0]]))
+
+
+def _unchunked_resynthesize(series, t):
+    # the Clenshaw loop over the whole of t at once, as it ran before chunking
+    t_arr = np.asarray(t, dtype=float)
+    a = (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
+    b1 = np.zeros_like(t_arr)
+    b2 = np.zeros_like(t_arr)
+    for n in range(series.n_max, -1, -1):
+        b2 *= -(n + 1.0) / (n + 2.0)
+        b2 += a[n]
+        b2 += ((2.0 * n + 1.0) / (n + 1.0)) * t_arr * b1
+        b1, b2 = b2, b1
+    return b1
+
+
+@pytest.mark.parametrize("chunk", [7, legendre.RESYNTH_CHUNK])
+def test_chunked_resynthesis_is_bitwise_the_unchunked_loop(chunk, monkeypatch):
+    monkeypatch.setattr(legendre, "RESYNTH_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    series = LegendreSeries(rng.standard_normal(65) / (1.0 + np.arange(65.0)))
+    for size in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        t = rng.uniform(-1.0, 1.0, size)
+        got = resynthesize(series, t)
+        assert got.shape == t.shape
+        assert got.tobytes() == _unchunked_resynthesize(series, t).tobytes()
+    t = rng.uniform(-1.0, 1.0, (3, chunk + 2))
+    got = resynthesize(series, t)
+    assert got.shape == t.shape
+    assert got.tobytes() == _unchunked_resynthesize(series, t).tobytes()
+    got = resynthesize(series, 0.375)
+    assert isinstance(got, float)
+    assert got == float(_unchunked_resynthesize(series, 0.375))
 
 
 def test_roundtrip_identity_on_bandlimited():

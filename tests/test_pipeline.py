@@ -372,7 +372,7 @@ def _gram_for(cfg_dict):
     cfg = RunConfig(cfg_dict)
     kernel = build_kernel(cfg["kernel"])
     knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
-    functionals, y, _ = pipeline._load_measurements(cfg["sampling"], kernel, knots)
+    functionals, y, _ = pipeline._load_measurements(cfg["sampling"], kernel, knots, {})
     return assemble_gram(kernel, functionals, knots), y, cfg
 
 
@@ -432,6 +432,58 @@ def test_manifest_fields_populated(tmp_path):
     tik["sampling"]["synthetic"].update(samples=60, psnr_db=25.0)
     manifest = run_reconstruction(tik)
     assert json.load(open(manifest["outputs"]["manifest"]))["gram"] is None
+
+
+SETUP_STAGES = {"build_kernel", "load_csv", "series", "assemble", "knot_gram",
+                "spectral_norm"}
+
+
+def _stages_of(manifest):
+    """The manifest's stage block, checked: seconds >= 0 whose sum is within
+    the run's wall time, beside a positive peak RSS."""
+    data = json.load(open(manifest["outputs"]["manifest"]))
+    stages = data["stages"]
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    assert sum(stages.values()) <= data["wall_time_s"]
+    assert data["peak_rss_mb"] > 0.0
+    return stages
+
+
+def test_manifest_records_the_stages_the_run_executes(tmp_path):
+    raster = {"n_lat": 4, "n_lon": 8, "path": "r.csv"}
+    cfg = _scatter_selftest_config(tmp_path / "pds", max_iter=50, eps_stop=1e-4)
+    cfg["outputs"]["raster"] = raster
+    assert set(_stages_of(run_reconstruction(cfg))) == {
+        "build_kernel", "assemble", "spectral_norm", "solve",
+        "save_coefficients", "export_raster"}
+    # a scatter file is loaded; no raster is written
+    samples = tmp_path / "samples.csv"
+    save_scatter_csv(samples, [0.0, 90.0, -45.0], [0.0, 30.0, -60.0], [1.0, 2.0, 3.0])
+    cfg = _scatter_selftest_config(tmp_path / "csv", max_iter=50,
+                                   sampling={"scatter_csv": str(samples)})
+    assert set(_stages_of(run_reconstruction(cfg))) == {
+        "build_kernel", "load_csv", "assemble", "spectral_norm", "solve",
+        "save_coefficients"}
+    # synthetic counts are drawn through the assembled G
+    cfg = _scatter_selftest_config(tmp_path / "kl", cost={"kind": "kl"}, max_iter=50,
+                                   sampling={"synthetic": {"kind": "counts",
+                                                           "grid": [4, 8]}})
+    assert set(_stages_of(run_reconstruction(cfg))) == {
+        "build_kernel", "assemble", "spectral_norm", "solve", "save_coefficients"}
+    # tikhonov: the series, the self-convolved kernel on the samples, one solve
+    tik = _scatter_selftest_config(tmp_path / "tik", cost={"kind": "ls"},
+                                   solver={"kind": "tikhonov", "mu": 1e-3})
+    tik["sampling"]["synthetic"].update(samples=60, psnr_db=25.0)
+    assert set(_stages_of(run_reconstruction(tik))) == {
+        "build_kernel", "series", "knot_gram", "solve", "save_coefficients"}
+    # every point of a sweep repeats the setup stages it shares
+    sweep = _scatter_selftest_config(tmp_path / "sweep", cost={"kind": "ls"},
+                                     solver={"kind": "apgd"}, max_iter=20)
+    points = [_stages_of(m) for m in pipeline.run_lambda_sweep(sweep, [1e-4, 1e-2])]
+    setup = [{k: v for k, v in p.items() if k in SETUP_STAGES} for p in points]
+    assert set(setup[0]) == {"build_kernel", "assemble", "spectral_norm"}
+    assert setup[0] == setup[1]
+    assert all("solve" in p for p in points)
 
 
 def test_reruns_are_byte_identical(tmp_path):
