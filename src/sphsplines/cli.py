@@ -66,8 +66,8 @@ def _cmd_reconstruct(args):
 
     if args.lambda_sweep is not None:
         lo, hi, count = args.lambda_sweep
-        if not (0 < lo <= hi and count >= 1 and count.is_integer()):
-            raise ValueError("sweep needs 0 < LO <= HI and an integer COUNT >= 1")
+        if not (0 < lo <= hi < np.inf and count >= 1 and count.is_integer()):
+            raise ValueError("sweep needs 0 < LO <= HI < inf and an integer COUNT >= 1")
         lambdas = np.geomspace(lo, hi, int(count))
         for lam, manifest in zip(lambdas, run_lambda_sweep(spec, lambdas)):
             print(

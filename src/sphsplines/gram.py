@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, svds
 from scipy.spatial import cKDTree
 
 from .legendre import gauss_legendre
@@ -23,10 +24,9 @@ from .sphere import KnotSet, check_integer, check_number
 # inner-product and kernel temporaries, whatever the number of points
 BLOCK_ENTRIES = 1 << 18
 
-# `spectral_norm` stops at this relative change, as the solvers' steps come from it
-NORM_TOL = 1e-10
-# and raises after this many power steps, so a near tie fails instead of running on
-NORM_MAX_ITER = 5000
+# `spectral_norm` rounds up by at most this many ulps to a norm n whose
+# balanced steps 1/n couple exactly: (1/n)*(1/n)*(n*n) == 1.0
+COUPLING_ULPS = 64
 
 
 class DiracFunctional:
@@ -94,11 +94,13 @@ class GramMatrix:
     ----------
     matrix : scipy sparse or dense array, shape (L, N)
         One row per sampling functional, one column per knot.  Entries must
-        be finite; column indices are kept sorted within each row.
+        be finite; stored zeros are dropped, so ``nnz`` counts values, and
+        column indices are kept sorted within each row.
     """
 
     def __init__(self, matrix):
-        csr = sparse.csr_matrix(matrix)
+        csr = sparse.csr_matrix(matrix, copy=True)  # the caller's arrays stay as given
+        csr.eliminate_zeros()
         csr.sort_indices()
         if csr.nnz and not np.all(np.isfinite(csr.data)):
             raise ValueError("Gram entries must be finite")
@@ -214,48 +216,40 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
 
 
 def spectral_norm(G):
-    """Largest singular value of a GramMatrix by power iteration on G^T G.
+    """Largest singular value of a GramMatrix, rounded up to a coupling float.
 
-    Starts from a fixed-seed random vector so repeated calls agree bit for
-    bit; iterates until the Rayleigh quotient's relative change drops below
-    NORM_TOL.  The result is cached on the GramMatrix.
+    One Lanczos call (ARPACK through ``svds``, ``tol=0``, from the fixed start
+    vector of ones, so repeated calls agree bit for bit) on ``G.matvec`` and
+    ``G.rmatvec``; a G of one row or one column has rank one, and the norm of
+    its stored entries.  The value then steps up, by at most COUPLING_ULPS
+    ulps, to the first float n with ``(1/n)*(1/n)*(n*n) == 1.0``, so the
+    balanced steps 1/n sit exactly on the convergence boundary; with no such
+    float the Lanczos value stays.  The result is cached on the GramMatrix.
 
     Raises
     ------
     ValueError
         All-zero matrix.
-    RuntimeError
-        No convergence within NORM_MAX_ITER iterations.
     """
     if G.spectral_norm_cache is not None:
         return G.spectral_norm_cache
-    A, At = G.matrix, G.matrix_t
-    if A.nnz == 0:
+    if G.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    s2_prev = -1.0
-    s2 = 0.0
-    for _ in range(NORM_MAX_ITER):
-        w = A @ v
-        s2 = float(w @ w)  # Rayleigh quotient of A^T A at the unit vector v
-        if s2 == 0.0:
-            # started in the nullspace; re-seed deterministically
-            v = rng.standard_normal(A.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        if s2_prev >= 0.0 and abs(s2 - s2_prev) <= NORM_TOL * s2:
-            break
-        s2_prev = s2
-        v = At @ w
-        v /= np.linalg.norm(v)
+    rank_bound = min(G.shape)
+    if rank_bound == 1:
+        norm = float(np.linalg.norm(G.matrix.data))
     else:
-        raise RuntimeError(
-            "power iteration did not converge within %d iterations" % NORM_MAX_ITER
-        )
-    G.spectral_norm_cache = math.sqrt(s2)
-    return G.spectral_norm_cache
+        op = LinearOperator(G.shape, matvec=G.matvec, rmatvec=G.rmatvec, dtype=float)
+        norm = float(svds(op, k=1, tol=0, v0=np.ones(rank_bound),
+                          return_singular_vectors=False)[0])
+    n = norm
+    for _ in range(COUPLING_ULPS + 1):
+        if (1.0 / n) * (1.0 / n) * (n * n) == 1.0:
+            norm = n
+            break
+        n = float(np.nextafter(n, np.inf))
+    G.spectral_norm_cache = norm
+    return norm
 
 
 def knot_gram(kernel, knots):

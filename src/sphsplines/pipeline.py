@@ -548,9 +548,9 @@ class _Setup:
             # the series field_kernel convolves, timed here and then cached
             _timed(self.stages, "series", kernel.series)
             self.field_kernel = field_kernel(cfg, kernel)
-            self.field_knots = np.array([f.direction for f in functionals])
+            self.field_knots = KnotSet([f.direction for f in functionals])
             self.K = _timed(self.stages, "knot_gram", knot_gram,
-                            self.field_kernel, KnotSet(self.field_knots))
+                            self.field_kernel, self.field_knots)
         else:
             if self.G is None:
                 self.G = _timed(self.stages, "assemble", assemble_gram,
@@ -655,14 +655,16 @@ def run_lambda_sweep(config, lambdas):
     """One run per penalty weight, sharing one setup; yields each manifest.
 
     Point i writes into ``lambda_NN/`` (NN = i) of the output directory the
-    files a single run with that ``lambda`` and directory writes.
+    files a single run with that ``lambda`` and directory writes.  Each
+    weight passes the ``lambda`` rule, as ``lambda[i]``, before any work.
     """
     cfg = RunConfig(config)
+    lambdas = [_RUN["lambda"][0](lam, "lambda[%d]" % i) for i, lam in enumerate(lambdas)]
     setup = _Setup(cfg)
     for i, lam in enumerate(lambdas):
         directory = os.path.join(cfg["outputs"]["directory"], "lambda_%02d" % i)
         point = dict(cfg, outputs=dict(cfg["outputs"], directory=directory))
-        point["lambda"] = float(lam)
+        point["lambda"] = lam
         yield _run_point(point, setup)
 
 

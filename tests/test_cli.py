@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -95,10 +96,11 @@ def test_synth_counts_bytes_are_pinned(tmp_path):
 # sha256 of the tables these commands wrote before every table shared one
 # writer; a change means the written bytes changed
 LATTICE_50_SHA256 = "baf562cbca82a134939b19aec23cf780e12f0db4151e0ce00f7e032f6fd8ed91"
+# the run's steps come from the Lanczos norm, rounded up to a coupling float
 RUN_TABLES_SHA256 = {
-    "coefficients.csv": "e49adb63ea829baef997c98ffa04bb10b8a46031e22a090b8d7a9b1e6c03790c",
-    "trace.csv": "68877787b99893f9e631dc085f52f1dce98009062cdf06608e729e4f4a2a6318",
-    "r.csv": "a1a7c80a42f7c91217e16f4febfd37847f127e1828bff8df4f7cbbc8afc2d7a0",
+    "coefficients.csv": "0f4a8f2beaac4df9d347db7980818568ed6024b19da7012d336c2302fbc89435",
+    "trace.csv": "96e6dc9b7a7a7a4f97f39d1ef6fd6eac710ed3728478f168ab49f350ba6e0452",
+    "r.csv": "f7e4736bc8f8da2890e899450128ab69b6c61202884254d4942985ec2c097144",
 }
 
 
@@ -242,6 +244,21 @@ def test_lambda_sweep_validation(tmp_path, capsys, sweep):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("error [") == 1 and "COUNT" in err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("hi", ["inf", "nan"])
+def test_lambda_sweep_rejects_a_non_finite_hi(tmp_path, capsys, hi):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "sweep")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning from the sweep grid
+        code = main(["reconstruct", "--config", str(cfg_path),
+                     "--lambda-sweep", "1", hi, "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error [sphsplines.cli]")
+    assert "HI" in err
     assert not (tmp_path / "sweep").exists()
 
 

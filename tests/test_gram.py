@@ -16,7 +16,7 @@ from sphsplines.gram import (
 )
 from sphsplines.kernels import ZonalKernel, matern_zonal, self_convolve, wendland_zonal
 from sphsplines.prox import LeastSquares
-from sphsplines.solvers import SolverConfig, apgd_solve, pds_solve
+from sphsplines.solvers import SolverConfig, _couple_auto_steps, apgd_solve, pds_solve
 from sphsplines.sphere import (
     KnotSet,
     PatchBounds,
@@ -288,6 +288,64 @@ def test_spectral_norm_cached():
 def test_spectral_norm_zero_matrix_rejected():
     with pytest.raises(ValueError):
         spectral_norm(GramMatrix(np.zeros((3, 4))))
+
+
+def test_stored_zeros_are_dropped_and_the_norm_rejects_them():
+    # explicit zeros are not entries: nnz, density and the all-zero check
+    # read values
+    A = sparse.csr_matrix((np.zeros(2), ([0, 1], [0, 1])), shape=(2, 3))
+    G = GramMatrix(A)
+    assert G.nnz == 0 and G.density == 0.0
+    assert A.nnz == 2  # the caller's matrix keeps its storage
+    with pytest.raises(ValueError, match="all-zero"):
+        spectral_norm(G)
+
+
+def test_spectral_norm_of_a_near_degenerate_spectrum():
+    # a sweep-raster layout whose top two singular values nearly coincide
+    # (s2/s1 = 0.99985), where power iteration needed 12,705 steps
+    rng = np.random.default_rng([6, 4])
+    rng.choice(400, size=8, replace=False)
+    rng.uniform(-2, 2, size=8)
+    d = rng.standard_normal((3000, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    G = assemble_gram(wendland_zonal(3, 1, 0.3), [DiracFunctional(p) for p in d],
+                      fibonacci_lattice(400))
+    np.testing.assert_allclose(spectral_norm(G), np.linalg.norm(G.toarray(), 2),
+                               rtol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)], ids=["row", "column", "scalar"])
+def test_spectral_norm_of_a_single_row_or_column(shape):
+    A = np.random.default_rng(12).standard_normal(shape)
+    np.testing.assert_allclose(spectral_norm(GramMatrix(A)), np.linalg.norm(A, 2),
+                               rtol=1e-15)
+
+
+def test_spectral_norm_rounds_up_to_balanced_coupled_steps():
+    # the norm is a float whose balanced steps 1/n couple exactly, so the
+    # solvers take the nominal pair, and it stays at the dense norm
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        A = rng.standard_normal((7, 5))
+        n = spectral_norm(GramMatrix(A))
+        assert (1.0 / n) * (1.0 / n) * (n * n) == 1.0
+        assert _couple_auto_steps(n) == (1.0 / n, 1.0 / n)
+        np.testing.assert_allclose(n, np.linalg.norm(A, 2), rtol=1e-13)
+
+
+def test_spectral_norm_keeps_its_value_when_no_float_couples():
+    # no float within COUPLING_ULPS above this norm has (1/n)**2 * n**2 == 1
+    value = 31.994131434977465
+    candidates = [value]
+    for _ in range(gram.COUPLING_ULPS):
+        candidates.append(float(np.nextafter(candidates[-1], np.inf)))
+    assert not any((1.0 / n) * (1.0 / n) * (n * n) == 1.0 for n in candidates)
+    G = GramMatrix(np.array([[value]]))
+    assert spectral_norm(G) == value
+    result = pds_solve(G, LeastSquares(np.array([1.0])),
+                       SolverConfig(0.1, eps_stop=1e-300, max_iter=20))
+    assert result.iterations == 20 and np.all(np.isfinite(result.x))
 
 
 # -------------------------------------------------------------- orientations

@@ -27,6 +27,7 @@ from sphsplines.pipeline import (
 )
 from sphsplines.prox import ExactMatch, L2Ball
 from sphsplines.sphere import (
+    KnotSet,
     PatchBounds,
     equal_angle_patch_grid,
     fibonacci_lattice,
@@ -626,6 +627,42 @@ def test_lambda_sweep_shares_one_setup(tmp_path, monkeypatch):
         run_dir = os.path.join(str(tmp_path), "lambda_%02d" % i)
         assert m["config"]["outputs"]["directory"] == run_dir
         assert os.path.isfile(os.path.join(run_dir, "coefficients.csv"))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
+def test_lambda_sweep_checks_every_weight_before_any_work(tmp_path, monkeypatch, bad):
+    calls = _count_assembly(monkeypatch)
+    cfg = _scatter_selftest_config(tmp_path / "sweep", max_iter=200)
+    with pytest.raises(ValueError, match=r"^lambda\[1\] must be a number >= 0$"):
+        list(pipeline.run_lambda_sweep(cfg, [1.0, bad]))
+    assert calls == []
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_tikhonov_run_builds_one_knot_set_on_the_samples(tmp_path, monkeypatch):
+    # one KnotSet for the Fibonacci knots and one for the sample directions,
+    # which the knot Gram and the solved field share
+    lon, lat = lonlat_from_direction(fibonacci_lattice(60).points)
+    save_scatter_csv(tmp_path / "s.csv", lon, lat, np.cos(np.radians(lat)))
+    built = []
+    init = KnotSet.__init__
+
+    def counted(self, points):
+        built.append(len(points))
+        init(self, points)
+
+    monkeypatch.setattr(KnotSet, "__init__", counted)
+    manifest = run_reconstruction({
+        "kernel": {"family": "matern", "beta": 2.5, "epsilon": 0.35,
+                   "convention": "eq60"},
+        "knots": {"fibonacci": 40},
+        "sampling": {"scatter_csv": str(tmp_path / "s.csv")},
+        "cost": {"kind": "ls"},
+        "solver": {"kind": "tikhonov", "mu": 1e-3},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert manifest["iterations"] == 1
+    assert built == [40, 60]
 
 
 def test_run_writes_optional_raster(tmp_path):

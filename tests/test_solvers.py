@@ -196,7 +196,8 @@ def _sha256(a):
 
 def test_solver_iterates_are_pinned():
     # 300 iterations each, run to the cap; a change to the step rule, the
-    # momentum or the order of the arithmetic moves these bytes
+    # momentum, the spectral norm or the order of the arithmetic moves these
+    # bytes
     rng = np.random.default_rng(2024)
     x_true = np.zeros(30)
     x_true[[3, 11, 25]] = [1.5, -2.0, 0.7]
@@ -214,12 +215,12 @@ def test_solver_iterates_are_pinned():
                               SolverConfig(0.5, eps_stop=1e-15, max_iter=300)),
     }
     pinned = {
-        "pds-exact": ("23a84cf0641323cfd4c5f8d56fd7559ee5582266472525004e45cbef23613e54",
-                      "b4e50dff6ad47dec5830213a33b4655dc495457728be5c96eeefbe36fa0535e7"),
-        "pds-kl": ("dbda5f78d572b5c62340ad3e35991452d4215183a815df8a92a1c1ffd1be1255",
-                   "75b10c1e97e4729bfb4463dffb35f771298e077da2148e73e3c4f11cf35f4311"),
-        "apgd-ls": ("84a4d6fd780eb7ffb4197825fa2c33b6c6ade5cad62cf9391a747d8d55260ad7",
-                    "3760827c1167f5aeceb2874324ae829a4d8259aeb69f66eb12da51bbe0e85391"),
+        "pds-exact": ("ee3ee5f7cbb1a5d123a374828e4bd5a8d1000fc5020436820034e31f05946e13",
+                      "991e537b3a8c12d182661d25e7b0a7fdabbef25156c9051c3467002a9eea4e7b"),
+        "pds-kl": ("f6d8b43f08c05d06479ca5f2850ae9608f5a696c60725c7ab93cb7c5a3ceb29b",
+                   "431083b296c2ec61824acf409219279b88b219b11a39ff8df44e83cda2cc9cf0"),
+        "apgd-ls": ("9d9d2f9c5cba2f61d4f312888f6f3384c6989645d83271012c001b139bde0013",
+                    "08c2ef598ad4cb27c84d1e3a93f2f4b19324f097f8395d3a14bd78d1a2f907ea"),
     }
     for name, res in runs.items():
         assert res.iterations == 300, name

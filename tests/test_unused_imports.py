@@ -1,14 +1,16 @@
 """Every name a package module imports, and every private function or
-class it defines at module level, is used in that module.
+class it defines at module level, is used in that module; every module-level
+UPPER_CASE constant is read somewhere in the package or re-exported.
 
 An import statement whose first line carries ``# noqa: F401`` is a
 deliberate re-export (the package ``__init__``) and is skipped.  A private
 helper whose last caller in its module is gone fails here even when a test
-still imports it.
+still imports it, and so does a constant whose algorithm was deleted.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -64,3 +66,43 @@ def test_checker_flags_an_unused_private_helper():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_helpers(path):
     assert unused_private_helpers(path.read_text()) == []
+
+
+def unused_constants(sources):
+    """``(module, line, name)`` of the module-level UPPER_CASE constants in
+    ``sources`` (module name -> text) that no module loads, as a name or an
+    attribute, and that ``__init__`` does not import."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = [
+        (module, node.lineno, target.id)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    ]
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    if "__init__" in trees:
+        read.update(alias.name for node in ast.walk(trees["__init__"])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names)
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_checker_flags_an_unused_constant():
+    sources = {
+        "a": "DEAD = 1\nLIVE = 2\nSHOWN = 3\nUSED_ELSEWHERE = 4\nlower = 5\n"
+             "def f():\n    return LIVE\n",
+        "b": "from . import a\nx = a.USED_ELSEWHERE\n",
+        "__init__": "from .a import SHOWN  # noqa: F401\n",
+    }
+    assert unused_constants(sources) == [("a", 1, "DEAD")]
+
+
+def test_no_unused_constants():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unused_constants(sources) == []
