@@ -145,8 +145,7 @@ def build_parser():
     p.add_argument("--config", required=True, help="JSON run description")
     p.add_argument("--lambda", dest="lam", type=float,
                    help="override the penalty weight")
-    p.add_argument("--solver", choices=["pds", "apgd", "tikhonov"],
-                   help="override the solver")
+    p.add_argument("--solver", help="override solver.kind")
     p.add_argument("--seed", type=int, help="override the RNG seed")
     p.add_argument("--output-dir", help="override the output directory")
     p.add_argument("--lambda-sweep", nargs=3, type=float,

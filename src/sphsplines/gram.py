@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, svds
 from scipy.spatial import cKDTree
 
 from .legendre import gauss_legendre
@@ -239,6 +238,9 @@ def spectral_norm(G):
     if rank_bound == 1:
         norm = float(np.linalg.norm(G.matrix.data))
     else:
+        # loaded here, not by every import of the package
+        from scipy.sparse.linalg import LinearOperator, svds
+
         op = LinearOperator(G.shape, matvec=G.matvec, rmatvec=G.rmatvec, dtype=float)
         norm = float(svds(op, k=1, tol=0, v0=np.ones(rank_bound),
                           return_singular_vectors=False)[0])

@@ -66,8 +66,13 @@ TRACE_HEADER = ["iteration", "objective"]
 def write_table(fh, header, columns):
     """Write ``header`` and one row per entry of the equal-length
     ``columns`` to the open file ``fh``: integer columns as ``%d``, every
-    other column as FLOAT_FMT."""
+    other column as FLOAT_FMT.  Columns of unequal lengths raise ValueError
+    before anything is written."""
     columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError("columns %s have unequal lengths %s"
+                         % (",".join(header), lengths))
     row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else FLOAT_FMT
                    for c in columns) + "\n"
     fh.write(",".join(header) + "\n")
@@ -158,11 +163,17 @@ def load_patch_counts_csv(path):
 
 
 def save_patch_counts_csv(path, bounds, counts):
-    """Write binned counts in the `load_patch_counts_csv` format."""
+    """Write binned counts in the `load_patch_counts_csv` format; a count
+    that is not a nonnegative integer raises ValueError naming its index."""
+    counts = np.atleast_1d(np.asarray(counts, dtype=float))
+    bad = np.flatnonzero(~((counts >= 0) & (counts == np.round(counts))
+                           & np.isfinite(counts)))
+    if bad.size:
+        raise ValueError("counts[%d] must be a nonnegative integer, got %r"
+                         % (bad[0], counts[bad[0]].item()))
     edges = [[getattr(b, name) for b in bounds] for name in COUNTS_HEADER[:4]]
     with open(path, "w", newline="") as fh:
-        write_table(fh, COUNTS_HEADER,
-                    edges + [np.asarray(counts).astype(int)])
+        write_table(fh, COUNTS_HEADER, edges + [counts.astype(int)])
 
 
 def save_coefficients_csv(path, field):
@@ -656,10 +667,20 @@ def run_lambda_sweep(config, lambdas):
 
     Point i writes into ``lambda_NN/`` (NN = i) of the output directory the
     files a single run with that ``lambda`` and directory writes.  Each
-    weight passes the ``lambda`` rule, as ``lambda[i]``, before any work.
+    weight passes the ``lambda`` rule, as ``lambda[i]``, before any work, and
+    an absolute output file name, which every point would overwrite, raises
+    ValueError naming its key.
     """
     cfg = RunConfig(config)
     lambdas = [_RUN["lambda"][0](lam, "lambda[%d]" % i) for i, lam in enumerate(lambdas)]
+    outputs = cfg["outputs"]
+    names = {key: outputs[key] for key in ("coefficients", "trace", "manifest")}
+    if outputs["raster"] is not None:
+        names["raster.path"] = outputs["raster"]["path"]
+    for key, name in names.items():
+        if os.path.isabs(name):
+            raise ValueError("outputs.%s must be a relative path in a lambda sweep, "
+                             "got %s" % (key, name))
     setup = _Setup(cfg)
     for i, lam in enumerate(lambdas):
         directory = os.path.join(cfg["outputs"]["directory"], "lambda_%02d" % i)

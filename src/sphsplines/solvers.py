@@ -81,38 +81,6 @@ def _as_gram(G):
     return G if isinstance(G, GramMatrix) else GramMatrix(G)
 
 
-def _ulp_shift(x, n):
-    for _ in range(abs(n)):
-        x = np.nextafter(x, np.inf if n > 0 else 0.0)
-    return float(x)
-
-
-def _couple_auto_steps(norm):
-    """Balanced steps tau = sigma = 1/norm with the coupling
-    sigma*tau*norm**2 == 1.0 exact to the last bit.
-
-    Squaring 1/norm can miss 1 by an ulp, so search a few ulps around the
-    nominal steps (nearest-first) for an exact hit; fall back to the closest
-    pair if the identity is unrepresentable for this norm.
-    """
-    u = norm * norm
-    nominal = 1.0 / norm
-    offsets = sorted(
-        ((i, j) for i in range(-2, 3) for j in range(-4, 5)),
-        key=lambda ij: (abs(ij[0]) + abs(ij[1]), abs(ij[0])),
-    )
-    best = (np.inf, nominal, nominal)
-    for i, j in offsets:
-        tau = _ulp_shift(nominal, i)
-        sigma = _ulp_shift(nominal, j)
-        gap = abs((tau * sigma) * u - 1.0)
-        if gap == 0.0:
-            return tau, sigma
-        if gap < best[0]:
-            best = (gap, tau, sigma)
-    return best[1], best[2]
-
-
 def _stalled(delta, prev_norm, eps):
     if prev_norm < ZERO_NORM_FLOOR:
         return delta <= eps
@@ -127,14 +95,17 @@ def pds_solve(G, model, config):
     primal point.  Stops when both primal and dual iterates change by less
     than ``eps_stop`` relatively (the dual check keeps the start x = z = 0,
     whose first primal step is always stationary, from terminating before
-    the dual has reacted to the data).  The steps are the balanced ones of
-    `_couple_auto_steps`, on the boundary sigma*tau*||G||^2 = 1.
+    the dual has reacted to the data).  The steps are the balanced
+    tau = sigma = 1/||G||, with ||G|| from `spectral_norm`, whose rounding
+    puts them on the convergence boundary sigma*tau*||G||^2 = 1 exactly
+    whenever a float within COUPLING_ULPS allows (and within an ulp of it
+    otherwise).
     """
     G = _as_gram(G)
     L, N = G.shape
     if model.y.size != L:
         raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
-    tau, sigma = _couple_auto_steps(spectral_norm(G))
+    tau = sigma = 1.0 / spectral_norm(G)
     lam, eps = config.lam, config.eps_stop
     x, z, gx = np.zeros(N), np.zeros(L), np.zeros(L)
     trace = []

@@ -262,6 +262,39 @@ def test_lambda_sweep_rejects_a_non_finite_hi(tmp_path, capsys, hi):
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("key", ["coefficients", "trace", "manifest", "raster.path"])
+def test_lambda_sweep_rejects_an_absolute_output_name(tmp_path, capsys, key):
+    # every point would write the same file, and each manifest would point
+    # at the last point's copy
+    outputs = {"directory": str(tmp_path / "sweep"),
+               "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}}
+    target = str(tmp_path / "shared.csv")
+    if key == "raster.path":
+        outputs["raster"]["path"] = target
+    else:
+        outputs[key] = target
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "sweep", outputs=outputs)
+    code = main(["reconstruct", "--config", str(cfg_path),
+                 "--lambda-sweep", "1e-3", "1e-1", "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error [sphsplines.pipeline]")
+    assert "outputs.%s must be a relative path" % key in err
+    assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+
+def test_unknown_solver_flag_fails_like_the_config(tmp_path, capsys):
+    # the config's solver.kind rule owns the list of solvers
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out")
+    assert main(["reconstruct", "--config", str(cfg_path), "--solver", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error [sphsplines.pipeline] ValueError: solver.kind must be "
+                   "one of pds, apgd, tikhonov\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_rejects_float_seed(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out", seed=2.9)

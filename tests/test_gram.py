@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from sphsplines.gram import (
 )
 from sphsplines.kernels import ZonalKernel, matern_zonal, self_convolve, wendland_zonal
 from sphsplines.prox import LeastSquares
-from sphsplines.solvers import SolverConfig, _couple_auto_steps, apgd_solve, pds_solve
+from sphsplines.solvers import SolverConfig, apgd_solve, pds_solve
 from sphsplines.sphere import (
     KnotSet,
     PatchBounds,
@@ -323,15 +326,29 @@ def test_spectral_norm_of_a_single_row_or_column(shape):
 
 
 def test_spectral_norm_rounds_up_to_balanced_coupled_steps():
-    # the norm is a float whose balanced steps 1/n couple exactly, so the
-    # solvers take the nominal pair, and it stays at the dense norm
+    # the norm is a float whose balanced steps 1/n couple exactly, and it
+    # stays at the dense norm
     rng = np.random.default_rng(31)
     for _ in range(10):
         A = rng.standard_normal((7, 5))
         n = spectral_norm(GramMatrix(A))
         assert (1.0 / n) * (1.0 / n) * (n * n) == 1.0
-        assert _couple_auto_steps(n) == (1.0 / n, 1.0 / n)
         np.testing.assert_allclose(n, np.linalg.norm(A, 2), rtol=1e-13)
+
+
+def test_import_leaves_arpack_unloaded():
+    # scipy.sparse.linalg loads with the first Lanczos norm, so commands
+    # that take no norm (synth, raster, lattice, tikhonov runs) skip it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np, sphsplines.cli\n"
+            "from sphsplines.gram import GramMatrix, spectral_norm\n"
+            "before = 'scipy.sparse.linalg' in sys.modules\n"
+            "spectral_norm(GramMatrix(np.eye(2)))\n"
+            "print(before, 'scipy.sparse.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_spectral_norm_keeps_its_value_when_no_float_couples():

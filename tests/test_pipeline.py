@@ -24,6 +24,7 @@ from sphsplines.pipeline import (
     run_reconstruction,
     save_patch_counts_csv,
     save_scatter_csv,
+    synthetic_measurements,
 )
 from sphsplines.prox import ExactMatch, L2Ball
 from sphsplines.sphere import (
@@ -131,6 +132,31 @@ def test_counts_noninteger_rejected(tmp_path):
     path.write_text("lon_min,lon_max,lat_min,lat_max,count\n0,10,0,10,2.5\n")
     with pytest.raises(ValueError, match="line 2.*integer"):
         load_patch_counts_csv(path)
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: save_scatter_csv(path, [0, 10, 20], [0, 5, 9], [1, 2]),
+    lambda path: save_patch_counts_csv(path, equal_angle_patch_grid(1, 3), [4]),
+], ids=["scatter", "counts"])
+def test_writers_reject_columns_of_unequal_lengths(tmp_path, save):
+    # a row-zipping writer would drop the rows past the shortest column
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="unequal lengths"):
+        save(path)
+    assert not path.exists() or path.read_text() == ""
+
+
+@pytest.mark.parametrize("count", [2.7, -1, np.nan, np.inf])
+def test_counts_writer_rejects_what_the_reader_rejects(tmp_path, count):
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError, match=r"counts\[1\] must be a nonnegative integer"):
+        save_patch_counts_csv(path, equal_angle_patch_grid(1, 3), [4, count, 0])
+    assert not path.exists()
+    # integral floats are counts, written as integers
+    save_patch_counts_csv(path, equal_angle_patch_grid(1, 3), [4.0, 2.0, 0.0])
+    assert path.read_text().splitlines()[1:] == [
+        "-180,-60,-90,90,4", "-60,60,-90,90,2", "60,180,-90,90,0"]
+    assert np.array_equal(load_patch_counts_csv(path)[1], [4, 2, 0])
 
 
 def test_counts_full_resolution_grid_parses_fast(tmp_path):
@@ -373,7 +399,7 @@ def _gram_for(cfg_dict):
     cfg = RunConfig(cfg_dict)
     kernel = build_kernel(cfg["kernel"])
     knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
-    functionals, y, _ = pipeline._load_measurements(cfg["sampling"], kernel, knots, {})
+    functionals, y, _ = synthetic_measurements(cfg["sampling"]["synthetic"], kernel, knots)
     return assemble_gram(kernel, functionals, knots), y, cfg
 
 

@@ -10,7 +10,6 @@ from sphsplines.prox import KL, L1, ExactMatch, L2Ball, LeastSquares
 from sphsplines.solvers import (
     SolverConfig,
     SolverResult,
-    _couple_auto_steps,
     apgd_solve,
     pds_solve,
     rkhs_project,
@@ -43,11 +42,35 @@ def test_config_validation():
     assert type(cfg.max_iter) is int
 
 
-def test_auto_steps_sit_on_convergence_boundary():
-    norm = spectral_norm(GramMatrix(np.array([[3.0, 1.0], [0.0, 2.0]])))
-    tau, sigma = _couple_auto_steps(norm)
-    assert tau == sigma == 1.0 / norm
-    assert abs(sigma * tau * norm**2 - 1.0) < 1e-12
+def test_auto_steps_sit_on_convergence_boundary(monkeypatch):
+    # the steps a real solve takes: with lambda = 1 the soft-threshold level
+    # is tau itself, and the conjugate prox receives sigma
+    steps = []
+    soft_threshold, prox_conjugate = solvers.soft_threshold, solvers.prox_conjugate
+
+    def primal(v, level):
+        steps.append(("tau", level))
+        return soft_threshold(v, level)
+
+    def dual(model, sigma, v):
+        steps.append(("sigma", sigma))
+        return prox_conjugate(model, sigma, v)
+
+    monkeypatch.setattr(solvers, "soft_threshold", primal)
+    monkeypatch.setattr(solvers, "prox_conjugate", dual)
+    # no float within COUPLING_ULPS above the second norm couples exactly,
+    # so its steps fall just inside the boundary
+    for A, coupled in ((np.array([[3.0, 1.0], [0.0, 2.0]]), True),
+                       (np.array([[31.994131434977465]]), False)):
+        steps.clear()
+        G = GramMatrix(A)
+        pds_solve(G, LeastSquares(np.ones(A.shape[0])), SolverConfig(1.0, max_iter=3))
+        norm = spectral_norm(G)
+        tau, sigma = steps[0][1], steps[1][1]
+        assert steps == [("tau", tau), ("sigma", sigma)] * 3
+        assert tau == sigma == 1.0 / norm
+        product = tau * sigma * norm**2
+        assert (product == 1.0) if coupled else (product < 1.0)
 
 
 def test_result_invariants():

@@ -106,3 +106,49 @@ def test_checker_flags_an_unused_constant():
 def test_no_unused_constants():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert unused_constants(sources) == []
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def private_names_reached(source):
+    """``(line, name)`` of each private name of the package that ``source``
+    imports (``from sphsplines.m import _name``) or reads as an attribute of
+    a package module (``m._name``, ``sphsplines.m._name``)."""
+    tree = ast.parse(source)
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    modules, hits = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names
+                           if alias.name.split(".")[0] == "sphsplines")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sphsplines":
+            for alias in node.names:
+                if private(alias.name):
+                    hits.append((node.lineno, alias.name))
+                elif node.module == "sphsplines" and (SRC / (alias.name + ".py")).exists():
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                hits.append((node.lineno, node.attr))
+    return sorted(hits)
+
+
+def test_checker_flags_a_private_name_reached():
+    source = ("import sphsplines.pipeline as pipeline\nfrom sphsplines import gram, sphere\n"
+              "from sphsplines.solvers import _step, pds_solve\nimport sphsplines\n"
+              "pipeline._load(gram.spectral_norm, sphsplines.cli._main, sphsplines.__version__)\n"
+              "obj._private, other._x\n")
+    assert private_names_reached(source) == [(3, "_step"), (5, "_load"), (5, "_main")]
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_tests_reach_no_private_name(path):
+    # tests pin the package's public behaviour, so a private helper can be
+    # renamed, merged or deleted without editing them
+    assert private_names_reached(path.read_text()) == []
