@@ -8,10 +8,8 @@ dictionaries with proximal solvers.
 __version__ = "0.1.0"
 
 from .sphere import (  # noqa: F401
-    SPHERE_AREA,
     KnotSet,
     PatchBounds,
-    chord_distance,
     direction_from_lonlat,
     equal_angle_patch_grid,
     fibonacci_lattice,
@@ -70,7 +68,6 @@ from .solvers import (  # noqa: F401
 from .spline import (  # noqa: F401
     SplineField,
     evaluate,
-    gtv_norm,
     native_norm,
     sparsity_report,
 )

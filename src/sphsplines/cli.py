@@ -123,12 +123,9 @@ def _cmd_raster(args):
 
 def _cmd_lattice(args):
     lon, lat = lonlat_from_direction(fibonacci_lattice(args.n).points)
-    if not args.output:
-        write_table(sys.stdout, ["lon_deg", "lat_deg"], [lon, lat])
-        return 0
-    with open(args.output, "w", newline="") as fh:
-        write_table(fh, ["lon_deg", "lat_deg"], [lon, lat])
-    print("wrote %d lattice points to %s" % (args.n, args.output))
+    write_table(args.output or None, ["lon_deg", "lat_deg"], [lon, lat])
+    if args.output:
+        print("wrote %d lattice points to %s" % (args.n, args.output))
     return 0
 
 

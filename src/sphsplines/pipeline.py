@@ -14,6 +14,7 @@ import os
 import resource
 import sys
 import time
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -63,11 +64,12 @@ TRACE_HEADER = ["iteration", "objective"]
 # its format's header and column order.
 
 
-def write_table(fh, header, columns):
+def write_table(path, header, columns):
     """Write ``header`` and one row per entry of the equal-length
-    ``columns`` to the open file ``fh``: integer columns as ``%d``, every
-    other column as FLOAT_FMT.  Columns of unequal lengths raise ValueError
-    before anything is written."""
+    ``columns`` to the file ``path`` (standard output when None): integer
+    columns as ``%d``, every other column as FLOAT_FMT.  The columns are
+    checked before the file is opened, so columns of unequal lengths raise
+    ValueError and leave an existing file as it was."""
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
@@ -75,8 +77,9 @@ def write_table(fh, header, columns):
                          % (",".join(header), lengths))
     row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else FLOAT_FMT
                    for c in columns) + "\n"
-    fh.write(",".join(header) + "\n")
-    fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def _directions(path, lines, lon, lat):
@@ -141,8 +144,7 @@ def load_scatter_csv(path):
 
 def save_scatter_csv(path, lon_deg, lat_deg, values):
     """Write point samples in the `load_scatter_csv` format."""
-    with open(path, "w", newline="") as fh:
-        write_table(fh, SCATTER_HEADER, np.atleast_1d(lon_deg, lat_deg, values))
+    write_table(path, SCATTER_HEADER, np.atleast_1d(lon_deg, lat_deg, values))
 
 
 def load_patch_counts_csv(path):
@@ -172,16 +174,14 @@ def save_patch_counts_csv(path, bounds, counts):
         raise ValueError("counts[%d] must be a nonnegative integer, got %r"
                          % (bad[0], counts[bad[0]].item()))
     edges = [[getattr(b, name) for b in bounds] for name in COUNTS_HEADER[:4]]
-    with open(path, "w", newline="") as fh:
-        write_table(fh, COUNTS_HEADER, edges + [counts.astype(int)])
+    write_table(path, COUNTS_HEADER, edges + [counts.astype(int)])
 
 
 def save_coefficients_csv(path, field):
     """Write ``index,lon_deg,lat_deg,coeff`` rows for a spline field."""
     lon, lat = lonlat_from_direction(field.knots.points)
-    with open(path, "w", newline="") as fh:
-        write_table(fh, COEFF_HEADER,
-                    [np.arange(len(field.coeffs)), lon, lat, field.coeffs])
+    write_table(path, COEFF_HEADER,
+                [np.arange(len(field.coeffs)), lon, lat, field.coeffs])
 
 
 def load_coefficients_csv(path):
@@ -483,22 +483,43 @@ class RunConfig(dict):
         super().__init__(run)
 
 
-def _output_path(outputs, name):
-    value = outputs["raster"]["path"] if name == "raster" else outputs[name]
-    return os.path.join(outputs["directory"], value)  # absolute paths stay
+def _artifact_names(outputs):
+    """The file name of each artifact a run writes, by its key in the checked
+    ``outputs`` block: ``coefficients``, ``trace``, ``manifest``, and
+    ``raster.path`` when a raster is configured."""
+    names = {key: outputs[key] for key in ("coefficients", "trace", "manifest")}
+    if outputs["raster"] is not None:
+        names["raster.path"] = outputs["raster"]["path"]
+    return names
+
+
+def _keyed(key, fn, *args):
+    """``fn(*args)``; a ValueError it raises is raised again naming ``key``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (key, exc)) from None
 
 
 def build_kernel(spec):
-    """ZonalKernel from a checked kernel block (a `RunConfig`'s ``kernel``)."""
+    """ZonalKernel from a checked kernel block (a `RunConfig`'s ``kernel``).
+
+    The constructors own the rules the config tables leave to them: a
+    ``beta`` the Matern closed form or the Sobolev series does not admit, and
+    a ``fwhm_deg`` no scale reaches, each raise ValueError naming the key.
+    """
     if spec["family"] == "sobolev":
-        return sobolev_green_zonal(spec["beta"], tol=spec["tol"])
+        return _keyed("kernel.beta",
+                      lambda: sobolev_green_zonal(spec["beta"], tol=spec["tol"]))
     if spec["family"] == "matern":
         factory = lambda eps: matern_zonal(spec["beta"], eps, convention=spec["convention"])
+        _keyed("kernel.beta", factory, 1.0)  # the order, before any scale search
     else:
         factory = lambda eps: wendland_zonal(spec["d"], spec["k"], eps)
     if spec["fwhm_deg"] is None:
         return factory(spec["epsilon"])
-    return factory(epsilon_for_fwhm(factory, spec["fwhm_deg"]))
+    eps = _keyed("kernel.fwhm_deg", epsilon_for_fwhm, factory, spec["fwhm_deg"])
+    return factory(eps)
 
 
 def field_kernel(cfg, kernel):
@@ -611,17 +632,16 @@ def _run_point(cfg, setup):
                 "spectral_norm": G.spectral_norm_cache}
     field = SplineField(setup.field_kernel, setup.field_knots, x)
 
-    coeff_path = _output_path(outputs, "coefficients")
-    _timed(stages, "save_coefficients", save_coefficients_csv, coeff_path, field)
-    trace_path = _output_path(outputs, "trace")
-    with open(trace_path, "w", newline="") as fh:
-        write_table(fh, TRACE_HEADER, [np.arange(1, len(trace) + 1), trace])
-    raster_path = None
-    if outputs["raster"] is not None:
+    # by the manifest's names: raster.path is "raster"; absolute names stay
+    paths = {key.partition(".")[0]: os.path.join(outputs["directory"], name)
+             for key, name in _artifact_names(outputs).items()}
+    _timed(stages, "save_coefficients", save_coefficients_csv,
+           paths["coefficients"], field)
+    write_table(paths["trace"], TRACE_HEADER, [np.arange(1, len(trace) + 1), trace])
+    if "raster" in paths:
         raster = outputs["raster"]
-        raster_path = _output_path(outputs, "raster")
         _timed(stages, "export_raster", export_raster,
-               field, raster["n_lat"], raster["n_lon"], raster_path)
+               field, raster["n_lat"], raster["n_lon"], paths["raster"])
 
     manifest = {
         "config": cfg,
@@ -637,16 +657,11 @@ def _run_point(cfg, setup):
         "library_version": __version__,
         "rng_seed": cfg["seed"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": {
-            "coefficients": coeff_path,
-            "trace": trace_path,
-            "raster": raster_path,
-            "manifest": _output_path(outputs, "manifest"),
-        },
+        "outputs": {"raster": None, **paths},
     }
-    with open(_output_path(outputs, "manifest"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    with open(paths["manifest"], "w") as fh:
+        fh.write(text)
     return manifest
 
 
@@ -673,11 +688,7 @@ def run_lambda_sweep(config, lambdas):
     """
     cfg = RunConfig(config)
     lambdas = [_RUN["lambda"][0](lam, "lambda[%d]" % i) for i, lam in enumerate(lambdas)]
-    outputs = cfg["outputs"]
-    names = {key: outputs[key] for key in ("coefficients", "trace", "manifest")}
-    if outputs["raster"] is not None:
-        names["raster.path"] = outputs["raster"]["path"]
-    for key, name in names.items():
+    for key, name in _artifact_names(cfg["outputs"]).items():
         if os.path.isabs(name):
             raise ValueError("outputs.%s must be a relative path in a lambda sweep, "
                              "got %s" % (key, name))
@@ -699,4 +710,3 @@ def export_raster(field, n_lat, n_lon, path):
     lon_flat, lat_flat = lon_grid.ravel(), lat_grid.ravel()
     dirs = direction_from_lonlat(lon_flat, lat_flat)
     save_scatter_csv(path, lon_flat, lat_flat, evaluate(field, dirs))
-    return path

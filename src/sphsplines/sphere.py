@@ -13,8 +13,6 @@ import numbers
 import numpy as np
 from scipy.spatial import cKDTree
 
-SPHERE_AREA = 4.0 * np.pi
-
 # chord separation below which two knots count as duplicates (Gram matrices
 # need distinct knots)
 DISTINCT_KNOT_TOL = 1e-10
@@ -74,17 +72,6 @@ def lonlat_from_direction(points):
     lat = np.rad2deg(np.arcsin(np.clip(p[..., 2], -1.0, 1.0)))
     lon = np.rad2deg(np.arctan2(p[..., 1], p[..., 0]))
     return lon, lat
-
-
-def chord_distance(r, s):
-    """Chord distance sqrt(2 - 2*<r,s>), clamped to [0, 2].
-
-    Broadcasts over leading axes; ``r`` and ``s`` are unit directions.
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    inner = np.sum(r * s, axis=-1)
-    return np.sqrt(np.clip(2.0 - 2.0 * inner, 0.0, 4.0))
 
 
 class KnotSet:

@@ -62,11 +62,6 @@ def evaluate(field, targets):
     return float(out[0]) if t_in.ndim == 1 else out
 
 
-def gtv_norm(field):
-    """The regulariser's value on the field: ||coeffs||_1."""
-    return float(np.abs(field.coeffs).sum())
-
-
 def native_norm(field, K):
     """sqrt(c^T K c) with K the knot Gram matrix of the field's kernel.
 

