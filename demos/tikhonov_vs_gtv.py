@@ -34,7 +34,7 @@ def main():
           % (len(dirs), active(truth.coeffs), noise))
 
     K = knot_gram(self_convolve(kernel.series()), KnotSet(dirs))
-    x_tik = tikhonov_solve(K, y_noisy, mu=1e-3)
+    x_tik = tikhonov_solve(K, y_noisy, mu=1e-3).x
     print("quadratic penalty: %d of %d coefficients active"
           % (active(x_tik), len(x_tik)))
 

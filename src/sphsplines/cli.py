@@ -47,9 +47,18 @@ from .spline import SplineField
 
 
 def _load_config(path):
-    """The JSON object of a run-config file, not yet checked."""
+    """The JSON object of a run-config file, not yet checked; a key repeated
+    in any of its objects raises ValueError naming it."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError("%s: repeated config key %r" % (path, key))
+            obj[key] = value
+        return obj
+
     with open(path) as fh:
-        return check_object(json.load(fh), "")
+        return check_object(json.load(fh, object_pairs_hook=unique), "")
 
 
 def _cmd_reconstruct(args):

@@ -424,9 +424,11 @@ _COST_KINDS = {
     "kl": lambda cost, y: KL(y),
     "ls": lambda cost, y: LeastSquares(y),
 }
-_COST = {"kind": (_choice(*_COST_KINDS), None), "rho_rel": (_nullable(_number()), None)}
-_SOLVER = {"kind": (_choice("pds", "apgd", "tikhonov"), None),
-           "mu": (_nullable(_positive), None)}
+# cost.kind and solver.kind -> the keys each kind takes besides kind
+_L2BALL = {"rho_rel": (_positive, None)}
+_TIKHONOV = {"mu": (_positive, None)}
+_COST = dict(dict.fromkeys(_COST_KINDS, {}), l2ball=_L2BALL)
+_SOLVER = {"pds": {}, "apgd": {}, "tikhonov": _TIKHONOV}
 _KNOTS = {"fibonacci": (_int(1), None)}
 _RASTER = {"n_lat": (_int(2), None), "n_lon": (_int(2), None), "path": (_text, None)}
 _OUTPUTS = {
@@ -440,8 +442,8 @@ _RUN = {
     "kernel": (_check_kernel, None),
     "knots": (_block(_KNOTS), None),
     "sampling": (_sampling, None),
-    "cost": (_block(_COST), None),
-    "solver": (_block(_SOLVER), None),
+    "cost": (lambda value, path: _variant(value, path, "kind", _COST), None),
+    "solver": (lambda value, path: _variant(value, path, "kind", _SOLVER), None),
     "lambda": (_nonnegative, 0.0),
     "eps_stop": (_positive, 1e-4),
     "max_iter": (_int(1), 20000),
@@ -459,20 +461,16 @@ class RunConfig(dict):
 
     def __init__(self, spec):
         run = _block(_RUN)(spec, "")
-        cost, solver = run["cost"], run["solver"]
-        if cost["kind"] == "l2ball" and not (cost["rho_rel"] or 0) > 0:
-            raise ValueError("cost.rho_rel must be > 0 for the l2ball cost")
-        if solver["kind"] == "apgd" and cost["kind"] != "ls":
+        cost, solver = run["cost"]["kind"], run["solver"]["kind"]
+        if solver == "apgd" and cost != "ls":
             raise ValueError("solver.kind apgd needs the smooth ls cost")
         synth = run["sampling"].get("synthetic")
-        if solver["kind"] == "tikhonov":
+        if solver == "tikhonov":
             if "patch_csv" in run["sampling"] or (synth or {}).get("kind") == "counts":
                 raise ValueError("solver.kind tikhonov needs point samples "
                                  "(scatter_csv or scatter synthetic)")
-            if cost["kind"] != "ls":
+            if cost != "ls":
                 raise ValueError("solver.kind tikhonov needs the ls cost")
-            if solver["mu"] is None:
-                raise ValueError("solver.mu is required by the tikhonov solver")
         if synth is not None:  # the defaults that depend on the run
             if synth["bumps"] > run["knots"]["fibonacci"]:
                 raise ValueError("sampling.synthetic.bumps must be <= knots.fibonacci")
@@ -577,9 +575,7 @@ class _Setup:
             cfg["sampling"], kernel, knots, self.stages)
         self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
-            # the series field_kernel convolves, timed here and then cached
-            _timed(self.stages, "series", kernel.series)
-            self.field_kernel = field_kernel(cfg, kernel)
+            self.field_kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
             self.field_knots = KnotSet([f.direction for f in functionals])
             self.K = _timed(self.stages, "knot_gram", knot_gram,
                             self.field_kernel, self.field_knots)
@@ -600,36 +596,23 @@ def _run_point(cfg, setup):
     stages = dict(setup.stages)
     outputs = cfg["outputs"]
     os.makedirs(outputs["directory"], exist_ok=True)
-    y, model = setup.y, setup.model
     if cfg["solver"]["kind"] == "tikhonov":
         K = setup.K
-        mu = cfg["solver"]["mu"]
-        x = _timed(stages, "solve", tikhonov_solve, K, y, mu)
-        Kx = K @ x
-        misfit = float(np.linalg.norm(Kx - y))
-        trace, iterations, converged = [misfit**2 + mu * float(x @ Kx)], 1, True
-        gram = None
-        residuals = {
-            "system_relative": float(
-                np.linalg.norm(Kx + mu * x - y) / max(np.linalg.norm(y), 1e-300)
-            ),
-            "data_misfit": misfit,
-        }
+        result = _timed(stages, "solve", tikhonov_solve, K, setup.y, cfg["solver"]["mu"])
+        system, residual, gram = (lambda v: K @ v), "system_relative", None
     else:
         G = setup.G
         solver_cfg = SolverConfig(cfg["lambda"], eps_stop=cfg["eps_stop"],
                                   max_iter=cfg["max_iter"])
         solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
-        result = _timed(stages, "solve", solve, G, model, solver_cfg)
-        x, trace = result.x, result.objective_trace
-        iterations, converged = result.iterations, result.converged
-        residuals = {
-            "primal_step": result.primal_residual,
-            "data_misfit": float(np.linalg.norm(G.matvec(x) - y)),
-        }
+        result = _timed(stages, "solve", solve, G, setup.model, solver_cfg)
+        system, residual = G.matvec, "primal_step"
         # the system matrix the solve ran on, and the norm its steps came from
         gram = {"shape": list(G.shape), "nnz": G.nnz, "density": G.density,
                 "spectral_norm": G.spectral_norm_cache}
+    x, trace = result.x, result.objective_trace
+    residuals = {residual: result.primal_residual,
+                 "data_misfit": float(np.linalg.norm(system(x) - setup.y))}
     field = SplineField(setup.field_kernel, setup.field_knots, x)
 
     # by the manifest's names: raster.path is "raster"; absolute names stay
@@ -645,8 +628,8 @@ def _run_point(cfg, setup):
 
     manifest = {
         "config": cfg,
-        "iterations": int(iterations),
-        "converged": bool(converged),
+        "iterations": result.iterations,
+        "converged": result.converged,
         "final_objective": float(trace[-1]),
         "gram": gram,
         "residual_norms": residuals,

@@ -5,9 +5,10 @@ The primal-dual iteration handles any proximable cost; the accelerated
 gradient variant requires a cost model with a gradient and trades dual
 variables for momentum.  Both iterate on a `GramMatrix` (a dense or sparse
 system matrix is wrapped in one on entry), start from zero, and report a
-per-iteration objective trace (the finite part, i.e. indicator costs
-contribute 0 while feasible).  Their only settings are those of
-`SolverConfig`: the step sizes follow from ||G||_2 and the cost model.
+per-iteration objective trace of the finite part of the cost (an indicator
+cost, exact or l2ball, contributes 0 at every iterate, feasible or not).
+Their only settings are those of `SolverConfig`: the step sizes follow from
+||G||_2 and the cost model.
 """
 
 import numpy as np
@@ -56,7 +57,13 @@ class SolverConfig:
 
 
 class SolverResult:
-    """Solution vector plus run diagnostics."""
+    """Solution vector plus run diagnostics.
+
+    ``primal_residual`` is, for `pds_solve`, the norm of the last primal
+    step ||x_n - x_{n-1}||; for `apgd_solve`, that of the last extrapolated
+    iterate; for `tikhonov_solve`, the relative system residual
+    ||(K + mu*I) x - y|| / ||y||.
+    """
 
     def __init__(self, x, iterations, objective_trace, converged, primal_residual):
         trace = np.asarray(objective_trace, dtype=float)
@@ -77,8 +84,13 @@ class SolverResult:
         )
 
 
-def _as_gram(G):
-    return G if isinstance(G, GramMatrix) else GramMatrix(G)
+def _system(G, model):
+    """G as a `GramMatrix`, checked to have one row per measurement."""
+    G = G if isinstance(G, GramMatrix) else GramMatrix(G)
+    if model.y.size != G.shape[0]:
+        raise ValueError("measurement length %d != Gram rows %d"
+                         % (model.y.size, G.shape[0]))
+    return G
 
 
 def _stalled(delta, prev_norm, eps):
@@ -101,33 +113,25 @@ def pds_solve(G, model, config):
     whenever a float within COUPLING_ULPS allows (and within an ulp of it
     otherwise).
     """
-    G = _as_gram(G)
+    G = _system(G, model)
     L, N = G.shape
-    if model.y.size != L:
-        raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
     tau = sigma = 1.0 / spectral_norm(G)
     lam, eps = config.lam, config.eps_stop
     x, z, gx = np.zeros(N), np.zeros(L), np.zeros(L)
     trace = []
-    converged = False
-    delta = np.inf
-    iterations = 0
     for n in range(1, config.max_iter + 1):
         x_new = soft_threshold(x - tau * G.rmatvec(z), lam * tau)
         gx_new = G.matvec(x_new)
         z_new = prox_conjugate(model, sigma, z + sigma * (2.0 * gx_new - gx))
         trace.append(lam * np.abs(x_new).sum() + model.finite_value(gx_new))
         delta = np.linalg.norm(x_new - x)
-        dual_delta = np.linalg.norm(z_new - z)
         stalled = _stalled(delta, np.linalg.norm(x), eps) and _stalled(
-            dual_delta, np.linalg.norm(z), eps
+            np.linalg.norm(z_new - z), np.linalg.norm(z), eps
         )
         x, gx, z = x_new, gx_new, z_new
-        iterations = n
         if stalled:
-            converged = True
             break
-    return SolverResult(x, iterations, trace, converged, delta)
+    return SolverResult(x, n, trace, stalled, delta)
 
 
 def apgd_solve(G, model, config):
@@ -143,19 +147,14 @@ def apgd_solve(G, model, config):
         raise ValueError(
             "%s has no Lipschitz gradient; use pds_solve" % type(model).__name__
         )
-    G = _as_gram(G)
-    L, N = G.shape
-    if model.y.size != L:
-        raise ValueError("measurement length %d != Gram rows %d" % (model.y.size, L))
+    G = _system(G, model)
+    N = G.shape[1]
     # Lipschitz constant L_F ||G||^2 of the gradient of E, taken once
     norm = spectral_norm(G)
     tau = 1.0 / (model.grad_lipschitz * norm * norm)
     lam, eps = config.lam, config.eps_stop
     x, z_old = np.zeros(N), np.zeros(N)
     trace = []
-    converged = False
-    delta = np.inf
-    iterations = 0
     for n in range(1, config.max_iter + 1):
         gradient = G.rmatvec(model.grad(G.matvec(x)))
         z_new = soft_threshold(x - tau * gradient, lam * tau)
@@ -164,11 +163,9 @@ def apgd_solve(G, model, config):
         delta = np.linalg.norm(x_new - x)
         stalled = _stalled(delta, np.linalg.norm(x), eps)
         x, z_old = x_new, z_new
-        iterations = n
         if stalled:
-            converged = True
             break
-    return SolverResult(z_new, iterations, trace, converged, delta)
+    return SolverResult(z_new, n, trace, stalled, delta)
 
 
 def _cholesky_solve(A, b, name):
@@ -181,7 +178,9 @@ def _cholesky_solve(A, b, name):
 
 
 def tikhonov_solve(K, y, mu):
-    """Quadratically penalised baseline: solve (K + mu*I) x = y by Cholesky.
+    """Quadratically penalised baseline: solve (K + mu*I) x = y by Cholesky,
+    as a `SolverResult` of one converged iteration with the objective
+    ||Kx - y||^2 + mu x^T K x.
 
     Raises
     ------
@@ -195,7 +194,11 @@ def tikhonov_solve(K, y, mu):
         raise ValueError("K must be square and match y")
     if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
         raise ValueError("K must be symmetric")
-    return _cholesky_solve(K + mu * np.eye(K.shape[0]), y, "K + mu*I")
+    x = _cholesky_solve(K + mu * np.eye(K.shape[0]), y, "K + mu*I")
+    Kx = K @ x
+    objective = float(np.linalg.norm(Kx - y)) ** 2 + mu * float(x @ Kx)
+    residual = np.linalg.norm(Kx + mu * x - y) / max(np.linalg.norm(y), 1e-300)
+    return SolverResult(x, 1, [objective], True, residual)
 
 
 def rkhs_project(kernel, knots, samples):

@@ -81,11 +81,12 @@ class KnotSet:
     ----------
     points : (N, 3) array_like
         Unit directions.  Validated to unit norm (1e-12) and pairwise
-        distinctness (minimum pairwise chord > 1e-10).
+        distinctness (minimum pairwise chord > 1e-10).  Kept as a read-only
+        copy.
     """
 
     def __init__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(np.array(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must have shape (N, 3)")
         if pts.shape[0] == 0:

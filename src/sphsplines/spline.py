@@ -22,13 +22,13 @@ class SplineField:
     ----------
     kernel : ZonalKernel
     knots : KnotSet
-    coeffs : (N,) real array, finite
+    coeffs : (N,) real array, finite; kept as a read-only copy
     """
 
     def __init__(self, kernel, knots, coeffs):
         if not isinstance(knots, KnotSet):
             knots = KnotSet(knots)
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size != len(knots):
             raise ValueError(
                 "need one coefficient per knot (got %d for %d knots)"
@@ -39,6 +39,7 @@ class SplineField:
         self.kernel = kernel
         self.knots = knots
         self.coeffs = coeffs
+        self.coeffs.setflags(write=False)
 
     def __call__(self, targets):
         return evaluate(self, targets)

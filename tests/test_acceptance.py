@@ -396,7 +396,7 @@ def test_c11_tikhonov_contrast():
     gtv = pds_solve(G, L2Ball(y_noisy, rho),
                     SolverConfig(0.01, eps_stop=1e-6, max_iter=60000))
     K = knot_gram(self_convolve(kernel.series()), KnotSet(dirs))
-    x_tik = tikhonov_solve(K, y_noisy, 1e-3)
+    x_tik = tikhonov_solve(K, y_noisy, 1e-3).x
 
     def active(x):
         return int(np.sum(np.abs(x) > 1e-4 * np.abs(x).max()))

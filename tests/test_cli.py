@@ -362,6 +362,24 @@ def test_reconstruct_rejects_string_mu(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["reconstruct"],
+    ["synth", "--output", "s.csv"],
+    ["raster", "--coefficients", "c.csv", "--output", "r.csv"],
+])
+def test_repeated_config_key_fails_naming_it(tmp_path, capsys, monkeypatch, command):
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out")
+    text = cfg_path.read_text()
+    cfg_path.write_text(text.replace('"lambda": 0.001', '"lambda": 0.5, "lambda": 0.001'))
+    assert text != cfg_path.read_text()
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", "run.json"] + command[1:]) == 1
+    assert capsys.readouterr().err == (
+        "error [sphsplines.cli] ValueError: run.json: repeated config key 'lambda'\n")
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 @pytest.mark.parametrize("text, flags, block", [
     ("[]", ["--seed", "3"], "a run config"),
     ('{"solver": "pds"}', ["--solver", "pds"], "solver"),

@@ -374,6 +374,14 @@ def test_config_echo_makes_defaults_explicit():
     ("cost.rho_rel", lambda c: c.update(cost={"kind": "l2ball", "rho_rel": math.inf})),
     ("solver.mu", lambda c: c.update(cost={"kind": "ls"},
                                      solver={"kind": "tikhonov", "mu": math.inf})),
+    # rho_rel belongs to the l2ball cost and mu to the tikhonov solver only
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "exact", "rho_rel": 0.1})),
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "l1", "rho_rel": 0.1})),
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "kl", "rho_rel": 0.1})),
+    ("cost.rho_rel", lambda c: c.update(cost={"kind": "ls", "rho_rel": 0.1})),
+    ("solver.mu", lambda c: c.update(solver={"kind": "pds", "mu": 1.0})),
+    ("solver.mu", lambda c: c.update(cost={"kind": "ls"},
+                                     solver={"kind": "apgd", "mu": 1.0})),
     ("sampling.synthetic.psnr_db",
      lambda c: c["sampling"]["synthetic"].update(psnr_db=math.nan)),
     ("sampling.synthetic.psnr_db",
@@ -392,7 +400,8 @@ def test_config_echo_makes_defaults_explicit():
         "amplitude_one", "patch_quadrature_order_one", "quadrature_order_one",
         "tikhonov_patch", "tikhonov_kl", "bumps_above_knots", "amplitude_decreasing",
         "lambda_inf", "eps_stop_inf", "beta_nan", "beta_neg_inf", "rho_rel_inf",
-        "mu_inf", "psnr_db_nan", "psnr_db_inf", "matern_beta_not_half_integer",
+        "mu_inf", "rho_rel_exact", "rho_rel_l1", "rho_rel_kl", "rho_rel_ls", "mu_pds",
+        "mu_apgd", "psnr_db_nan", "psnr_db_inf", "matern_beta_not_half_integer",
         "sobolev_beta_not_admissible", "fwhm_deg_not_reached"])
 def test_bad_run_config_fails_before_any_work(tmp_path, key, patch):
     cfg = _scatter_selftest_config(tmp_path / "run", max_iter=50)

@@ -255,16 +255,30 @@ def test_solver_iterates_are_pinned():
 
 def test_tikhonov_limits():
     y = np.array([1.0, -2.0, 0.5])
-    x = tikhonov_solve(np.eye(3), y, 1e-12)
+    x = tikhonov_solve(np.eye(3), y, 1e-12).x
     np.testing.assert_allclose(x, y, rtol=1e-9)
-    x = tikhonov_solve(np.eye(3), y, 1e12)
+    x = tikhonov_solve(np.eye(3), y, 1e12).x
     assert np.linalg.norm(x) < 1e-11
 
 
 def test_tikhonov_two_by_two_exact():
     K = np.array([[2.0, 1.0], [1.0, 2.0]])
-    x = tikhonov_solve(K, np.array([1.0, 0.0]), 1.0)
+    x = tikhonov_solve(K, np.array([1.0, 0.0]), 1.0).x
     np.testing.assert_allclose(x, [3.0 / 8.0, -1.0 / 8.0], atol=1e-10)
+
+
+def test_tikhonov_result_is_the_functional_and_system_residual():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 6))
+    K, y, mu = A @ A.T, rng.standard_normal(6), 0.1
+    res = tikhonov_solve(K, y, mu)
+    x = res.x
+    assert res.iterations == 1 and res.converged
+    functional = np.linalg.norm(K @ x - y) ** 2 + mu * x @ K @ x
+    np.testing.assert_allclose(res.objective_trace, [functional], rtol=1e-12)
+    system = np.linalg.norm((K + mu * np.eye(6)) @ x - y) / np.linalg.norm(y)
+    assert res.primal_residual < 1e-12
+    assert res.primal_residual == pytest.approx(system, abs=1e-14)
 
 
 def test_tikhonov_validation():

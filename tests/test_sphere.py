@@ -66,6 +66,14 @@ def test_knotset_rejects_duplicates():
         KnotSet([[0, 0, 1], [0, 0, 1]])
 
 
+def test_knotset_keeps_its_own_read_only_copy():
+    p = fibonacci_lattice(10).points.copy()
+    knots = KnotSet(p)
+    assert p.flags.writeable and not knots.points.flags.writeable
+    p[0] = -p[0]
+    assert np.array_equal(knots.points[0], -p[0])
+
+
 def test_knotset_rejects_non_unit():
     with pytest.raises(ValueError):
         KnotSet([[0, 0, 2.0]])

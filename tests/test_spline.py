@@ -26,6 +26,16 @@ def test_zero_field_evaluates_to_zero():
     np.testing.assert_array_equal(evaluate(f, random_directions(10, 0)), np.zeros(10))
 
 
+def test_field_keeps_its_own_read_only_coefficients():
+    knots = fibonacci_lattice(20)
+    c = np.ones(20)
+    f = SplineField(matern_zonal(1.5, 0.2), knots, c)
+    before = evaluate(f, knots.points[0])
+    c[:] = 0.0
+    assert evaluate(f, knots.points[0]) == before != 0.0
+    assert not f.coeffs.flags.writeable
+
+
 def test_single_unit_coefficient_is_kernel_trace():
     kern = matern_zonal(1.5, 0.2)
     knot = np.array([[0.0, 0.0, 1.0]])
