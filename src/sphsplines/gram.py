@@ -6,14 +6,19 @@ is a weighted quadrature rule: a point sample is one node of weight 1, a patch
 functional a tensor Gauss rule over its lon/lat rectangle.  So G's entries and
 the field values of `spline.evaluate` both come from `kernel_blocks`, the
 kernel at (point, knot) pairs, which visits only in-support pairs for
-compactly supported kernels.
+compactly supported kernels (through a kd-tree, whose module loads with the
+first such kernel, not with the package).
+
+`GramMatrix` applies G and G^T with the sparse kernels scipy's ``@`` ends
+in, called directly: each product pays for its arithmetic and one shape
+check, not for the operator dispatch.
 """
 
 import math
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
+from scipy.sparse import _sparsetools
 
 from .legendre import gauss_legendre
 from .pdo import check_compatibility
@@ -87,7 +92,10 @@ class GramMatrix:
     ``matrix`` is G in CSR form and ``matrix_t`` is G^T, built once here as
     the CSC view over the same data, index and pointer arrays: it costs no
     memory, gives the bytes of ``matrix.T @ y``, and spares every product
-    G^T y the building of a new transpose.
+    G^T y the building of a new transpose.  `matvec` and `rmatvec` give the
+    bytes of ``matrix @ x`` and ``matrix.T @ y``: they check the operand's
+    shape and call the same ``csr_matvec``/``csc_matvec`` kernel into a
+    fresh zeroed output.
 
     Parameters
     ----------
@@ -109,10 +117,12 @@ class GramMatrix:
         self.spectral_norm_cache = None
 
     def matvec(self, x):
-        return self.matrix @ x
+        """G x for a real x of shape (N,) or (N, 1); the result has x's ndim."""
+        return _product(_sparsetools.csr_matvec, self.matrix, x)
 
     def rmatvec(self, y):
-        return self.matrix_t @ y
+        """G^T y for a real y of shape (L,) or (L, 1); the result has y's ndim."""
+        return _product(_sparsetools.csc_matvec, self.matrix_t, y)
 
     def toarray(self):
         return self.matrix.toarray()
@@ -131,6 +141,20 @@ class GramMatrix:
         )
 
 
+def _product(kernel, A, x):
+    """``A @ x`` by the sparsetools ``kernel`` of A's format, for x of shape
+    (n,) or (n, 1) with n = A's columns; any other shape raises ValueError
+    before the kernel, which reads x unchecked."""
+    x = np.asarray(x, dtype=float)
+    rows, cols = A.shape
+    if x.shape != (cols,) and x.shape != (cols, 1):
+        raise ValueError("operand of shape %s does not match %d columns"
+                         % (x.shape, cols))
+    out = np.zeros(rows)
+    kernel(rows, cols, A.indptr, A.indices, A.data, x.ravel(), out)
+    return out if x.ndim == 1 else out.reshape(rows, 1)
+
+
 def kernel_blocks(kernel, points, knots):
     """Yield ``(rows, block)``: psi(<p, r>) for the (M, 3) ``points`` in the
     slice ``rows`` against the (N, 3) ``knots``, about ``BLOCK_ENTRIES``
@@ -146,6 +170,8 @@ def kernel_blocks(kernel, points, knots):
     per_row = n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
     step = max(1, int(BLOCK_ENTRIES // per_row))
     if tmin is not None:
+        from scipy.spatial import cKDTree  # loaded here, by compact kernels only
+
         tree = cKDTree(knots)
         radius = math.sqrt(max(2.0 - 2.0 * tmin, 0.0))
     for lo in range(0, len(points), step):

@@ -425,10 +425,8 @@ _COST_KINDS = {
     "ls": lambda cost, y: LeastSquares(y),
 }
 # cost.kind and solver.kind -> the keys each kind takes besides kind
-_L2BALL = {"rho_rel": (_positive, None)}
-_TIKHONOV = {"mu": (_positive, None)}
-_COST = dict(dict.fromkeys(_COST_KINDS, {}), l2ball=_L2BALL)
-_SOLVER = {"pds": {}, "apgd": {}, "tikhonov": _TIKHONOV}
+_COST = dict(dict.fromkeys(_COST_KINDS, {}), l2ball={"rho_rel": (_positive, None)})
+_SOLVER = {"pds": {}, "apgd": {}, "tikhonov": {"mu": (_positive, None)}}
 _KNOTS = {"fibonacci": (_int(1), None)}
 _RASTER = {"n_lat": (_int(2), None), "n_lon": (_int(2), None), "path": (_text, None)}
 _OUTPUTS = {
@@ -562,9 +560,10 @@ def _load_measurements(sampling, kernel, knots, stages):
 
 class _Setup:
     """What a run needs before lambda enters, built once per sweep: kernel,
-    knots, measurements, cost model, and the system matrix (G with its
-    cached spectral norm, or the quadratic baseline's K), with the seconds
-    of each setup stage."""
+    knots, measurements, and the system matrix: G with its cached spectral
+    norm and the cost model for the proximal solvers, or the quadratic
+    baseline's K (which takes no cost model), with the seconds of each setup
+    stage."""
 
     def __init__(self, cfg):
         started = time.perf_counter()
@@ -573,13 +572,13 @@ class _Setup:
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, self.y, self.G = _load_measurements(
             cfg["sampling"], kernel, knots, self.stages)
-        self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
             self.field_kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
             self.field_knots = KnotSet([f.direction for f in functionals])
             self.K = _timed(self.stages, "knot_gram", knot_gram,
                             self.field_kernel, self.field_knots)
         else:
+            self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
             if self.G is None:
                 self.G = _timed(self.stages, "assemble", assemble_gram,
                                 kernel, functionals, knots)
@@ -607,9 +606,11 @@ def _run_point(cfg, setup):
         solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
         result = _timed(stages, "solve", solve, G, setup.model, solver_cfg)
         system, residual = G.matvec, "primal_step"
-        # the system matrix the solve ran on, and the norm its steps came from
+        # the system matrix the solve ran on, the norm its steps came from,
+        # and the steps (sigma is None for apgd)
         gram = {"shape": list(G.shape), "nnz": G.nnz, "density": G.density,
-                "spectral_norm": G.spectral_norm_cache}
+                "spectral_norm": G.spectral_norm_cache,
+                "tau": result.tau, "sigma": result.sigma}
     x, trace = result.x, result.objective_trace
     residuals = {residual: result.primal_residual,
                  "data_misfit": float(np.linalg.norm(system(x) - setup.y))}

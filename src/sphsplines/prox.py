@@ -2,7 +2,8 @@
 
 Each model anchors a measurement vector ``y`` and provides both the cost
 value and its prox; the conjugate prox needed by the primal-dual iteration
-comes from Moreau's identity, so only the primal formulas live here.  Costs
+comes from Moreau's identity, bound once per step size by
+`CostModel.conjugate_prox`, so only the primal formulas live here.  Costs
 are separable (or a ball indicator), which keeps every prox closed-form.  A
 smooth model also provides ``grad`` and that gradient's Lipschitz constant
 ``grad_lipschitz``; the others declare neither.
@@ -39,6 +40,14 @@ class CostModel:
         """The finite part of the cost (0 for indicator models)."""
         return self.value(z)
 
+    def conjugate_prox(self, sigma):
+        """prox_{sigma F*} as a function of a float v shaped like y, with
+        what depends on sigma and y alone computed once: Moreau's
+        ``v - sigma * prox_{F/sigma}(v / sigma)``.  Unchecked; see
+        `prox_conjugate`."""
+        tau = 1.0 / sigma
+        return lambda v: v - sigma * self._prox(tau, v / sigma)
+
     def __repr__(self):
         return "%s(L=%d)" % (type(self).__name__, self.y.size)
 
@@ -55,6 +64,11 @@ class ExactMatch(CostModel):
 
     def _prox(self, tau, z):
         return self.y.copy()
+
+    def conjugate_prox(self, sigma):
+        # prox_{F/sigma} is y whatever its argument
+        sigma_y = sigma * self.y
+        return lambda v: v - sigma_y
 
 
 class L1(CostModel):
@@ -101,26 +115,38 @@ class KL(CostModel):
         super().__init__(y)
         if np.any(self.y < 0):
             raise ValueError("KL requires y >= 0 elementwise")
+        # boundary slack: iterates approach the z >= 0 constraint from
+        # outside, so tiny negatives (relative feasibility) read as zero
+        self._slack = FEASIBILITY_RTOL * (1.0 + self.y)
+        self._pos = np.flatnonzero(self.y > 0)
+        self._y_pos = self.y[self._pos]
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
-        # boundary slack: iterates approach the z >= 0 constraint from
-        # outside, so tiny negatives (relative feasibility) read as zero
-        slack = FEASIBILITY_RTOL * (1.0 + self.y)
-        z = np.where((z < 0) & (z >= -slack), 0.0, z)
+        z = np.where((z < 0) & (z >= -self._slack), 0.0, z)
         if np.any(z < 0):
             return np.inf
-        pos = self.y > 0
-        if np.any(z[pos] == 0):
+        z_pos, y_pos = z[self._pos], self._y_pos
+        if np.any(z_pos == 0):
             return np.inf
         with np.errstate(divide="ignore"):
-            terms = self.y[pos] * np.log(self.y[pos] / z[pos]) - self.y[pos]
+            terms = y_pos * np.log(y_pos / z_pos) - y_pos
         return float(terms.sum() + z.sum())
 
     def _prox(self, tau, z):
         if not np.all(np.isfinite(z)):
             raise ValueError("KL prox requires finite z")
         return 0.5 * (z - tau + np.sqrt((z - tau) ** 2 + 4.0 * tau * self.y))
+
+    def conjugate_prox(self, sigma):
+        # _prox at tau = 1/sigma, z = v/sigma, with 4*tau*y bound
+        tau = 1.0 / sigma
+        four_tau_y = 4.0 * tau * self.y
+
+        def prox(v):
+            d = v / sigma - tau
+            return v - sigma * (0.5 * (d + np.sqrt(d ** 2 + four_tau_y)))
+        return prox
 
 
 class LeastSquares(CostModel):
@@ -140,11 +166,15 @@ class LeastSquares(CostModel):
 
 
 def soft_threshold(z, theta):
-    """Elementwise sign(z) * max(|z| - theta, 0)."""
+    """Elementwise sign(z) * max(|z| - theta, 0), formed in the place of |z|."""
     if theta < 0:
         raise ValueError("threshold must be >= 0")
     z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - theta, 0.0)
+    shrunk = np.abs(z)
+    shrunk -= theta
+    np.maximum(shrunk, 0.0, out=shrunk)
+    shrunk *= np.sign(z)
+    return shrunk
 
 
 def prox_cost(model, tau, z):
@@ -163,9 +193,13 @@ def prox_cost(model, tau, z):
 
 
 def prox_conjugate(model, sigma, v):
-    """prox_{sigma F*}(v) via Moreau: v - sigma * prox_{F / sigma}(v / sigma)."""
+    """prox_{sigma F*}(v) via Moreau: v - sigma * prox_{F / sigma}(v / sigma),
+    by the model's `CostModel.conjugate_prox` binding, after checking sigma
+    and v's shape."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     v = np.asarray(v, dtype=float)
-    return v - sigma * prox_cost(model, 1.0 / sigma, v / sigma)
+    if v.shape != model.y.shape:
+        raise ValueError("v must match y in shape")
+    return model.conjugate_prox(sigma)(v)
 

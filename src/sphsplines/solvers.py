@@ -11,11 +11,13 @@ Their only settings are those of `SolverConfig`: the step sizes follow from
 ||G||_2 and the cost model.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .gram import GramMatrix, knot_gram, spectral_norm
-from .prox import prox_conjugate, soft_threshold
+from .prox import soft_threshold
 from .sphere import check_integer, check_number
 from .spline import SplineField
 
@@ -62,10 +64,13 @@ class SolverResult:
     ``primal_residual`` is, for `pds_solve`, the norm of the last primal
     step ||x_n - x_{n-1}||; for `apgd_solve`, that of the last extrapolated
     iterate; for `tikhonov_solve`, the relative system residual
-    ||(K + mu*I) x - y|| / ||y||.
+    ||(K + mu*I) x - y|| / ||y||.  ``tau`` and ``sigma`` are the primal and
+    dual steps the solve took: both for `pds_solve`, tau alone for
+    `apgd_solve`, and neither (None) for `tikhonov_solve`.
     """
 
-    def __init__(self, x, iterations, objective_trace, converged, primal_residual):
+    def __init__(self, x, iterations, objective_trace, converged, primal_residual,
+                 tau=None, sigma=None):
         trace = np.asarray(objective_trace, dtype=float)
         # +inf is legitimate early on (divergence costs at infeasible iterates)
         if np.any(np.isnan(trace)) or np.any(trace == -np.inf):
@@ -75,6 +80,7 @@ class SolverResult:
         self.objective_trace = trace
         self.converged = bool(converged)
         self.primal_residual = float(primal_residual)
+        self.tau, self.sigma = tau, sigma
 
     def __repr__(self):
         return "SolverResult(n=%d, converged=%s, objective=%s)" % (
@@ -91,6 +97,11 @@ def _system(G, model):
         raise ValueError("measurement length %d != Gram rows %d"
                          % (model.y.size, G.shape[0]))
     return G
+
+
+def _norm(v):
+    """||v||_2 of a 1-d float array, as ``np.linalg.norm`` computes it."""
+    return math.sqrt(v.dot(v))
 
 
 def _stalled(delta, prev_norm, eps):
@@ -111,27 +122,31 @@ def pds_solve(G, model, config):
     tau = sigma = 1/||G||, with ||G|| from `spectral_norm`, whose rounding
     puts them on the convergence boundary sigma*tau*||G||^2 = 1 exactly
     whenever a float within COUPLING_ULPS allows (and within an ulp of it
-    otherwise).
+    otherwise).  The steps, lambda*tau and the model's conjugate prox at
+    sigma (`CostModel.conjugate_prox`) are bound once, so an iteration
+    computes little beyond its arithmetic.
     """
     G = _system(G, model)
     L, N = G.shape
     tau = sigma = 1.0 / spectral_norm(G)
-    lam, eps = config.lam, config.eps_stop
+    lam, eps, level = config.lam, config.eps_stop, config.lam * tau
+    matvec, rmatvec = G.matvec, G.rmatvec
+    dual_prox, finite_value = model.conjugate_prox(sigma), model.finite_value
     x, z, gx = np.zeros(N), np.zeros(L), np.zeros(L)
     trace = []
     for n in range(1, config.max_iter + 1):
-        x_new = soft_threshold(x - tau * G.rmatvec(z), lam * tau)
-        gx_new = G.matvec(x_new)
-        z_new = prox_conjugate(model, sigma, z + sigma * (2.0 * gx_new - gx))
-        trace.append(lam * np.abs(x_new).sum() + model.finite_value(gx_new))
-        delta = np.linalg.norm(x_new - x)
-        stalled = _stalled(delta, np.linalg.norm(x), eps) and _stalled(
-            np.linalg.norm(z_new - z), np.linalg.norm(z), eps
+        x_new = soft_threshold(x - tau * rmatvec(z), level)
+        gx_new = matvec(x_new)
+        z_new = dual_prox(z + sigma * (2.0 * gx_new - gx))
+        trace.append(lam * np.abs(x_new).sum() + finite_value(gx_new))
+        delta = _norm(x_new - x)
+        stalled = _stalled(delta, _norm(x), eps) and _stalled(
+            _norm(z_new - z), _norm(z), eps
         )
         x, gx, z = x_new, gx_new, z_new
         if stalled:
             break
-    return SolverResult(x, n, trace, stalled, delta)
+    return SolverResult(x, n, trace, stalled, delta, tau=tau, sigma=sigma)
 
 
 def apgd_solve(G, model, config):
@@ -141,7 +156,7 @@ def apgd_solve(G, model, config):
     E(x) = F(y, Gx), whose gradient is G^T grad F(Gx), followed by
     soft-thresholding, then momentum extrapolation with weight
     (n - 1)/(n + APGD_THETA).  Returns the proximal (non-extrapolated)
-    iterate.
+    iterate.  As in `pds_solve`, the step and lambda*tau are bound once.
     """
     if not hasattr(model, "grad"):
         raise ValueError(
@@ -152,20 +167,21 @@ def apgd_solve(G, model, config):
     # Lipschitz constant L_F ||G||^2 of the gradient of E, taken once
     norm = spectral_norm(G)
     tau = 1.0 / (model.grad_lipschitz * norm * norm)
-    lam, eps = config.lam, config.eps_stop
+    lam, eps, level = config.lam, config.eps_stop, config.lam * tau
+    matvec, rmatvec = G.matvec, G.rmatvec
+    grad, finite_value = model.grad, model.finite_value
     x, z_old = np.zeros(N), np.zeros(N)
     trace = []
     for n in range(1, config.max_iter + 1):
-        gradient = G.rmatvec(model.grad(G.matvec(x)))
-        z_new = soft_threshold(x - tau * gradient, lam * tau)
+        z_new = soft_threshold(x - tau * rmatvec(grad(matvec(x))), level)
         x_new = z_new + ((n - 1.0) / (n + APGD_THETA)) * (z_new - z_old)
-        trace.append(lam * np.abs(z_new).sum() + model.finite_value(G.matvec(z_new)))
-        delta = np.linalg.norm(x_new - x)
-        stalled = _stalled(delta, np.linalg.norm(x), eps)
+        trace.append(lam * np.abs(z_new).sum() + finite_value(matvec(z_new)))
+        delta = _norm(x_new - x)
+        stalled = _stalled(delta, _norm(x), eps)
         x, z_old = x_new, z_new
         if stalled:
             break
-    return SolverResult(z_new, n, trace, stalled, delta)
+    return SolverResult(z_new, n, trace, stalled, delta, tau=tau)
 
 
 def _cholesky_solve(A, b, name):

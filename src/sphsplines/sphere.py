@@ -3,19 +3,24 @@
 Directions are plain numpy arrays of shape ``(3,)`` (or ``(N, 3)`` for
 collections), kept on the unit sphere to 1e-12 by the constructors in this
 module.  The chord distance ``sqrt(2 - 2*<r,s>)`` is the Euclidean distance in
-R^3 restricted to the sphere, which lets neighbour queries use standard
-kd-trees.
+R^3 restricted to the sphere.  So a pair within a chord lies within it along
+any unit axis, which lets `KnotSet` find near-duplicates by sorting along one
+axis, and lets `nodal_width` use a standard kd-tree (loaded by its first call,
+not with the package).
 """
 
 import math
 import numbers
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # chord separation below which two knots count as duplicates (Gram matrices
 # need distinct knots)
 DISTINCT_KNOT_TOL = 1e-10
+
+# the axis `KnotSet` sorts knots along: irrational components, so no
+# latitude ring, meridian or lattice row projects onto one value
+SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.pi]) / math.sqrt(3.0 + math.pi ** 2)
 
 
 # The integer and number rules of the library's sizes, orders, scales and seeds,
@@ -81,8 +86,8 @@ class KnotSet:
     ----------
     points : (N, 3) array_like
         Unit directions.  Validated to unit norm (1e-12) and pairwise
-        distinctness (minimum pairwise chord > 1e-10).  Kept as a read-only
-        copy.
+        distinctness (minimum pairwise chord > 1e-10, found by a sort along
+        SWEEP_AXIS in O(N log N)).  Kept as a read-only copy.
     """
 
     def __init__(self, points):
@@ -94,11 +99,8 @@ class KnotSet:
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("knots must be unit vectors (|norm - 1| <= 1e-12)")
-        if pts.shape[0] > 1:
-            # kd-tree nearest-neighbour: chord distance == 3-d Euclidean
-            dist, _ = cKDTree(pts).query(pts, k=2)
-            if dist[:, 1].min() <= DISTINCT_KNOT_TOL:
-                raise ValueError("duplicate knots (pairwise chord <= 1e-10)")
+        if _has_close_pair(pts, DISTINCT_KNOT_TOL):
+            raise ValueError("duplicate knots (pairwise chord <= 1e-10)")
         self.points = pts
         self.points.setflags(write=False)
 
@@ -107,6 +109,30 @@ class KnotSet:
 
     def __repr__(self):
         return "KnotSet(%d points)" % len(self)
+
+
+def _has_close_pair(pts, tol):
+    """Whether two of the (N, 3) unit ``pts`` lie within chord ``tol``.
+
+    Sort-and-sweep along SWEEP_AXIS: a pair within chord tol lies within tol
+    along any unit axis, so only pairs whose sorted projections differ by at
+    most that (plus their rounding) are candidates, each measured as a 3-d
+    Euclidean distance.  The candidates are the neighbours in sorted order
+    at offsets 1, 2, ... up to the first offset with none, which for
+    well-separated points is offset 1: O(N log N) in all.
+    """
+    proj = pts @ SWEEP_AXIS
+    order = np.argsort(proj, kind="stable")
+    proj, pts = proj[order], pts[order]
+    window = tol + 8.0 * np.finfo(float).eps  # the rounding of two projections
+    for k in range(1, len(pts)):
+        near = np.flatnonzero(proj[k:] - proj[:-k] <= window)
+        if near.size == 0:
+            return False
+        diff = pts[near + k] - pts[near]
+        if np.sqrt(np.einsum("ij,ij->i", diff, diff)).min() <= tol:
+            return True
+    return False
 
 
 def fibonacci_lattice(N):
@@ -162,6 +188,8 @@ def nodal_width(knots, probe_resolution=None):
         probe_resolution = 100 * N
     probe_resolution = check_integer(probe_resolution, "probe_resolution", 1)
     probes = fibonacci_lattice(probe_resolution).points
+    from scipy.spatial import cKDTree  # loaded here, not by every import
+
     dist, _ = cKDTree(knots.points).query(probes, k=1)
     return float(dist.max())
 

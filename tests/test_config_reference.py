@@ -116,18 +116,20 @@ def test_documented_name_is_accepted(name):
 
 
 def _is_rules(value):
-    # a validator table: key -> (check, default)
-    return isinstance(value, dict) and bool(value) and all(
+    # a validator table: key -> (check, default); an empty table is one with
+    # no keys, as a variant that takes nothing besides its name (cost.kind
+    # exact, solver.kind pds) holds
+    return isinstance(value, dict) and all(
         isinstance(rule, tuple) and len(rule) == 2 and callable(rule[0])
         for rule in value.values())
 
 
-def _validator_names():
-    """Every key of every rule table in the pipeline module, and the names of
-    the variants (kernel families, synthetic kinds, sampling sources) that
-    pick a table."""
+def _validator_names(namespace):
+    """Every key of every rule table in the module ``namespace``, and the
+    names of the variants (kernel families, synthetic kinds, sampling
+    sources, cost and solver kinds) that pick a table."""
     names = set()
-    for value in vars(pipeline).values():
+    for value in namespace.values():
         if _is_rules(value):
             names |= set(value)
         elif isinstance(value, dict) and value and all(map(_is_rules, value.values())):
@@ -137,11 +139,21 @@ def _validator_names():
 
 def test_every_key_the_validator_accepts_is_documented():
     documented = {part for name in _reference_names() for part in name.split(".")}
-    accepted = _validator_names()
-    # the walk found the top-level, nested and per-variant tables
+    accepted = _validator_names(vars(pipeline))
+    # the walk found the top-level, nested and per-variant tables, the
+    # variant tables with empty variants among them
     assert {"max_iter", "fibonacci", "n_lat", "tol", "rate_scale", "sobolev",
-            "patch_csv"} <= accepted
+            "patch_csv", "exact", "rho_rel", "pds", "mu"} <= accepted
     assert sorted(accepted - documented) == []
+
+
+def test_walk_finds_a_key_under_a_variant_table_with_an_empty_variant():
+    # pds takes no key besides its kind; a key planted in apgd must still
+    # be found, and so fail the documentation check
+    solver = {"pds": {}, "apgd": {"planted_key": (lambda value, path: value, None)}}
+    names = _validator_names(dict(vars(pipeline), planted_solver_table=solver))
+    assert {"planted_key", "pds", "apgd"} <= names
+    assert "planted_key" not in _validator_names(vars(pipeline))
 
 
 def test_wendland_dim_order_spelling_names_the_key():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import patch_integral_quad
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from sphsplines import gram
 from sphsplines.gram import (
@@ -351,6 +352,32 @@ def test_import_leaves_arpack_unloaded():
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_matern_runs_leave_the_kd_tree_unloaded(tmp_path):
+    # scipy.spatial loads with the first compactly supported kernel block,
+    # not with the package or a Matern run
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np\n"
+            "from sphsplines.gram import kernel_blocks\n"
+            "from sphsplines.kernels import wendland_zonal\n"
+            "from sphsplines.pipeline import run_reconstruction\n"
+            "from sphsplines.sphere import fibonacci_lattice\n"
+            "run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
+            "    'epsilon': 0.3}, 'knots': {'fibonacci': 40},\n"
+            "    'sampling': {'synthetic': {'kind': 'scatter', 'bumps': 3}},\n"
+            "    'cost': {'kind': 'exact'}, 'solver': {'kind': 'pds'},\n"
+            "    'lambda': 1.0, 'max_iter': 20, 'seed': 1,\n"
+            "    'outputs': {'directory': sys.argv[1]}})\n"
+            "before = 'scipy.spatial' in sys.modules\n"
+            "knots = fibonacci_lattice(40).points\n"
+            "list(kernel_blocks(wendland_zonal(3, 1, 0.3), knots, knots))\n"
+            "print(before, 'scipy.spatial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    assert os.path.isfile(tmp_path / "coefficients.csv")
+
+
 def test_spectral_norm_keeps_its_value_when_no_float_couples():
     # no float within COUPLING_ULPS above this norm has (1/n)**2 * n**2 == 1
     value = 31.994131434977465
@@ -377,6 +404,42 @@ def test_rmatvec_is_bitwise_the_transpose_product(dense):
     assert G.rmatvec(y).tobytes() == (G.matrix.T @ y).tobytes()
     # G^T is a view: no second copy of the entries
     assert np.shares_memory(G.matrix_t.data, G.matrix.data)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_products_are_bitwise_the_operator_products(dense):
+    # a fully dense G stores every entry; (n, 1) operands are what svds passes
+    rng = np.random.default_rng(12)
+    A = (rng.standard_normal((25, 200)) if dense else
+         sparse.random(25, 200, density=0.1, random_state=rng, format="csr"))
+    G = GramMatrix(A)
+    assert (G.density == 1.0) if dense else (G.density < 0.2)
+    x, y = rng.standard_normal(200), rng.standard_normal(25)
+    for v, mine, ref in ((x, G.matvec, G.matrix.__matmul__),
+                         (y, G.rmatvec, G.matrix.T.__matmul__)):
+        for operand in (v, v.reshape(-1, 1)):
+            got, want = mine(operand), ref(operand)
+            assert got.shape == want.shape == (len(want),) + operand.shape[1:]
+            assert got.tobytes() == want.tobytes()
+
+
+def test_products_check_the_operand_before_the_kernel(monkeypatch):
+    # the sparse kernels read their input unchecked, so a bad shape must
+    # raise before either is called
+    calls = []
+    for name in ("csr_matvec", "csc_matvec"):
+        monkeypatch.setattr(_sparsetools, name,
+                            lambda *args, name=name: calls.append(name))
+    G = GramMatrix(np.ones((3, 4)))
+    for product, good in ((G.matvec, 4), (G.rmatvec, 3)):
+        for bad in (np.ones(good - 1), np.ones(good + 1), np.ones((good, 2)),
+                    np.ones((1, good)), np.ones((good, 1, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="does not match"):
+                product(bad)
+    assert calls == []
+    G.matvec(np.ones(4))
+    G.rmatvec(np.ones((3, 1)))
+    assert calls == ["csr_matvec", "csc_matvec"]
 
 
 def test_products_build_no_transpose(monkeypatch):

@@ -481,14 +481,18 @@ def test_manifest_fields_populated(tmp_path):
     assert "T" in data["timestamp"] and data["timestamp"].endswith("+00:00")
     assert data["config"]["lambda"] == cfg["lambda"]
 
-    # the gram block describes the system matrix the solve ran on
+    # the gram block describes the system matrix the solve ran on, and the
+    # balanced PDS steps 1/||G|| it took
     G, _, _ = _gram_for(cfg)
+    norm = spectral_norm(G)
     gram = {"shape": [240, 80], "nnz": G.nnz, "density": G.nnz / (240 * 80),
-            "spectral_norm": spectral_norm(G)}
+            "spectral_norm": norm, "tau": 1.0 / norm, "sigma": 1.0 / norm}
     assert data["gram"] == gram
-    # every point of an APGD sweep shares one matrix, so one block
+    # every point of an APGD sweep shares one matrix, so one block; its one
+    # step is 1/(2 ||G||^2), and it takes no dual step
     sweep = _scatter_selftest_config(tmp_path / "sweep", cost={"kind": "ls"},
                                      solver={"kind": "apgd"}, max_iter=20)
+    gram.update(tau=1.0 / (2.0 * norm * norm), sigma=None)
     for point in pipeline.run_lambda_sweep(sweep, [1e-4, 1e-2]):
         assert json.load(open(point["outputs"]["manifest"]))["gram"] == gram
     # a tikhonov solve has no G

@@ -35,6 +35,12 @@ def test_soft_threshold_values():
     assert soft_threshold(np.array([-0.5]), 1.0)[0] == 0.0
     z = np.array([0.3, -2.0, 1.0])
     np.testing.assert_array_equal(soft_threshold(z, 0.0), z)
+    # the bits of the textbook formula, and the input left as it was
+    z = np.random.default_rng(5).standard_normal(50)
+    copy = z.copy()
+    want = np.sign(z) * np.maximum(np.abs(z) - 0.4, 0.0)
+    assert soft_threshold(z, 0.4).tobytes() == want.tobytes()
+    assert z.tobytes() == copy.tobytes()
 
 
 def test_soft_threshold_rejects_negative():
@@ -181,6 +187,21 @@ def test_moreau_identity_all_models():
             z = rng.standard_normal(7) * 5.0
             lhs = prox_cost(model, 1.0, z) + prox_conjugate(model, 1.0, z)
             np.testing.assert_allclose(lhs, z, atol=1e-12)
+
+
+def test_conjugate_prox_binding_is_bitwise_moreau():
+    # each model's binding, with its sigma-constants computed once, gives
+    # the bits of Moreau's formula through the checked primal prox
+    rng = np.random.default_rng(4)
+    for model in all_models(rng.standard_normal(9) * 3.0):
+        for sigma in (0.03, 0.7, 1.0, 12.5):
+            v = rng.standard_normal(9) * 5.0
+            want = v - sigma * prox_cost(model, 1.0 / sigma, v / sigma)
+            bound = model.conjugate_prox(sigma)
+            assert bound(v).tobytes() == want.tobytes()
+            assert prox_conjugate(model, sigma, v).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        prox_conjugate(L1(np.zeros(3)), 1.0, np.zeros(4))
 
 
 def test_l2ball_conjugate_large_radius_limit():

@@ -6,7 +6,15 @@ import pytest
 from sphsplines import solvers
 from sphsplines.gram import GramMatrix, knot_gram, spectral_norm
 from sphsplines.kernels import matern_zonal
-from sphsplines.prox import KL, L1, ExactMatch, L2Ball, LeastSquares
+from sphsplines.prox import (
+    KL,
+    L1,
+    ExactMatch,
+    L2Ball,
+    LeastSquares,
+    prox_conjugate,
+    soft_threshold,
+)
 from sphsplines.solvers import (
     SolverConfig,
     SolverResult,
@@ -42,32 +50,37 @@ def test_config_validation():
     assert type(cfg.max_iter) is int
 
 
-def test_auto_steps_sit_on_convergence_boundary(monkeypatch):
-    # the steps a real solve takes: with lambda = 1 the soft-threshold level
-    # is tau itself, and the conjugate prox receives sigma
-    steps = []
-    soft_threshold, prox_conjugate = solvers.soft_threshold, solvers.prox_conjugate
-
-    def primal(v, level):
-        steps.append(("tau", level))
-        return soft_threshold(v, level)
-
-    def dual(model, sigma, v):
-        steps.append(("sigma", sigma))
-        return prox_conjugate(model, sigma, v)
-
-    monkeypatch.setattr(solvers, "soft_threshold", primal)
-    monkeypatch.setattr(solvers, "prox_conjugate", dual)
+def test_auto_steps_sit_on_convergence_boundary():
+    # the steps a real solve takes: the result reports tau and sigma, the
+    # model's conjugate prox is bound once at sigma and applied once per
+    # iteration, and the second iterate is the one those steps give
     # no float within COUPLING_ULPS above the second norm couples exactly,
     # so its steps fall just inside the boundary
     for A, coupled in ((np.array([[3.0, 1.0], [0.0, 2.0]]), True),
                        (np.array([[31.994131434977465]]), False)):
-        steps.clear()
+        model = LeastSquares(np.ones(A.shape[0]))
+        bind, bound, applied = model.conjugate_prox, [], []
+
+        def spy(sigma):
+            bound.append(sigma)
+            prox = bind(sigma)
+
+            def counted(v):
+                applied.append(sigma)
+                return prox(v)
+            return counted
+
+        model.conjugate_prox = spy
         G = GramMatrix(A)
-        pds_solve(G, LeastSquares(np.ones(A.shape[0])), SolverConfig(1.0, max_iter=3))
+        result = pds_solve(G, model, SolverConfig(1.0, max_iter=3))
         norm = spectral_norm(G)
-        tau, sigma = steps[0][1], steps[1][1]
-        assert steps == [("tau", tau), ("sigma", sigma)] * 3
+        tau, sigma = result.tau, result.sigma
+        assert result.iterations == 3 and bound == [sigma] and applied == [sigma] * 3
+        # with lambda = 1 the soft-threshold level is tau itself
+        z1 = prox_conjugate(model, sigma, np.zeros(A.shape[0]))
+        x2 = pds_solve(G, model, SolverConfig(1.0, max_iter=2)).x
+        np.testing.assert_allclose(x2, soft_threshold(-tau * (A.T @ z1), tau),
+                                   rtol=1e-15, atol=0)
         assert tau == sigma == 1.0 / norm
         product = tau * sigma * norm**2
         assert (product == 1.0) if coupled else (product < 1.0)

@@ -66,6 +66,66 @@ def test_knotset_rejects_duplicates():
         KnotSet([[0, 0, 1], [0, 0, 1]])
 
 
+def _near(p, chord, seed):
+    # a unit direction at about ``chord`` from p, off along a random tangent
+    t = np.cross(p, np.random.default_rng(seed).standard_normal(3))
+    q = p + chord * t / np.linalg.norm(t)
+    return q / np.linalg.norm(q)
+
+
+def _min_chord(pts):
+    # brute force over all pairs
+    d = pts[:, None, :] - pts[None, :, :]
+    chord = np.sqrt((d * d).sum(axis=-1))
+    return chord[np.triu_indices(len(pts), 1)].min()
+
+
+def test_knotset_tolerance_is_a_chord_of_1e_10():
+    pts = fibonacci_lattice(50).points
+    p = pts[7]
+    with pytest.raises(ValueError, match="duplicate knots"):
+        KnotSet(np.vstack([pts, p]))
+    near = _near(p, 3e-11, 0)
+    assert 2e-11 < np.linalg.norm(near - p) < 4e-11
+    with pytest.raises(ValueError, match="duplicate knots"):
+        KnotSet(np.vstack([pts, near]))
+    apart = _near(p, 3e-10, 1)
+    assert len(KnotSet(np.vstack([pts, apart]))) == 51
+
+
+def _ring_sets():
+    # equal-latitude rings: every point of a ring shares its z coordinate
+    lon = np.arange(360.0)
+    return [direction_from_lonlat(lon, np.full(lon.size, lat)) for lat in (0.0, 30.0, -60.0)]
+
+
+@pytest.mark.parametrize("kind", ["random", "fibonacci", "ring"])
+def test_knotset_agrees_with_brute_force_min_chord(kind):
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        bases = [rng.standard_normal((n, 3)) for n in (40, 300)]
+        bases = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in bases]
+    elif kind == "fibonacci":
+        bases = [fibonacci_lattice(n).points for n in (2, 77, 400)]
+    else:
+        bases = _ring_sets()
+    for trial, base in enumerate(bases * 8):
+        # a cluster of up to 5 points around one knot, at chords from 1e-11
+        # to 1e-8, so that some sets hold a pair within 1e-10 and some not
+        i = rng.integers(len(base))
+        cluster = [_near(base[i], 10.0 ** rng.uniform(-11, -8), 100 * trial + j)
+                   for j in range(rng.integers(1, 6))]
+        pts = np.vstack([base, cluster])
+        pts = pts[rng.permutation(len(pts))]
+        if _min_chord(pts) <= 1e-10:
+            with pytest.raises(ValueError, match="duplicate knots"):
+                KnotSet(pts)
+        else:
+            assert len(KnotSet(pts)) == len(pts)
+        # the base set alone is distinct, as the brute force finds too
+        assert _min_chord(base) > 1e-10 and len(KnotSet(base)) == len(base)
+
+
 def test_knotset_keeps_its_own_read_only_copy():
     p = fibonacci_lattice(10).points.copy()
     knots = KnotSet(p)
