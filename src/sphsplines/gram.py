@@ -101,12 +101,15 @@ class GramMatrix:
     ----------
     matrix : scipy sparse or dense array, shape (L, N)
         One row per sampling functional, one column per knot.  Entries must
-        be finite; stored zeros are dropped, so ``nnz`` counts values, and
-        column indices are kept sorted within each row.
+        be real and finite, and are stored as float64; stored zeros are
+        dropped, so ``nnz`` counts values, and column indices are kept
+        sorted within each row.
     """
 
     def __init__(self, matrix):
-        csr = sparse.csr_matrix(matrix, copy=True)  # the caller's arrays stay as given
+        # float64 entries: the kernels of `matvec`/`rmatvec` see one dtype,
+        # whatever the input's; the caller's arrays stay as given
+        csr = sparse.csr_matrix(matrix, dtype=float, copy=True)
         csr.eliminate_zeros()
         csr.sort_indices()
         if csr.nnz and not np.all(np.isfinite(csr.data)):

@@ -43,8 +43,8 @@ class CostModel:
     def conjugate_prox(self, sigma):
         """prox_{sigma F*} as a function of a float v shaped like y, with
         what depends on sigma and y alone computed once: Moreau's
-        ``v - sigma * prox_{F/sigma}(v / sigma)``.  Unchecked; see
-        `prox_conjugate`."""
+        ``v - sigma * prox_{F/sigma}(v / sigma)`` through the model's own
+        prox.  Neither sigma nor v's shape is checked; see `prox_conjugate`."""
         tau = 1.0 / sigma
         return lambda v: v - sigma * self._prox(tau, v / sigma)
 
@@ -137,16 +137,6 @@ class KL(CostModel):
         if not np.all(np.isfinite(z)):
             raise ValueError("KL prox requires finite z")
         return 0.5 * (z - tau + np.sqrt((z - tau) ** 2 + 4.0 * tau * self.y))
-
-    def conjugate_prox(self, sigma):
-        # _prox at tau = 1/sigma, z = v/sigma, with 4*tau*y bound
-        tau = 1.0 / sigma
-        four_tau_y = 4.0 * tau * self.y
-
-        def prox(v):
-            d = v / sigma - tau
-            return v - sigma * (0.5 * (d + np.sqrt(d ** 2 + four_tau_y)))
-        return prox
 
 
 class LeastSquares(CostModel):

@@ -87,7 +87,8 @@ class KnotSet:
     points : (N, 3) array_like
         Unit directions.  Validated to unit norm (1e-12) and pairwise
         distinctness (minimum pairwise chord > 1e-10, found by a sort along
-        SWEEP_AXIS in O(N log N)).  Kept as a read-only copy.
+        SWEEP_AXIS: O(N log N) while few knots share a projection within
+        1e-10, up to O(N^2) when many do).  Kept as a read-only copy.
     """
 
     def __init__(self, points):
@@ -118,8 +119,11 @@ def _has_close_pair(pts, tol):
     along any unit axis, so only pairs whose sorted projections differ by at
     most that (plus their rounding) are candidates, each measured as a 3-d
     Euclidean distance.  The candidates are the neighbours in sorted order
-    at offsets 1, 2, ... up to the first offset with none, which for
-    well-separated points is offset 1: O(N log N) in all.
+    at offsets 1, 2, ... up to the first offset with none.  When the
+    projections are well separated that is offset 1, and the sort's
+    O(N log N) dominates.  When m points project within the window of one
+    another, the sweep runs m offsets of O(N) work each: O(N^2) in the worst
+    case, points crowded on the great circle orthogonal to SWEEP_AXIS.
     """
     proj = pts @ SWEEP_AXIS
     order = np.argsort(proj, kind="stable")

@@ -406,14 +406,18 @@ def test_rmatvec_is_bitwise_the_transpose_product(dense):
     assert np.shares_memory(G.matrix_t.data, G.matrix.data)
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
-def test_products_are_bitwise_the_operator_products(dense):
-    # a fully dense G stores every entry; (n, 1) operands are what svds passes
+@pytest.mark.parametrize("kind", ["sparse", "dense", "integer"])
+def test_products_are_bitwise_the_operator_products(kind):
+    # a fully dense G stores every entry; (n, 1) operands are what svds
+    # passes; an integer G is stored as float64, so the kernels see one dtype
     rng = np.random.default_rng(12)
-    A = (rng.standard_normal((25, 200)) if dense else
-         sparse.random(25, 200, density=0.1, random_state=rng, format="csr"))
+    A = {"sparse": lambda: sparse.random(25, 200, density=0.1, random_state=rng,
+                                         format="csr"),
+         "dense": lambda: rng.standard_normal((25, 200)),
+         "integer": lambda: rng.integers(-3, 4, (25, 200))}[kind]()
     G = GramMatrix(A)
-    assert (G.density == 1.0) if dense else (G.density < 0.2)
+    assert G.matrix.dtype == np.float64
+    assert (G.density < 0.2) if kind == "sparse" else (G.density > 0.8)
     x, y = rng.standard_normal(200), rng.standard_normal(25)
     for v, mine, ref in ((x, G.matvec, G.matrix.__matmul__),
                          (y, G.rmatvec, G.matrix.T.__matmul__)):

@@ -202,6 +202,9 @@ def test_conjugate_prox_binding_is_bitwise_moreau():
             assert prox_conjugate(model, sigma, v).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="shape"):
         prox_conjugate(L1(np.zeros(3)), 1.0, np.zeros(4))
+    # KL's binding goes through its checked primal prox
+    with pytest.raises(ValueError, match="finite"):
+        prox_conjugate(KL(np.ones(2)), 1.0, np.array([0.5, np.nan]))
 
 
 def test_l2ball_conjugate_large_radius_limit():
