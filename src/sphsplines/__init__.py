@@ -17,11 +17,13 @@ from .sphere import (  # noqa: F401
     nodal_width,
 )
 from .legendre import (  # noqa: F401
+    KernelTable,
     LegendreSeries,
     fourier_legendre,
     gauss_legendre,
     legendre_all,
     resynthesize,
+    tabulate,
 )
 from .pdo import (  # noqa: F401
     green_series,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .legendre import LegendreSeries, fourier_legendre
+from .legendre import KernelTable, LegendreSeries, fourier_legendre, tabulate
 from .pdo import green_series
 from .sphere import check_integer, check_number
 
@@ -30,7 +30,7 @@ class ZonalKernel:
     Parameters
     ----------
     eval_fn : callable
-        Vectorised map t -> psi(t), e.g. a LegendreSeries.
+        Vectorised map t -> psi(t), e.g. a LegendreSeries or a KernelTable.
     beta : float or None
         Smoothness order of the matching operator (coefficients decay like
         (1 + eps*n)^(-2*beta)); None for unknown smoothness.
@@ -72,17 +72,25 @@ class ZonalKernel:
             self._series_cache[key] = fourier_legendre(self, *key)
         return self._series_cache[key]
 
+    @property
+    def table(self):
+        """The `KernelTable` the kernel evaluates through, or None."""
+        return self._eval if isinstance(self._eval, KernelTable) else None
+
     @classmethod
     def from_series(cls, series, beta=None, normalize=False):
-        """Kernel evaluated by resynthesis of a coefficient series: it wraps
-        the series itself, or a copy divided by its value at t = 1 when
-        ``normalize`` is set.  ``beta`` is the smoothness order, if known."""
+        """Kernel of a coefficient series, or of a copy divided by its value
+        at t = 1 when ``normalize`` is set.  It evaluates through the
+        series' certified `KernelTable` (`legendre.tabulate`), or by
+        resynthesis of the series where no table is certified.  ``beta`` is
+        the smoothness order, if known."""
         if normalize:
             peak = series(1.0)
             if peak == 0:
                 raise ValueError("cannot peak-normalise a kernel vanishing at t=1")
             series = LegendreSeries(series.coeffs / peak)
-        return cls(series, beta=beta)
+        table = tabulate(series)
+        return cls(series if table is None else table, beta=beta)
 
     def __repr__(self):
         return "ZonalKernel(beta=%s, support_tmin=%s)" % (self.beta, self.support_tmin)

@@ -9,6 +9,8 @@ The transform convention is fixed so that for a zonal kernel psi on the
 and resynthesis ``sum_n (2n+1)/(4*pi) * psi_hat[n] * P_n(t)`` reproduces psi.
 These are exactly the Funk-Hecke eigenvalues of the associated convolution
 operator, so spherical self-convolution squares the coefficients.
+`resynthesize` is the reference evaluation; `tabulate` gives a series a
+`KernelTable` in theta where an a priori bound certifies one.
 """
 
 import functools
@@ -18,9 +20,13 @@ import numpy as np
 
 from .sphere import check_integer
 
-# values of t per chunk of `resynthesize` (128 kB of float64): its three work
-# arrays stay in cache through the whole recurrence, whatever the size of t
+# values of t per chunk of `resynthesize` and of a `KernelTable` lookup (128 kB
+# of float64): the work arrays stay in cache, whatever the size of t
 RESYNTH_CHUNK = 1 << 14
+
+# most theta steps M `tabulate` tries; a series whose bound is still above its
+# tolerance there keeps Clenshaw (a table holds 4 arrays of M floats)
+TABLE_MAX_NODES = 1 << 14
 
 
 def _check_t(t):
@@ -90,16 +96,19 @@ class LegendreSeries:
     """Fourier-Legendre coefficients psi_hat[0..N_max] of a zonal kernel.
 
     Calling the series at t evaluates the kernel it represents, by
-    `resynthesize`, so it serves wherever a zonal function of t does.
+    `resynthesize`, so it serves wherever a zonal function of t does.  It
+    keeps a read-only copy of ``coeffs``, so neither the caller's array nor
+    a holder of the series can change it.
     """
 
     def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         self.coeffs = coeffs
+        self.coeffs.setflags(write=False)
 
     @property
     def n_max(self):
@@ -157,8 +166,47 @@ def fourier_legendre(kernel, N_max=512, Q=600):
     vals = np.asarray(kernel(t), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("kernel must be finite on [-1, 1]")
-    coeffs = legendre_all(N_max, t) @ (w * c * vals)
+    # P_n(t) by the recurrence of `legendre_all`, one degree at a time, so
+    # memory is a few arrays of Q whatever N_max
+    g = w * c * vals
+    coeffs = np.empty(N_max + 1)
+    prev, cur = np.zeros(Q), np.ones(Q)  # P_{-1} = 0 and P_0
+    for n in range(N_max + 1):
+        coeffs[n] = cur.dot(g)
+        prev, cur = cur, ((2 * n + 1) * t * cur - n * prev) / (n + 1)
     return LegendreSeries(2.0 * np.pi * coeffs)
+
+
+def _weights(series):
+    """The synthesis weights a_n = (2n+1)/(4*pi) * psi_hat[n] of a series."""
+    return (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
+
+
+def _clenshaw(a, flat):
+    """``sum_n a[n] * P_n(t)`` at each t of the 1-d array ``flat``, in
+    chunks, as `resynthesize` describes."""
+    out = np.empty(flat.shape)
+    work = np.empty((3, min(flat.size, RESYNTH_CHUNK)))
+    for lo in range(0, flat.size, RESYNTH_CHUNK):
+        tc = flat[lo : lo + RESYNTH_CHUNK]
+        b1, b2, tmp = work[:, : tc.size]
+        b1.fill(0.0)
+        b2.fill(0.0)
+        # b_n = a_n + (2n+1)/(n+1) t b_{n+1} - (n+1)/(n+2) b_{n+2}; the sum is b_0
+        for n in range(a.size - 1, -1, -1):
+            b2 *= -(n + 1.0) / (n + 2.0)
+            b2 += a[n]
+            np.multiply((2.0 * n + 1.0) / (n + 1.0), tc, out=tmp)
+            tmp *= b1
+            b2 += tmp
+            b1, b2 = b2, b1
+        out[lo : lo + tc.size] = b1
+    return out
+
+
+def _shaped(out, t, t_arr):
+    """The flat result ``out`` as a float for a scalar ``t``, else in t's shape."""
+    return float(out[0]) if np.isscalar(t) or t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def resynthesize(series, t):
@@ -181,22 +229,87 @@ def resynthesize(series, t):
     float or ndarray matching the shape of ``t``
     """
     t_arr = _check_t(t)
-    a = (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
-    flat = t_arr.reshape(-1)
-    out = np.empty(flat.shape)
-    work = np.empty((3, min(flat.size, RESYNTH_CHUNK)))
-    for lo in range(0, flat.size, RESYNTH_CHUNK):
-        tc = flat[lo : lo + RESYNTH_CHUNK]
-        b1, b2, tmp = work[:, : tc.size]
-        b1.fill(0.0)
-        b2.fill(0.0)
-        # b_n = a_n + (2n+1)/(n+1) t b_{n+1} - (n+1)/(n+2) b_{n+2}; the sum is b_0
-        for n in range(series.n_max, -1, -1):
-            b2 *= -(n + 1.0) / (n + 2.0)
-            b2 += a[n]
-            np.multiply((2.0 * n + 1.0) / (n + 1.0), tc, out=tmp)
-            tmp *= b1
-            b2 += tmp
-            b1, b2 = b2, b1
-        out[lo : lo + tc.size] = b1
-    return float(out[0]) if np.isscalar(t) or t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    return _shaped(_clenshaw(_weights(series), t_arr.reshape(-1)), t, t_arr)
+
+
+class KernelTable:
+    """A zonal function psi(t) read from a table in theta = arccos(t).
+
+    f(theta) = psi(cos theta) and f'(theta) are tabulated at the M + 1
+    nodes theta_k = k*h, h = pi/M, and read by cubic Hermite interpolation:
+    one cubic in u = theta/h - k per step, by Horner, over chunks of
+    RESYNTH_CHUNK values.  The cubic at u = 0 is the tabulated value itself,
+    so at t = 1 the table is bitwise its first node.  `tabulate` builds one
+    and proves its bound.
+
+    Attributes
+    ----------
+    nodes : int
+        M, the number of theta steps (the table holds M + 1 nodes).
+    error_bound : float
+        The a priori bound on |table - psi| before rounding.  Rounding adds
+        that of the series' own evaluation, and that of theta = arccos(t),
+        a few ulps of pi, times |f'(theta)|.
+    """
+
+    def __init__(self, values, slopes, error_bound):
+        self.nodes = values.size - 1
+        self.error_bound = error_bound
+        self._step = math.pi / self.nodes
+        # step k reads f_k + u (g_k + u (c2_k + u c3_k)), with g = h f'
+        g = self._step * slopes
+        rise = np.diff(values)
+        self._cubic = (values[:-1], g[:-1], 3.0 * rise - 2.0 * g[:-1] - g[1:],
+                       g[:-1] + g[1:] - 2.0 * rise)
+
+    def __call__(self, t):
+        t_arr = _check_t(t)
+        flat = t_arr.reshape(-1)
+        out = np.empty(flat.shape)
+        c0, c1, c2, c3 = self._cubic
+        for lo in range(0, flat.size, RESYNTH_CHUNK):
+            u = np.clip(flat[lo : lo + RESYNTH_CHUNK], -1.0, 1.0)
+            np.arccos(u, out=u)
+            u /= self._step  # theta/h, in [0, M]
+            k = np.minimum(u.astype(np.intp), self.nodes - 1)
+            u -= k
+            p = c3[k]
+            p *= u
+            p += c2[k]
+            p *= u
+            p += c1[k]
+            p *= u
+            p += c0[k]
+            out[lo : lo + u.size] = p
+        return _shaped(out, t, t_arr)
+
+
+def tabulate(series):
+    """The `KernelTable` of a series, or None where no table is certified.
+
+    With the synthesis weights a_n, f(theta) = sum_n a_n P_n(cos theta) is a
+    trigonometric polynomial of degree n_max, so Bernstein's inequality
+    bounds its fourth derivative by sum_n |a_n| n^4, and cubic Hermite
+    interpolation with exact slopes errs by at most h^4/384 times that.  M
+    is the smallest power of two whose bound is within 4 * eps *
+    sum_n |a_n|, the rounding of the series' own evaluation.  If even
+    TABLE_MAX_NODES steps miss it, the series keeps Clenshaw: None.  The
+    values come from `resynthesize`, and the slopes -sin(theta) psi'(t) from
+    the derivative series through the same Clenshaw recurrence.
+    """
+    a = _weights(series)
+    size = np.abs(a)
+    tol = 4.0 * np.finfo(float).eps * size.sum()
+    fourth = float((size * np.arange(a.size, dtype=float) ** 4).sum()) / 384.0
+    M = 1
+    while (math.pi / M) ** 4 * fourth > tol and M < TABLE_MAX_NODES:
+        M *= 2
+    bound = (math.pi / M) ** 4 * fourth
+    if bound > tol:
+        return None
+    k = np.arange(M + 1)
+    t = np.cos((math.pi / M) * k)
+    # sin(theta) from the nearer end, so it is exactly 0 at both ends
+    sin = np.sin((math.pi / M) * np.minimum(k, M - k))
+    slopes = -sin * _clenshaw(np.polynomial.legendre.legder(a), t)
+    return KernelTable(resynthesize(series, t), slopes, bound)

@@ -588,6 +588,14 @@ class _Setup:
         self.seconds = time.perf_counter() - started
 
 
+def _table_record(kernel):
+    """The manifest's ``kernel_table``: the nodes and error bound of the
+    table a kernel evaluates through, or None."""
+    table = kernel.table
+    return None if table is None else {"nodes": table.nodes,
+                                       "error_bound": table.error_bound}
+
+
 def _run_point(cfg, setup):
     """Solve at ``cfg["lambda"]`` and write all artifacts; wall time counts
     the setup."""
@@ -633,6 +641,7 @@ def _run_point(cfg, setup):
         "converged": result.converged,
         "final_objective": float(trace[-1]),
         "gram": gram,
+        "kernel_table": _table_record(setup.field_kernel),
         "residual_norms": residuals,
         "sparsity_count": sparsity_report(field).count,
         "stages": stages,

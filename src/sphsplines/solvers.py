@@ -14,7 +14,6 @@ Their only settings are those of `SolverConfig`: the step sizes follow from
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .gram import GramMatrix, knot_gram, spectral_norm
 from .prox import soft_threshold
@@ -187,6 +186,9 @@ def apgd_solve(G, model, config):
 def _cholesky_solve(A, b, name):
     """Solve A x = b by Cholesky; ValueError naming the matrix ``name`` if A
     is not positive definite."""
+    # loaded here, by the two direct solves only, not by every import
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     try:
         return cho_solve(cho_factor(A), b)
     except LinAlgError as exc:

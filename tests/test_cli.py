@@ -130,15 +130,15 @@ def test_run_table_bytes_are_pinned(tmp_path):
 # sha256 of the tables a tikhonov run writes at one BLAS thread; a change
 # means the bytes changed
 TIKHONOV_TABLES_SHA256 = {
-    "coefficients.csv": "6120e2c5e07629118927aeaca7cd488639b1c209e22cd9f6dc2719524a457e4e",
-    "trace.csv": "376c29a3815f36e4e7b493bd12c801c97c5be763159139c6feb7dc6ed37575ae",
-    "r.csv": "f3ce7982025f88499dc5315bca16fb6fe1bfd7fbfc0791eb82c53608e3ecaa0e",
+    "coefficients.csv": "aa3c77e1198f2da6976956052de239fca4beb6980008d4714bf3f87c5b08b3b8",
+    "trace.csv": "1201a25e0040b0dd5e1cf6203d2abe294c5289a7cb32f4f6bd0fc7ac6f5f631a",
+    "r.csv": "1c44812b0c53cc4201140b45f4a518a741bac0f093cd4382bce30ddbc2f570cd",
 }
 
 
 def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
     # 200 samples: the knot Gram's 19,900 off-diagonal values and the 4x8
-    # raster's 6,400 go through the self-convolved series by resynthesis.
+    # raster's 6,400 go through the self-convolved kernel's certified table.
     # OpenBLAS's Cholesky factor of a 200 x 200 matrix changes its bits with
     # the thread count, so the run goes in a process held at one thread.
     cfg_path = tmp_path / "run.json"

@@ -15,7 +15,7 @@ from sphsplines.kernels import (
     wendland_construct,
     wendland_zonal,
 )
-from sphsplines.legendre import LegendreSeries, fourier_legendre, resynthesize
+from sphsplines.legendre import LegendreSeries, fourier_legendre, resynthesize, tabulate
 from sphsplines.pdo import green_series
 from sphsplines.sphere import fibonacci_lattice
 
@@ -251,3 +251,37 @@ def test_from_series_roundtrip():
     kern = ZonalKernel.from_series(base)
     t = np.linspace(-1, 1, 11)
     np.testing.assert_allclose(kern(t), 0.5 + 0.25 * t, atol=1e-12)
+
+
+def test_series_kernels_evaluate_through_their_certified_table():
+    # the tikhonov field kernel reads the table of its series (whose
+    # accuracy tests/test_legendre.py checks), bitwise the series at t = 1
+    series = self_convolve(matern_zonal(2.5, 0.35, convention="eq60").series())
+    kern = ZonalKernel.from_series(series)
+    assert kern.table is not None and kern.table.nodes == 8192
+    assert kern(1.0) == resynthesize(series, 1.0)
+    t = np.linspace(-1.0, 1.0, 4001)
+    assert kern(t).tobytes() == tabulate(series)(t).tobytes()
+    # closed-form kernels have no table
+    assert matern_zonal(2.5, 0.35).table is None
+    assert wendland_zonal(3, 1, 0.3).table is None
+
+
+def test_sobolev_beta_2_keeps_clenshaw_bytes():
+    # no table is certified within the cap, so the kernel is bitwise the
+    # resynthesis of its peak-normalised series, as before tables
+    kern = sobolev_green_zonal(2.0)
+    assert kern.table is None
+    series = green_series(2.0, tol=1e-8)
+    series = LegendreSeries(series.coeffs / resynthesize(series, 1.0))
+    t = np.linspace(-1.0, 1.0, 1001)
+    assert kern(t).tobytes() == resynthesize(series, t).tobytes()
+
+
+def test_table_knot_gram_is_bitwise_symmetric():
+    kern = ZonalKernel.from_series(
+        self_convolve(matern_zonal(2.5, 0.35, convention="eq60").series()))
+    assert kern.table is not None
+    K = knot_gram(kern, fibonacci_lattice(300))
+    assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+    assert np.all(K.diagonal() == kern(1.0))

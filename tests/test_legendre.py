@@ -10,6 +10,7 @@ from sphsplines.legendre import (
     gauss_legendre,
     legendre_all,
     resynthesize,
+    tabulate,
 )
 
 
@@ -229,3 +230,135 @@ def test_coefficients_match_adaptive_quadrature():
             ref = legendre_coefficient_quad(kern, n, kern.support_tmin)
             err = series.coeffs[n] - ref
             assert abs(err) <= 1e-4 * abs(ref) + 1e-12, (repr(kern), n, ref, err)
+
+
+def test_series_keeps_a_read_only_copy():
+    # neither the caller's array nor a holder of the series can change it
+    c = 1.0 / (1.0 + np.arange(9.0)) ** 2
+    s = LegendreSeries(c)
+    before = s(0.5)
+    c[0] = 100.0
+    assert s(0.5) == before
+    with pytest.raises(ValueError, match="read-only"):
+        s.coeffs[0] = 100.0
+    assert s(0.5) == before
+
+
+def test_streamed_transform_is_the_table_product_in_bounded_memory():
+    # one dot per degree from the forward recurrence: the coefficients of
+    # the (N_max + 1) x Q legendre_all product to rounding, with a peak of
+    # a few arrays of Q where that table alone takes (N_max + 1) * Q * 8 B
+    from sphsplines.kernels import matern_zonal
+
+    kern = matern_zonal(2.5, 0.1)
+    N_max, Q = 1024, 1100
+    rule = gauss_legendre(Q)
+    c, w = rule.mapped(0.0, 2.0)
+    t = 1.0 - 0.5 * c * c
+    table = 2.0 * np.pi * (legendre_all(N_max, t) @ (w * c * kern(t)))
+    tracemalloc.start()
+    try:
+        coeffs = fourier_legendre(kern, N_max, Q).coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(coeffs - table).max() <= 4e-15 * np.abs(table).max()
+    assert peak < 16 * Q * 8 + 65_536  # the table is (N_max + 1) * Q * 8 B, 9 MB
+
+
+def _table_series():
+    # the self-convolved Matern kernel of the tikhonov runs, a random
+    # decaying degree-64 series, a single mode and a constant
+    from sphsplines.kernels import matern_zonal, self_convolve
+
+    rng = np.random.default_rng(21)
+    return {
+        "self_convolved": self_convolve(matern_zonal(2.5, 0.35, convention="eq60").series()),
+        "random": LegendreSeries(rng.standard_normal(65) / (1.0 + np.arange(65.0)) ** 5),
+        "mode": LegendreSeries(np.array([0.0, 0.0, 0.0, 4.0])),
+        "constant": LegendreSeries(np.array([2.5])),
+    }
+
+
+def _weights_of(series):
+    return (2.0 * np.arange(series.n_max + 1) + 1.0) / (4.0 * np.pi) * series.coeffs
+
+
+def _dense_t():
+    # both ends, and t within 1e-16 .. 1e-12 of each
+    ends = np.logspace(-16, -12, 41)
+    return np.concatenate([np.linspace(-1.0, 1.0, 200_001), 1.0 - ends, -1.0 + ends,
+                           [1.0, -1.0]])
+
+
+def test_tikhonov_table_is_within_its_bound_of_resynthesis():
+    # the self-convolved kernel of the tikhonov runs: its table errs from
+    # Clenshaw by at most the recorded bound plus 4 eps sum |a_n|
+    series = _table_series()["self_convolved"]
+    table = tabulate(series)
+    tol = 4.0 * np.finfo(float).eps * np.abs(_weights_of(series)).sum()
+    assert table.nodes == 8192 and table.error_bound <= tol
+    t = _dense_t()
+    err = np.abs(table(t) - resynthesize(series, t))
+    assert err.max() <= table.error_bound + tol, (err.max(), table.error_bound, tol)
+
+
+@pytest.mark.parametrize("name", sorted(_table_series()))
+def test_table_is_within_bound_and_rounding_of_resynthesis(name):
+    # any series: M is the smallest power of two whose bound is within the
+    # tolerance (halving h multiplies the bound by 16), and the table errs
+    # by at most the bound, the tolerance, and the rounding of theta =
+    # arccos(t) (a few ulps of pi) times |f'| <= sum_n n |a_n|
+    series = _table_series()[name]
+    table = tabulate(series)
+    size = np.abs(_weights_of(series))
+    tol = 4.0 * np.finfo(float).eps * size.sum()
+    assert table.nodes & (table.nodes - 1) == 0
+    assert table.error_bound <= tol
+    assert table.nodes == 1 or 16.0 * table.error_bound > tol
+    theta_rounding = 2.0 * np.pi * np.finfo(float).eps * (size * np.arange(size.size)).sum()
+    t = _dense_t()
+    err = np.abs(table(t) - resynthesize(series, t))
+    assert err.max() <= table.error_bound + tol + theta_rounding, (err.max(), table.error_bound)
+
+
+def test_table_at_one_is_bitwise_resynthesis():
+    for series in _table_series().values():
+        table = tabulate(series)
+        assert isinstance(table(1.0), float)
+        assert table(1.0) == resynthesize(series, 1.0)
+        assert table(np.array([[1.0]])).tobytes() == np.array([[resynthesize(series, 1.0)]]).tobytes()
+
+
+def test_table_lookup_is_bitwise_independent_of_chunking(monkeypatch):
+    series = _table_series()["self_convolved"]
+    table = tabulate(series)
+    t = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 1001))
+    whole = table(t)
+    monkeypatch.setattr(legendre, "RESYNTH_CHUNK", 7)
+    assert table(t).tobytes() == whole.tobytes()
+    assert table(float(t[1, 2])) == whole[1, 2]
+
+
+def test_table_lookup_memory_is_bounded_in_chunks():
+    # 1e6 values: beyond its output and the range check, the lookup holds a
+    # few chunks of work arrays, not arrays of the input's size
+    table = tabulate(_table_series()["self_convolved"])
+    t = np.linspace(-1.0, 1.0, 1_000_000)
+    tracemalloc.start()
+    try:
+        table(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - t.nbytes < 6 * legendre.RESYNTH_CHUNK * 8 + 65_536
+
+
+def test_table_rejects_out_of_range():
+    table = tabulate(_table_series()["random"])
+    for bad in (1.2, -1.2, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            table(bad)
+        with pytest.raises(ValueError, match="t must be finite and in"):
+            table(np.array([0.5, bad]))
+

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from sphsplines.gram import DiracFunctional, assemble_gram, spectral_norm
-from sphsplines.kernels import matern_zonal, wendland_zonal
+from sphsplines.kernels import matern_zonal, self_convolve, wendland_zonal
+from sphsplines.legendre import tabulate
 from sphsplines.pipeline import (
     RunConfig,
     add_gaussian_noise,
@@ -488,6 +489,7 @@ def test_manifest_fields_populated(tmp_path):
     gram = {"shape": [240, 80], "nnz": G.nnz, "density": G.nnz / (240 * 80),
             "spectral_norm": norm, "tau": 1.0 / norm, "sigma": 1.0 / norm}
     assert data["gram"] == gram
+    assert data["kernel_table"] is None  # a closed-form Matern field kernel
     # every point of an APGD sweep shares one matrix, so one block; its one
     # step is 1/(2 ||G||^2), and it takes no dual step
     sweep = _scatter_selftest_config(tmp_path / "sweep", cost={"kind": "ls"},
@@ -500,7 +502,11 @@ def test_manifest_fields_populated(tmp_path):
                                    solver={"kind": "tikhonov", "mu": 1e-3})
     tik["sampling"]["synthetic"].update(samples=60, psnr_db=25.0)
     manifest = run_reconstruction(tik)
-    assert json.load(open(manifest["outputs"]["manifest"]))["gram"] is None
+    data = json.load(open(manifest["outputs"]["manifest"]))
+    assert data["gram"] is None
+    # its self-convolved field kernel reads a certified table
+    table = tabulate(self_convolve(build_kernel(RunConfig(tik)["kernel"]).series()))
+    assert data["kernel_table"] == {"nodes": 8192, "error_bound": table.error_bound}
 
 
 SETUP_STAGES = {"build_kernel", "load_csv", "series", "assemble", "knot_gram",

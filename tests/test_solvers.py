@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -347,3 +350,18 @@ def test_rkhs_projection_error_decays():
 def test_rkhs_sample_count_mismatch():
     with pytest.raises(ValueError):
         rkhs_project(matern_zonal(2.5, 0.2), fibonacci_lattice(5), np.ones(4))
+
+
+def test_scipy_linalg_loads_with_the_first_direct_solve():
+    # the package and a proximal run leave scipy.linalg unloaded; the
+    # Cholesky of a tikhonov solve loads it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, numpy as np\n"
+            "import sphsplines\n"
+            "before = 'scipy.linalg' in sys.modules\n"
+            "sphsplines.tikhonov_solve(np.eye(3), np.ones(3), 1e-3)\n"
+            "print(before, 'scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
