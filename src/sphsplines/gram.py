@@ -6,8 +6,8 @@ is a weighted quadrature rule: a point sample is one node of weight 1, a patch
 functional a tensor Gauss rule over its lon/lat rectangle.  So G's entries and
 the field values of `spline.evaluate` both come from `kernel_blocks`, the
 kernel at (point, knot) pairs, which visits only in-support pairs for
-compactly supported kernels (through a kd-tree, whose module loads with the
-first such kernel, not with the package).
+compactly supported kernels.  Those pairs come from inner products by a
+chunked matmul, screened against the support, so no spatial index is built.
 
 `GramMatrix` applies G and G^T with the sparse kernels scipy's ``@`` ends
 in, called directly: each product pays for its arithmetic and one shape
@@ -22,11 +22,12 @@ from scipy.sparse import _sparsetools
 
 from .legendre import gauss_legendre
 from .pdo import check_compatibility
-from .sphere import KnotSet, check_integer, check_number
+from .sphere import BLOCK_ENTRIES, KnotSet, check_integer, check_number
 
-# kernel values per block of `kernel_blocks` (2 MB of float64): bounds the
-# inner-product and kernel temporaries, whatever the number of points
-BLOCK_ENTRIES = 1 << 18
+# an inner product of two unit vectors, rounded by a matmul or by `np.sum`,
+# lies within 3 ulps of 1 of the exact value; a matmul screen at tmin less
+# this margin misses no pair whose `np.sum` exceeds tmin
+SCREEN_MARGIN = 16 * np.finfo(float).eps
 
 # `spectral_norm` rounds up by at most this many ulps to a norm n whose
 # balanced steps 1/n couple exactly: (1/n)*(1/n)*(n*n) == 1.0
@@ -163,35 +164,47 @@ def kernel_blocks(kernel, points, knots):
     slice ``rows`` against the (N, 3) ``knots``, about ``BLOCK_ENTRIES``
     values per block, so memory stays bounded in M.
 
-    A compactly supported kernel gives CSR blocks of its in-support pairs
-    (a kd-tree chord query, then ``t > support_tmin``); any other kernel
-    gives dense blocks whose inner products come from one matmul.
+    A compactly supported kernel gives CSR blocks of its in-support pairs:
+    `_screen` proposes them, and ``t > support_tmin`` keeps them, with
+    ``t = sum(p * r)`` per pair.  Any other kernel gives dense blocks whose
+    inner products come from one matmul.
     """
     n = len(knots)
     tmin = kernel.support_tmin
-    # expected values per row: the support cap holds (1 - tmin)/2 of the sphere
-    per_row = n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
-    step = max(1, int(BLOCK_ENTRIES // per_row))
-    if tmin is not None:
-        from scipy.spatial import cKDTree  # loaded here, by compact kernels only
-
-        tree = cKDTree(knots)
-        radius = math.sqrt(max(2.0 - 2.0 * tmin, 0.0))
+    step = max(1, int(BLOCK_ENTRIES // row_entries(kernel, n)))
     for lo in range(0, len(points), step):
         block = points[lo : lo + step]
         rows = slice(lo, lo + len(block))
         if tmin is None:
             yield rows, kernel(block @ knots.T)
             continue
-        pairs = cKDTree(block).sparse_distance_matrix(
-            tree, radius, output_type="ndarray"
-        )
-        i, j = pairs["i"], pairs["j"]
+        i, j = _screen(block, knots, tmin)
         t = np.sum(block[i] * knots[j], axis=1)
         inside = t > tmin
         yield rows, sparse.csr_matrix(
             (kernel(t[inside]), (i[inside], j[inside])), shape=(len(block), n)
         )
+
+
+def row_entries(kernel, n):
+    """The values a row of `kernel_blocks` is expected to hold against n
+    knots: all n, or, for a compactly supported kernel and quasi-uniform
+    knots, the (1 - tmin)/2 of them that its support cap covers (at least 1)."""
+    tmin = kernel.support_tmin
+    return n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
+
+
+def _screen(block, knots, tmin):
+    """(i, j): the pairs of ``block`` rows and ``knots`` whose inner product
+    by matmul exceeds ``tmin - SCREEN_MARGIN``, a superset of those whose
+    ``sum(p * r)`` exceeds tmin.  The matmul runs over chunks of rows of
+    ``BLOCK_ENTRIES`` products each, so its temporaries stay bounded."""
+    size = max(1, BLOCK_ENTRIES // len(knots))
+    starts = range(0, len(block), size)
+    pairs = [np.nonzero(block[lo : lo + size] @ knots.T > tmin - SCREEN_MARGIN)
+             for lo in starts]
+    return (np.concatenate([i + lo for lo, (i, _) in zip(starts, pairs)]),
+            np.concatenate([j for _, j in pairs]))
 
 
 def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
@@ -247,12 +260,17 @@ def spectral_norm(G):
     """Largest singular value of a GramMatrix, rounded up to a coupling float.
 
     One Lanczos call (ARPACK through ``svds``, ``tol=0``, from the fixed start
-    vector of ones, so repeated calls agree bit for bit) on ``G.matvec`` and
-    ``G.rmatvec``; a G of one row or one column has rank one, and the norm of
-    its stored entries.  The value then steps up, by at most COUPLING_ULPS
-    ulps, to the first float n with ``(1/n)*(1/n)*(n*n) == 1.0``, so the
-    balanced steps 1/n sit exactly on the convergence boundary; with no such
-    float the Lanczos value stays.  The result is cached on the GramMatrix.
+    vector of ones) on ``G.matvec`` and ``G.rmatvec``; a G of one row or one
+    column has rank one, and the norm of its stored entries.  Repeated calls
+    need not agree bit for bit: on a degenerate spectrum the start vector can
+    be an eigenvector, and ARPACK restarts from its own random state, which
+    other ``svds`` calls in the process move (``GramMatrix(np.eye(2, 3))``
+    reads 1.0 or an ulp either side).  A deterministic dense eigenvalue of
+    the smaller Gram (ROADMAP direction 7) would mend it.  The value then
+    steps up, by at most COUPLING_ULPS ulps, to the first float n with
+    ``(1/n)*(1/n)*(n*n) == 1.0``, so the balanced steps 1/n sit exactly on
+    the convergence boundary; with no such float the Lanczos value stays.
+    The result is cached on the GramMatrix.
 
     Raises
     ------

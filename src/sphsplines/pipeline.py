@@ -8,6 +8,7 @@ seed write byte-identical coefficient files.
 """
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -47,7 +48,7 @@ from .sphere import (
     fibonacci_lattice,
     lonlat_from_direction,
 )
-from .spline import SplineField, evaluate, sparsity_report
+from .spline import RasterGrid, SplineField, evaluate, sparsity_report
 
 # shortest representation that round-trips float64 exactly
 FLOAT_FMT = "%.17g"
@@ -67,15 +68,17 @@ TRACE_HEADER = ["iteration", "objective"]
 def write_table(path, header, columns):
     """Write ``header`` and one row per entry of the equal-length
     ``columns`` to the file ``path`` (standard output when None): integer
-    columns as ``%d``, every other column as FLOAT_FMT.  The columns are
-    checked before the file is opened, so columns of unequal lengths raise
-    ValueError and leave an existing file as it was."""
+    columns as ``%d``, text (str) columns as they are, every other column as
+    FLOAT_FMT.  The columns are checked before the file is opened, so
+    columns of unequal lengths raise ValueError and leave an existing file
+    as it was."""
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("columns %s have unequal lengths %s"
                          % (",".join(header), lengths))
-    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else FLOAT_FMT
+    row = ",".join("%s" if c.dtype.kind == "U"
+                   else "%d" if np.issubdtype(c.dtype, np.integer) else FLOAT_FMT
                    for c in columns) + "\n"
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -563,7 +566,7 @@ class _Setup:
     knots, measurements, and the system matrix: G with its cached spectral
     norm and the cost model for the proximal solvers, or the quadratic
     baseline's K (which takes no cost model), with the seconds of each setup
-    stage."""
+    stage; and the field's `spline.RasterGrid`, if the run writes a raster."""
 
     def __init__(self, cfg):
         started = time.perf_counter()
@@ -573,6 +576,9 @@ class _Setup:
         functionals, self.y, self.G = _load_measurements(
             cfg["sampling"], kernel, knots, self.stages)
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
+            # the Cholesky's module, loaded here so that the solve stage
+            # times the solve, not the import
+            importlib.import_module("scipy.linalg")
             self.field_kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
             self.field_knots = KnotSet([f.direction for f in functionals])
             self.K = _timed(self.stages, "knot_gram", knot_gram,
@@ -585,6 +591,9 @@ class _Setup:
             _timed(self.stages, "spectral_norm", spectral_norm, self.G)
             self.field_kernel = field_kernel(cfg, kernel)
             self.field_knots = knots
+        raster = cfg["outputs"]["raster"]
+        self.raster = None if raster is None else RasterGrid(
+            raster["n_lat"], raster["n_lon"], self.field_kernel, self.field_knots)
         self.seconds = time.perf_counter() - started
 
 
@@ -630,10 +639,9 @@ def _run_point(cfg, setup):
     _timed(stages, "save_coefficients", save_coefficients_csv,
            paths["coefficients"], field)
     write_table(paths["trace"], TRACE_HEADER, [np.arange(1, len(trace) + 1), trace])
-    if "raster" in paths:
-        raster = outputs["raster"]
-        _timed(stages, "export_raster", export_raster,
-               field, raster["n_lat"], raster["n_lon"], paths["raster"])
+    if setup.raster is not None:
+        _timed(stages, "export_raster", _write_raster, setup.raster, field.coeffs,
+               paths["raster"])
 
     manifest = {
         "config": cfg,
@@ -642,6 +650,7 @@ def _run_point(cfg, setup):
         "final_objective": float(trace[-1]),
         "gram": gram,
         "kernel_table": _table_record(setup.field_kernel),
+        "raster": None if setup.raster is None else setup.raster.record,
         "residual_norms": residuals,
         "sparsity_count": sparsity_report(field).count,
         "stages": stages,
@@ -693,13 +702,16 @@ def run_lambda_sweep(config, lambdas):
         yield _run_point(point, setup)
 
 
+def _write_raster(grid, coeffs, path):
+    """Write ``lon_deg,lat_deg,value`` rows of the field with ``coeffs`` at
+    the cells of a `spline.RasterGrid`; each row and column centre is
+    formatted once, and its text repeated over the cells."""
+    lon, lat = ([FLOAT_FMT % v for v in c.tolist()] for c in (grid.lon, grid.lat))
+    write_table(path, SCATTER_HEADER, [np.tile(lon, len(grid.lat)),
+                                       np.repeat(lat, len(grid.lon)), grid.values(coeffs)])
+
+
 def export_raster(field, n_lat, n_lon, path):
     """Write ``lon_deg,lat_deg,value`` at the cell centres of an equal-angle
     grid (south-to-north rows, west-to-east columns)."""
-    n_lat, n_lon = check_integer(n_lat, "n_lat", 2), check_integer(n_lon, "n_lon", 2)
-    lat = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
-    lon = -180.0 + (np.arange(n_lon) + 0.5) * (360.0 / n_lon)
-    lon_grid, lat_grid = np.meshgrid(lon, lat)  # (n_lat, n_lon)
-    lon_flat, lat_flat = lon_grid.ravel(), lat_grid.ravel()
-    dirs = direction_from_lonlat(lon_flat, lat_flat)
-    save_scatter_csv(path, lon_flat, lat_flat, evaluate(field, dirs))
+    _write_raster(RasterGrid(n_lat, n_lon, field.kernel, field.knots), field.coeffs, path)

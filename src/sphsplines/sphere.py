@@ -3,10 +3,10 @@
 Directions are plain numpy arrays of shape ``(3,)`` (or ``(N, 3)`` for
 collections), kept on the unit sphere to 1e-12 by the constructors in this
 module.  The chord distance ``sqrt(2 - 2*<r,s>)`` is the Euclidean distance in
-R^3 restricted to the sphere.  So a pair within a chord lies within it along
-any unit axis, which lets `KnotSet` find near-duplicates by sorting along one
-axis, and lets `nodal_width` use a standard kd-tree (loaded by its first call,
-not with the package).
+R^3 restricted to the sphere, and decreases as ``<r,s>`` grows.  So a pair
+within a chord lies within it along any unit axis, which lets `KnotSet` find
+near-duplicates by sorting along one axis, and a point's nearest knot is the
+one of largest inner product, which `nodal_width` finds by matmul.
 """
 
 import math
@@ -17,6 +17,11 @@ import numpy as np
 # chord separation below which two knots count as duplicates (Gram matrices
 # need distinct knots)
 DISTINCT_KNOT_TOL = 1e-10
+
+# values per chunk of a (points x knots) temporary, 2 MB of float64: the
+# kernel blocks of `gram.kernel_blocks` and the inner products of
+# `nodal_width` stay bounded, whatever the number of points
+BLOCK_ENTRIES = 1 << 18
 
 # the axis `KnotSet` sorts knots along: irrational components, so no
 # latitude ring, meridian or lattice row projects onto one value
@@ -173,7 +178,9 @@ def nodal_width(knots, probe_resolution=None):
 
     Probes a dense Fibonacci lattice and returns the largest
     nearest-knot chord distance found.  This is a lower bound on the true
-    covering radius that tightens as ``probe_resolution`` grows.
+    covering radius that tightens as ``probe_resolution`` grows.  Each
+    probe's nearest knot is the argmax of its inner products with the knots,
+    taken over chunks of BLOCK_ENTRIES products.
 
     Parameters
     ----------
@@ -192,10 +199,15 @@ def nodal_width(knots, probe_resolution=None):
         probe_resolution = 100 * N
     probe_resolution = check_integer(probe_resolution, "probe_resolution", 1)
     probes = fibonacci_lattice(probe_resolution).points
-    from scipy.spatial import cKDTree  # loaded here, not by every import
-
-    dist, _ = cKDTree(knots.points).query(probes, k=1)
-    return float(dist.max())
+    size = max(1, BLOCK_ENTRIES // N)
+    widest = 0.0
+    for lo in range(0, len(probes), size):
+        chunk = probes[lo : lo + size]
+        # the nearest knot has the largest inner product; the width is the
+        # Euclidean chord to it
+        diff = chunk - knots.points[np.argmax(chunk @ knots.points.T, axis=1)]
+        widest = max(widest, float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max()))
+    return widest
 
 
 class PatchBounds:

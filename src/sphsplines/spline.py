@@ -3,7 +3,8 @@
 A field is a finite kernel expansion ``f(r) = sum_n x_n psi(<r, r_n>)`` over
 lattice knots.  Evaluation visits only in-support knots for compactly
 supported kernels (the evaluator the Gram assembly uses); the naive full sum
-is the correctness oracle.
+is the correctness oracle.  A `RasterGrid` keeps the kernel blocks of its
+cells, so the fields of a sweep evaluate there by products alone.
 """
 
 import math
@@ -11,8 +12,18 @@ from collections import namedtuple
 
 import numpy as np
 
-from .gram import kernel_blocks
-from .sphere import KnotSet, check_number
+from .gram import kernel_blocks, row_entries
+from .sphere import (
+    BLOCK_ENTRIES,
+    KnotSet,
+    check_integer,
+    check_number,
+    direction_from_lonlat,
+)
+
+# kernel values a `RasterGrid` keeps between evaluations (16 MB as dense
+# float64); a grid whose kernel blocks hold more streams them at each one
+RASTER_ENTRIES = 8 * BLOCK_ENTRIES
 
 
 class SplineField:
@@ -53,14 +64,79 @@ def evaluate(field, targets):
 
     ``targets`` is (M, 3), giving (M,) values, or (3,), giving a float.  The
     kernel matrix of targets against knots comes in bounded row blocks from
-    `gram.kernel_blocks`, each multiplied into the coefficients.
+    `gram.kernel_blocks`, each multiplied into the coefficients by
+    `block_products`.
     """
     t_in = np.asarray(targets, dtype=float)
     pts = np.atleast_2d(t_in)
-    out = np.empty(pts.shape[0])
-    for rows, block in kernel_blocks(field.kernel, pts, field.knots.points):
-        out[rows] = block @ field.coeffs
+    out = block_products(kernel_blocks(field.kernel, pts, field.knots.points),
+                         field.coeffs, len(pts))
     return float(out[0]) if t_in.ndim == 1 else out
+
+
+def block_products(blocks, coeffs, size):
+    """The (size,) values ``block @ coeffs`` of the ``(rows, block)`` pairs
+    of a kernel matrix, as `gram.kernel_blocks` yields them or a stored
+    list of them holds."""
+    out = np.empty(size)
+    for rows, block in blocks:
+        out[rows] = block @ coeffs
+    return out
+
+
+class RasterGrid:
+    """Values of fields in ``kernel`` over the KnotSet ``knots`` at the cell
+    centres of an equal-angle grid: ``lat`` holds the n_lat row centres,
+    south to north, and ``lon`` the n_lon column centres, west to east, in
+    degrees; cell ``i * n_lon + j`` is (lon[j], lat[i]).
+
+    The first `values` call builds the kernel blocks of the cells against
+    the knots, and keeps them while they hold at most RASTER_ENTRIES values
+    (none when `gram.row_entries` expects more).  A later call multiplies
+    the kept blocks into its coefficients, or streams them again when they
+    were over the cap; the values are the bits of `evaluate` either way.
+    ``record`` says which, after the first call: ``{"stored": kept,
+    "entries": the kernel values of one call}``.
+    """
+
+    def __init__(self, n_lat, n_lon, kernel, knots):
+        n_lat, n_lon = check_integer(n_lat, "n_lat", 2), check_integer(n_lon, "n_lon", 2)
+        self.lat = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
+        self.lon = -180.0 + (np.arange(n_lon) + 0.5) * (360.0 / n_lon)
+        self.kernel, self.knots = kernel, knots
+        self.directions = self.blocks = self.record = None
+
+    def values(self, coeffs):
+        """The (n_lat * n_lon,) values of the field with ``coeffs``."""
+        if self.directions is None:
+            lon, lat = np.meshgrid(self.lon, self.lat)  # (n_lat, n_lon)
+            self.directions = direction_from_lonlat(lon.ravel(), lat.ravel())
+        return block_products(self._blocks(), coeffs, len(self.directions))
+
+    def _blocks(self):
+        """The kept kernel blocks, or a stream of them; the first stream
+        keeps them within the cap and sets ``record``."""
+        if self.blocks is not None:
+            return self.blocks
+        stream = kernel_blocks(self.kernel, self.directions, self.knots.points)
+        if self.record is not None:
+            return stream
+        expected = len(self.directions) * row_entries(self.kernel, len(self.knots))
+        return self._keep(stream, [] if expected <= RASTER_ENTRIES else None)
+
+    def _keep(self, stream, kept):
+        """``stream``, appending its blocks to ``kept`` (None: keep none)
+        until they hold more than RASTER_ENTRIES values."""
+        entries = 0
+        for rows, block in stream:
+            entries += block.size  # the stored values of a CSR block
+            if entries > RASTER_ENTRIES:
+                kept = None
+            if kept is not None:
+                kept.append((rows, block))
+            yield rows, block
+        self.blocks = kept
+        self.record = {"stored": kept is not None, "entries": entries}
 
 
 def native_norm(field, K):

@@ -12,7 +12,10 @@ import pytest
 
 import sphsplines
 from sphsplines.cli import main
+from sphsplines.gram import kernel_blocks
+from sphsplines.kernels import wendland_zonal
 from sphsplines.pipeline import load_patch_counts_csv, load_scatter_csv
+from sphsplines.sphere import direction_from_lonlat, fibonacci_lattice
 
 
 def _write_config(path, outdir, **overrides):
@@ -155,6 +158,55 @@ def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
     assert proc.returncode == 0, proc.stderr
     written = {name: _sha256(tmp_path / "out" / name) for name in TIKHONOV_TABLES_SHA256}
     assert written == TIKHONOV_TABLES_SHA256
+
+
+# sha256 of the tables a Wendland lambda sweep writes at one BLAS thread,
+# recorded before a sweep kept its raster's kernel blocks; a change means
+# the bytes changed
+WENDLAND_SWEEP_SHA256 = {
+    "lambda_00/coefficients.csv": "bfc9c85b9733a292013f74d92eb80e9730607f25ac2dfedec8e7cd36ed0eff1d",
+    "lambda_00/trace.csv": "a465c82b83afeeab3e4a645830241253d881dabfca9f5f9d98917c0783f13700",
+    "lambda_00/r.csv": "02ce6b75a12789cf8d17b664ccd13e95b3a99ccd292ccd8b0528c0ba218e19e0",
+    "lambda_01/coefficients.csv": "698a7420da5630807186477b25560b73b249e0772615be988076225b115b7563",
+    "lambda_01/trace.csv": "b5dcf66c56fb7eecef731f26a9e8a638f62fed8073a028626dac1d345f432e2b",
+    "lambda_01/r.csv": "1745e923c08a6061cec883f61183141dec50a45df88c5052bb4c9c92ed690105",
+    "lambda_02/coefficients.csv": "dec387e02277cd848dd95880620ab36c50f3326438e245ebaa04a32b180f2227",
+    "lambda_02/trace.csv": "fbde90ebc7da093fa4b9a7ede8e5ca94b29e7a4fa84da8000acc5bcbe7588eff",
+    "lambda_02/r.csv": "640d17dc56f45b42972792fcef0e4a0b1b0a125254d4ae01f24417a42a032552",
+}
+
+
+def test_wendland_sweep_table_bytes_are_pinned(tmp_path):
+    # three APGD points share one setup; the 64 x 144 raster's 9,216 cells
+    # span two CSR blocks of the Wendland kernel against the 120 knots,
+    # which the sweep builds once and every point multiplies into its
+    # coefficients.  The run goes in a process held at one BLAS thread.
+    kernel = {"family": "wendland", "k": 1, "epsilon": 1.0}
+    raster = {"n_lat": 64, "n_lon": 144, "path": "r.csv"}
+    lon, lat = np.meshgrid(-180.0 + (np.arange(144) + 0.5) * 2.5,
+                           -90.0 + (np.arange(64) + 0.5) * (180.0 / 64))
+    cells = direction_from_lonlat(lon.ravel(), lat.ravel())
+    blocks = kernel_blocks(wendland_zonal(3, 1, 1.0), cells, fibonacci_lattice(120).points)
+    assert len(list(blocks)) == 2
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", kernel=kernel, knots={"fibonacci": 120},
+                  sampling={"synthetic": {"kind": "scatter", "bumps": 4,
+                                          "amplitude": [0.5, 2.0], "samples": 360,
+                                          "psnr_db": 30}},
+                  cost={"kind": "ls"}, solver={"kind": "apgd"}, max_iter=300,
+                  outputs={"directory": str(tmp_path / "out"), "raster": raster})
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sphsplines.__file__)))
+    argv = [sys.executable, "-m", "sphsplines.cli", "reconstruct", "--config",
+            str(cfg_path), "--lambda-sweep", "1e-3", "1e-1", "3"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    written = {name: _sha256(tmp_path / "out" / name) for name in WENDLAND_SWEEP_SHA256}
+    assert written == WENDLAND_SWEEP_SHA256
+    for i in range(3):
+        manifest = json.loads((tmp_path / "out" / ("lambda_%02d" % i)
+                               / "manifest.json").read_text())
+        assert manifest["raster"] == {"stored": True, "entries": 276437}
 
 
 def test_synth_counts_writes_loadable_csv(tmp_path):

@@ -212,6 +212,81 @@ def test_assemble_across_blocks_matches_stacked_halves(kern, monkeypatch):
     assert np.abs(G.data - halves.data).max() <= 1e-15 * np.abs(halves.data).max()
 
 
+def _kd_tree_blocks(kernel, points, knots, spans):
+    """The CSR blocks of the kd-tree pair search kernel_blocks ran before,
+    over the same row spans: a chord query, its radius padded so that
+    rounding near the support edge drops no pair, then ``t > support_tmin``
+    on ``t = sum(p * r)``."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(knots)
+    radius = math.sqrt(2.0 - 2.0 * kernel.support_tmin) + 1e-9
+    for rows in spans:
+        block = points[rows]
+        pairs = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        i, j = pairs["i"], pairs["j"]
+        t = np.sum(block[i] * knots[j], axis=1)
+        inside = t > kernel.support_tmin
+        yield sparse.csr_matrix((kernel(t[inside]), (i[inside], j[inside])),
+                                shape=(len(block), len(knots)))
+
+
+def _unit(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _edge_pairs(tmin, count, seed):
+    """(points, knots): point l at an angle from knot l within a few 1e-16
+    of arccos(tmin), so ``sum(p * r)`` lands within a few ulps of tmin."""
+    rng = np.random.default_rng(seed)
+    knots = _unit(rng.standard_normal((count, 3)))
+    u = rng.standard_normal((count, 3))
+    u = _unit(u - np.sum(u * knots, axis=1, keepdims=True) * knots)
+    theta = math.acos(tmin) + rng.integers(-6, 7, count) * 1e-16
+    return np.cos(theta)[:, None] * knots + np.sin(theta)[:, None] * u, knots
+
+
+def _pair_sets(name, tmin):
+    if name == "random":
+        rng = np.random.default_rng(11)
+        return _unit(rng.standard_normal((2000, 3))), _unit(rng.standard_normal((400, 3)))
+    if name == "fibonacci":
+        return fibonacci_lattice(3000).points, fibonacci_lattice(400).points
+    if name == "ring":  # rings of shared latitude, on both sides
+        lon, lat = np.meshgrid(np.arange(72) * 5.0, np.arange(-87.5, 90.0, 5.0))
+        ring = np.arange(72) * 5.0 + 2.5
+        knots = direction_from_lonlat(np.concatenate([ring, ring[::2]]),
+                                      np.repeat([0.0, 30.0], [72, 36]))
+        return direction_from_lonlat(lon.ravel(), lat.ravel()), knots
+    return _edge_pairs(tmin, 600, 5)
+
+
+@pytest.mark.parametrize("block_entries", [gram.BLOCK_ENTRIES, 3000], ids=["default", "small"])
+@pytest.mark.parametrize("name", ["random", "fibonacci", "ring", "edge"])
+def test_kernel_blocks_are_bitwise_the_kd_tree_blocks(name, block_entries, monkeypatch):
+    # the matmul screen keeps the block spans and finds every pair the
+    # kd-tree search found, so the CSR blocks keep their bits
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", block_entries)
+    kern = wendland_zonal(3, 1, 0.3)
+    tmin = kern.support_tmin
+    points, knots = _pair_sets(name, tmin)
+    if name == "edge":  # planted pairs on both sides of the support edge
+        t = np.sum(points * knots, axis=1)
+        ulp = np.spacing(tmin)
+        assert np.sum((t > tmin) & (t <= tmin + 4 * ulp)) >= 20
+        assert np.sum((t <= tmin) & (t >= tmin - 4 * ulp)) >= 20
+    blocks = list(gram.kernel_blocks(kern, points, knots))
+    if block_entries == 3000:  # several blocks, each screened in several chunks
+        assert len(blocks) > 1
+    assert sum(B.nnz for _, B in blocks) > 0
+    oracle = _kd_tree_blocks(kern, points, knots, [rows for rows, _ in blocks])
+    for (rows, B), O in zip(blocks, oracle):
+        assert B.shape == O.shape == (rows.stop - rows.start, len(knots))
+        assert B.has_canonical_format and O.has_canonical_format
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(B, attr).tobytes() == getattr(O, attr).tobytes()
+
+
 def test_assemble_rejects_rough_kernel_for_diracs():
     # decay order 1.8 <= 2: too rough for point evaluation, fine for patches
     rough = ZonalKernel(lambda t: np.exp(t - 1.0), beta=0.9)
@@ -353,29 +428,35 @@ def test_import_leaves_arpack_unloaded():
 
 
 def test_matern_runs_leave_the_kd_tree_unloaded(tmp_path):
-    # scipy.spatial loads with the first compactly supported kernel block,
-    # not with the package or a Matern run
+    # no run loads scipy.spatial: not a Matern run, not a Wendland run with
+    # a raster, whose pairs kernel_blocks screens by inner products
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, numpy as np\n"
             "from sphsplines.gram import kernel_blocks\n"
             "from sphsplines.kernels import wendland_zonal\n"
             "from sphsplines.pipeline import run_reconstruction\n"
             "from sphsplines.sphere import fibonacci_lattice\n"
-            "run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
+            "spec = {'kernel': {'family': 'matern', 'beta': 2.5,\n"
             "    'epsilon': 0.3}, 'knots': {'fibonacci': 40},\n"
             "    'sampling': {'synthetic': {'kind': 'scatter', 'bumps': 3}},\n"
             "    'cost': {'kind': 'exact'}, 'solver': {'kind': 'pds'},\n"
             "    'lambda': 1.0, 'max_iter': 20, 'seed': 1,\n"
-            "    'outputs': {'directory': sys.argv[1]}})\n"
+            "    'outputs': {'directory': sys.argv[1]}}\n"
+            "run_reconstruction(spec)\n"
             "before = 'scipy.spatial' in sys.modules\n"
+            "spec['kernel'] = {'family': 'wendland', 'k': 1, 'epsilon': 0.3}\n"
+            "spec['outputs'] = {'directory': sys.argv[1] + '/w',\n"
+            "    'raster': {'n_lat': 6, 'n_lon': 12, 'path': 'r.csv'}}\n"
+            "run_reconstruction(spec)\n"
             "knots = fibonacci_lattice(40).points\n"
             "list(kernel_blocks(wendland_zonal(3, 1, 0.3), knots, knots))\n"
             "print(before, 'scipy.spatial' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False"]
     assert os.path.isfile(tmp_path / "coefficients.csv")
+    assert os.path.isfile(tmp_path / "w" / "r.csv")
 
 
 def test_spectral_norm_keeps_its_value_when_no_float_couples():

@@ -4,12 +4,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sphsplines import gram
 from sphsplines.gram import DiracFunctional, assemble_gram, spectral_norm
 from sphsplines.kernels import matern_zonal, self_convolve, wendland_zonal
 from sphsplines.legendre import tabulate
@@ -33,6 +36,7 @@ from sphsplines.prox import ExactMatch, L2Ball
 from sphsplines.sphere import (
     KnotSet,
     PatchBounds,
+    direction_from_lonlat,
     equal_angle_patch_grid,
     fibonacci_lattice,
     lonlat_from_direction,
@@ -167,6 +171,19 @@ def test_rejected_save_leaves_an_existing_file_unchanged(tmp_path, save, reject)
     written = path.read_bytes()
     with pytest.raises(ValueError, match="unequal lengths"):
         reject(path)
+    assert path.read_bytes() == written
+
+
+def test_write_table_writes_text_columns_as_they_are(tmp_path):
+    # a str column is written as it is, beside %d and FLOAT_FMT columns,
+    # and is checked with the others before the file is opened
+    path = tmp_path / "t.csv"
+    text = np.array(["-179.5", "0.10000000000000001"])
+    pipeline.write_table(path, ["a", "b", "c"], [text, np.array([3, 4]), [0.1, 2.0]])
+    assert path.read_text() == "a,b,c\n-179.5,3,0.10000000000000001\n0.10000000000000001,4,2\n"
+    written = path.read_bytes()
+    with pytest.raises(ValueError, match="unequal lengths"):
+        pipeline.write_table(path, ["a", "c"], [text, [1.0]])
     assert path.read_bytes() == written
 
 
@@ -497,6 +514,13 @@ def test_manifest_fields_populated(tmp_path):
     gram.update(tau=1.0 / (2.0 * norm * norm), sigma=None)
     for point in pipeline.run_lambda_sweep(sweep, [1e-4, 1e-2]):
         assert json.load(open(point["outputs"]["manifest"]))["gram"] == gram
+    # no raster, no raster record; a sweep's raster keeps the dense Matern
+    # blocks of its 6 x 12 cells against the 80 knots
+    assert data["raster"] is None
+    sweep["outputs"]["raster"] = {"n_lat": 6, "n_lon": 12, "path": "r.csv"}
+    for point in pipeline.run_lambda_sweep(sweep, [1e-4, 1e-2]):
+        record = json.load(open(point["outputs"]["manifest"]))["raster"]
+        assert record == {"stored": True, "entries": 6 * 12 * 80}
     # a tikhonov solve has no G
     tik = _scatter_selftest_config(tmp_path / "tik", cost={"kind": "ls"},
                                    solver={"kind": "tikhonov", "mu": 1e-3})
@@ -522,6 +546,30 @@ def _stages_of(manifest):
     assert sum(stages.values()) <= data["wall_time_s"]
     assert data["peak_rss_mb"] > 0.0
     return stages
+
+
+def test_tikhonov_setup_loads_scipy_linalg_before_the_solve_stage(tmp_path):
+    # the solve stage of a tikhonov run times the Cholesky solve, not the
+    # first import of its module, which the setup makes outside every stage
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = ("import sys\n"
+            "import sphsplines.pipeline as pipeline\n"
+            "seen = ['scipy.linalg' in sys.modules]\n"
+            "solve = pipeline.tikhonov_solve\n"
+            "def spy(*args):\n"
+            "    seen.append('scipy.linalg' in sys.modules)\n"
+            "    return solve(*args)\n"
+            "pipeline.tikhonov_solve = spy\n"
+            "pipeline.run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
+            "    'epsilon': 0.35}, 'knots': {'fibonacci': 20},\n"
+            "    'sampling': {'synthetic': {'kind': 'scatter', 'samples': 30}},\n"
+            "    'cost': {'kind': 'ls'}, 'solver': {'kind': 'tikhonov', 'mu': 1e-3},\n"
+            "    'seed': 1, 'outputs': {'directory': sys.argv[1]}})\n"
+            "print(*seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_manifest_records_the_stages_the_run_executes(tmp_path):
@@ -786,3 +834,22 @@ def test_raster_rejects_degenerate_grid(tmp_path):
     field = SplineField(kernel, fibonacci_lattice(5), np.ones(5))
     with pytest.raises(ValueError, match="n_lat"):
         export_raster(field, 1, 10, tmp_path / "x.csv")
+
+
+
+@pytest.mark.parametrize("kernel", [wendland_zonal(3, 1, 0.4), matern_zonal(2.5, 0.3)],
+                         ids=["wendland", "matern"])
+def test_raster_has_the_bytes_of_the_evaluated_scatter_table(kernel, tmp_path, monkeypatch):
+    # a raster writes each row and column centre's text once per write and
+    # takes its values from the grid's kernel blocks: the bytes of its cells
+    # and of `evaluate` saved as a scatter table
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", 4000)  # several blocks
+    knots = fibonacci_lattice(200)
+    field = SplineField(kernel, knots, np.random.default_rng(3).standard_normal(200))
+    export_raster(field, 30, 60, tmp_path / "raster.csv")
+    lat = -90.0 + (np.arange(30) + 0.5) * 6.0
+    lon, lat = np.meshgrid(-180.0 + (np.arange(60) + 0.5) * 6.0, lat)
+    lon, lat = lon.ravel(), lat.ravel()
+    save_scatter_csv(tmp_path / "evaluate.csv", lon, lat,
+                     evaluate(field, direction_from_lonlat(lon, lat)))
+    assert (tmp_path / "raster.csv").read_bytes() == (tmp_path / "evaluate.csv").read_bytes()

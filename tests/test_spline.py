@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from oracles import naive_spline_sum
 
+import sphsplines.spline as spline
+from sphsplines import gram
 from sphsplines.kernels import ZonalKernel, matern_zonal, wendland_zonal
-from sphsplines.sphere import KnotSet, fibonacci_lattice
+from sphsplines.sphere import KnotSet, direction_from_lonlat, fibonacci_lattice
 from sphsplines.spline import (
+    RasterGrid,
     SplineField,
     evaluate,
     native_norm,
@@ -162,3 +165,83 @@ def test_field_callable_and_scalar_return():
     assert isinstance(scalar, float)
     vec = f(target.reshape(1, 3))
     assert vec.shape == (1,) and vec[0] == scalar
+
+
+def _cell_directions(grid):
+    """The unit directions of a grid's cells, row-major."""
+    lon, lat = np.meshgrid(grid.lon, grid.lat)
+    return direction_from_lonlat(lon.ravel(), lat.ravel())
+
+
+@pytest.mark.parametrize("family", ["wendland", "matern"])
+def test_raster_grid_keeps_its_blocks_and_gives_the_evaluate_bits(family, monkeypatch):
+    # a grid builds its kernel blocks once; every later call only multiplies
+    # them into its coefficients, and gives the bits of evaluate
+    if family == "wendland":
+        monkeypatch.setattr(gram, "BLOCK_ENTRIES", 4000)  # several CSR blocks
+        kernel = wendland_zonal(3, 1, 0.4)
+    else:
+        kernel = matern_zonal(2.5, 0.3)  # two dense blocks
+    builds = []
+    stream = spline.kernel_blocks
+    monkeypatch.setattr(spline, "kernel_blocks",
+                        lambda *args: builds.append(1) or stream(*args))
+    knots = fibonacci_lattice(200)
+    grid = RasterGrid(30, 60, kernel, knots)
+    cells = _cell_directions(grid)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        coeffs = rng.standard_normal(200)
+        values = grid.values(coeffs)
+        assert values.tobytes() == evaluate(SplineField(kernel, knots, coeffs), cells).tobytes()
+    assert len(builds) == 1 + 3  # the grid's one build, then evaluate's three
+    assert len(grid.blocks) >= 2
+    assert grid.record == {"stored": True,
+                           "entries": sum(block.size for _, block in grid.blocks)}
+    if family == "matern":
+        assert grid.record["entries"] == 30 * 60 * 200
+
+
+def test_raster_grid_over_the_cap_streams_every_call(monkeypatch):
+    # 1800 cells x 2000 Matern knots: 3.6M kernel values, over the cap, so
+    # the grid keeps no block; with blocks of 2**14 values, both calls
+    # allocate well under the cap's bytes as float64 (keeping every block
+    # would take 28.8 MB)
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", 1 << 14)
+    kernel, knots = matern_zonal(2.5, 0.3), fibonacci_lattice(2000)
+    assert 1800 * 2000 > spline.RASTER_ENTRIES
+    grid = RasterGrid(30, 60, kernel, knots)
+    coeffs = np.random.default_rng(4).standard_normal(2000)
+    tracemalloc.start()
+    try:
+        first, second = grid.values(coeffs), grid.values(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spline.RASTER_ENTRIES
+    assert grid.record == {"stored": False, "entries": 1800 * 2000}
+    assert grid.blocks is None
+    expected = evaluate(SplineField(kernel, knots, coeffs), _cell_directions(grid))
+    assert first.tobytes() == second.tobytes() == expected.tobytes()
+
+
+def test_raster_grid_drops_its_blocks_past_the_cap(monkeypatch):
+    # 400 Wendland knots crowded within 10 degrees of the north pole: the
+    # support caps of the polar cells hold far more knots than the uniform
+    # expectation, so the first call keeps blocks until they pass the cap,
+    # then drops them, and every call streams
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", 4000)
+    kernel = wendland_zonal(3, 1, 0.3)
+    n = np.arange(400) + 0.5
+    z = 1.0 - n / 400 * (1.0 - np.cos(np.radians(10.0)))
+    phi = n * np.pi * (3.0 - np.sqrt(5.0))
+    rho = np.sqrt(1.0 - z * z)
+    knots = KnotSet(np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z]))
+    monkeypatch.setattr(spline, "RASTER_ENTRIES", int(2 * 1800 * gram.row_entries(kernel, 400)))
+    grid = RasterGrid(30, 60, kernel, knots)
+    coeffs = np.random.default_rng(5).standard_normal(400)
+    first, second = grid.values(coeffs), grid.values(coeffs)
+    assert grid.record["stored"] is False and grid.blocks is None
+    assert grid.record["entries"] > spline.RASTER_ENTRIES
+    expected = evaluate(SplineField(kernel, knots, coeffs), _cell_directions(grid))
+    assert first.tobytes() == second.tobytes() == expected.tobytes()
