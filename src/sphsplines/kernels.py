@@ -43,14 +43,13 @@ class ZonalKernel:
     via `from_series` (e.g. self-convolutions) keep their natural scale.  A
     kernel holds only what is read from it: ``beta`` for the smoothness check
     of `gram.assemble_gram` and ``support_tmin`` for its sparse assembly.
-    Instances are immutable apart from their series cache.
+    Instances are immutable.
     """
 
     def __init__(self, eval_fn, beta=None, support_tmin=None):
         self._eval = eval_fn
         self.beta = beta
         self.support_tmin = support_tmin
-        self._series_cache = {}
 
     def __call__(self, t):
         t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
@@ -58,7 +57,7 @@ class ZonalKernel:
         return float(out) if out.ndim == 0 else out
 
     def series(self, n_max=512, quad_order=600):
-        """Fourier-Legendre coefficients, cached per (n_max, quad_order).
+        """Fourier-Legendre coefficients of the kernel, at each call.
 
         Computed by `fourier_legendre` with a quad_order-node Gauss rule in
         the chord variable over the kernel's support, which requires
@@ -67,10 +66,8 @@ class ZonalKernel:
         the default degree 512 for ``matern_zonal(2.5, 0.1)`` and
         ``wendland_zonal(3, 1, 0.2)``, below 1e-6 by degree 4096.
         """
-        key = check_integer(n_max, "n_max", 0), check_integer(quad_order, "quad_order", 1)
-        if key not in self._series_cache:
-            self._series_cache[key] = fourier_legendre(self, *key)
-        return self._series_cache[key]
+        return fourier_legendre(self, check_integer(n_max, "n_max", 0),
+                                check_integer(quad_order, "quad_order", 1))
 
     @property
     def table(self):
@@ -78,17 +75,11 @@ class ZonalKernel:
         return self._eval if isinstance(self._eval, KernelTable) else None
 
     @classmethod
-    def from_series(cls, series, beta=None, normalize=False):
-        """Kernel of a coefficient series, or of a copy divided by its value
-        at t = 1 when ``normalize`` is set.  It evaluates through the
-        series' certified `KernelTable` (`legendre.tabulate`), or by
-        resynthesis of the series where no table is certified.  ``beta`` is
-        the smoothness order, if known."""
-        if normalize:
-            peak = series(1.0)
-            if peak == 0:
-                raise ValueError("cannot peak-normalise a kernel vanishing at t=1")
-            series = LegendreSeries(series.coeffs / peak)
+    def from_series(cls, series, beta=None):
+        """Kernel of a coefficient series, at its natural scale.  It
+        evaluates through the series' certified `KernelTable`
+        (`legendre.tabulate`), or by resynthesis of the series where no
+        table is certified.  ``beta`` is the smoothness order, if known."""
         table = tabulate(series)
         return cls(series if table is None else table, beta=beta)
 
@@ -228,12 +219,13 @@ def sobolev_green_zonal(beta, *, tol=1e-8):
 
     No closed form exists; the kernel is the `green_series` of
     ``1/(1+n(n+1))^beta`` truncated at tail bound ``tol``, resynthesized and
-    peak-normalised.  `green_series` raises for an order beta too small to
-    give a continuous kernel.
+    peak-normalised by psi(1) > 0 (every coefficient is positive).
+    `green_series` raises for an order beta too small to give a continuous
+    kernel.
     """
     beta = check_number(beta, "beta")
-    return ZonalKernel.from_series(green_series(beta, tol=tol), beta=beta,
-                                   normalize=True)
+    series = green_series(beta, tol=tol)
+    return ZonalKernel.from_series(LegendreSeries(series.coeffs / series(1.0)), beta=beta)
 
 
 def self_convolve(series):

@@ -64,17 +64,10 @@ def legendre_all(N_max, t):
 
 
 class QuadratureRule:
-    """Nodes/weights pair on (-1, 1); weights sum to 2."""
+    """The nodes/weights arrays of `gauss_legendre` on (-1, 1); weights sum to 2."""
 
     def __init__(self, nodes, weights):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        self.nodes = nodes
-        self.weights = weights
+        self.nodes, self.weights = nodes, weights
 
     def mapped(self, a, b):
         """Affinely mapped copy of the rule onto [a, b]."""

@@ -398,15 +398,11 @@ def _check_kernel(value, path):
     return kernel
 
 
-def _check_synthetic(value, path):
-    """A synthetic block checked per its kind; `RunConfig` fills its run defaults."""
-    return _variant(value, path, "kind", _SYNTHETIC)
-
-
-_SAMPLING = {  # source -> its rules
+_SAMPLING = {  # source -> its rules; `RunConfig` fills in synthetic run defaults
     "scatter_csv": {"scatter_csv": (_text, None)},
     "patch_csv": {"patch_csv": (_text, None), "quadrature_order": (_int(2), 8)},
-    "synthetic": {"synthetic": (_check_synthetic, None)},
+    "synthetic": {"synthetic": (
+        lambda value, path: _variant(value, path, "kind", _SYNTHETIC), None)},
 }
 
 
@@ -575,34 +571,28 @@ class _Setup:
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, self.y, self.G = _load_measurements(
             cfg["sampling"], kernel, knots, self.stages)
+        # each solver's scipy module is loaded here, outside every stage, so
+        # that the solve and spectral_norm stages time work, not an import
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
-            # the Cholesky's module, loaded here so that the solve stage
-            # times the solve, not the import
-            importlib.import_module("scipy.linalg")
-            self.field_kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
-            self.field_knots = KnotSet([f.direction for f in functionals])
-            self.K = _timed(self.stages, "knot_gram", knot_gram,
-                            self.field_kernel, self.field_knots)
+            importlib.import_module("scipy.linalg")  # the Cholesky's
+            knots = _keyed("sampling: sample directions repeat (solver.kind tikhonov "
+                           "centres a kernel on each)",
+                           KnotSet, [f.direction for f in functionals])
+            kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
+            self.K = _timed(self.stages, "knot_gram", knot_gram, kernel, knots)
         else:
             self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
             if self.G is None:
                 self.G = _timed(self.stages, "assemble", assemble_gram,
                                 kernel, functionals, knots)
+            if min(self.G.shape) > 1:  # a rank-one G takes no Lanczos call
+                importlib.import_module("scipy.sparse.linalg")
             _timed(self.stages, "spectral_norm", spectral_norm, self.G)
-            self.field_kernel = field_kernel(cfg, kernel)
-            self.field_knots = knots
+        self.field_kernel, self.field_knots = kernel, knots
         raster = cfg["outputs"]["raster"]
         self.raster = None if raster is None else RasterGrid(
             raster["n_lat"], raster["n_lon"], self.field_kernel, self.field_knots)
         self.seconds = time.perf_counter() - started
-
-
-def _table_record(kernel):
-    """The manifest's ``kernel_table``: the nodes and error bound of the
-    table a kernel evaluates through, or None."""
-    table = kernel.table
-    return None if table is None else {"nodes": table.nodes,
-                                       "error_bound": table.error_bound}
 
 
 def _run_point(cfg, setup):
@@ -632,6 +622,7 @@ def _run_point(cfg, setup):
     residuals = {residual: result.primal_residual,
                  "data_misfit": float(np.linalg.norm(system(x) - setup.y))}
     field = SplineField(setup.field_kernel, setup.field_knots, x)
+    table = setup.field_kernel.table  # the manifest's kernel_table, if any
 
     # by the manifest's names: raster.path is "raster"; absolute names stay
     paths = {key.partition(".")[0]: os.path.join(outputs["directory"], name)
@@ -649,7 +640,8 @@ def _run_point(cfg, setup):
         "converged": result.converged,
         "final_objective": float(trace[-1]),
         "gram": gram,
-        "kernel_table": _table_record(setup.field_kernel),
+        "kernel_table": None if table is None else {"nodes": table.nodes,
+                                                    "error_bound": table.error_bound},
         "raster": None if setup.raster is None else setup.raster.record,
         "residual_norms": residuals,
         "sparsity_count": sparsity_report(field).count,

@@ -90,53 +90,45 @@ class RasterGrid:
     south to north, and ``lon`` the n_lon column centres, west to east, in
     degrees; cell ``i * n_lon + j`` is (lon[j], lat[i]).
 
-    The first `values` call builds the kernel blocks of the cells against
-    the knots, and keeps them while they hold at most RASTER_ENTRIES values
-    (none when `gram.row_entries` expects more).  A later call multiplies
-    the kept blocks into its coefficients, or streams them again when they
+    The grid builds its cells' directions when made.  The first `values`
+    call multiplies each kernel block of the cells against the knots into
+    its coefficients, keeping the blocks while they hold at most
+    RASTER_ENTRIES values (none when `gram.row_entries` expects more).  A
+    later call multiplies the kept blocks, or streams them again when they
     were over the cap; the values are the bits of `evaluate` either way.
-    ``record`` says which, after the first call: ``{"stored": kept,
-    "entries": the kernel values of one call}``.
+    ``record`` says which: ``{"stored": kept, "entries": values per call}``.
     """
 
     def __init__(self, n_lat, n_lon, kernel, knots):
         n_lat, n_lon = check_integer(n_lat, "n_lat", 2), check_integer(n_lon, "n_lon", 2)
         self.lat = -90.0 + (np.arange(n_lat) + 0.5) * (180.0 / n_lat)
         self.lon = -180.0 + (np.arange(n_lon) + 0.5) * (360.0 / n_lon)
+        lon, lat = np.meshgrid(self.lon, self.lat)  # (n_lat, n_lon)
+        self.directions = direction_from_lonlat(lon.ravel(), lat.ravel())
         self.kernel, self.knots = kernel, knots
-        self.directions = self.blocks = self.record = None
+        self.blocks = self.record = None
 
     def values(self, coeffs):
         """The (n_lat * n_lon,) values of the field with ``coeffs``."""
-        if self.directions is None:
-            lon, lat = np.meshgrid(self.lon, self.lat)  # (n_lat, n_lon)
-            self.directions = direction_from_lonlat(lon.ravel(), lat.ravel())
-        return block_products(self._blocks(), coeffs, len(self.directions))
-
-    def _blocks(self):
-        """The kept kernel blocks, or a stream of them; the first stream
-        keeps them within the cap and sets ``record``."""
+        size = len(self.directions)
         if self.blocks is not None:
-            return self.blocks
+            return block_products(self.blocks, coeffs, size)
         stream = kernel_blocks(self.kernel, self.directions, self.knots.points)
         if self.record is not None:
-            return stream
-        expected = len(self.directions) * row_entries(self.kernel, len(self.knots))
-        return self._keep(stream, [] if expected <= RASTER_ENTRIES else None)
-
-    def _keep(self, stream, kept):
-        """``stream``, appending its blocks to ``kept`` (None: keep none)
-        until they hold more than RASTER_ENTRIES values."""
-        entries = 0
+            return block_products(stream, coeffs, size)
+        expected = size * row_entries(self.kernel, len(self.knots))
+        kept = [] if expected <= RASTER_ENTRIES else None
+        out, entries = np.empty(size), 0
         for rows, block in stream:
+            out[rows] = block @ coeffs
             entries += block.size  # the stored values of a CSR block
             if entries > RASTER_ENTRIES:
                 kept = None
             if kept is not None:
                 kept.append((rows, block))
-            yield rows, block
         self.blocks = kept
         self.record = {"stored": kept is not None, "entries": entries}
+        return out
 
 
 def native_norm(field, K):

@@ -261,6 +261,27 @@ def test_reconstruct_propagates_csv_line_numbers(tmp_path, capsys):
     assert "line 3" in err and "sphsplines.pipeline" in err
 
 
+def test_repeated_samples_fail_a_tikhonov_run_naming_sampling(tmp_path, capsys):
+    # a tikhonov field centres one kernel on each sample direction, so a
+    # repeated sample is an error of the sampling block; pds fits it as data
+    samples = tmp_path / "samples.csv"
+    samples.write_text("lon_deg,lat_deg,value\n0,0,1\n90,30,2\n0,0,1.5\n-45,-60,3\n")
+    cfg_path = tmp_path / "run.json"
+    _write_config(cfg_path, tmp_path / "out", sampling={"scatter_csv": str(samples)},
+                  cost={"kind": "ls"}, solver={"kind": "tikhonov", "mu": 1e-3})
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error [sphsplines.pipeline] ValueError: sampling: sample directions repeat "
+        "(solver.kind tikhonov centres a kernel on each): duplicate knots "
+        "(pairwise chord <= 1e-10)\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "samples.csv"]
+    _write_config(cfg_path, tmp_path / "out", sampling={"scatter_csv": str(samples)},
+                  cost={"kind": "ls"})
+    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["coefficients.csv", "manifest.json",
+                                                    "trace.csv"]
+
+
 def test_lambda_sweep_writes_one_run_per_weight(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "sweep", max_iter=400)

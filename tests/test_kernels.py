@@ -239,13 +239,6 @@ def test_epsilon_for_fwhm():
     assert kern(np.cos(np.radians(2.0))) == pytest.approx(0.5, abs=1e-6)
 
 
-def test_kernel_series_cache():
-    kern = matern_zonal(2.5, 0.2)
-    s1 = kern.series(64, 200)
-    s2 = kern.series(64, 200)
-    assert s1 is s2
-
-
 def test_from_series_roundtrip():
     base = fourier_legendre(lambda t: 0.5 + 0.25 * t, N_max=8, Q=20)
     kern = ZonalKernel.from_series(base)

@@ -353,7 +353,8 @@ def test_rkhs_sample_count_mismatch():
 
 
 def test_scipy_linalg_loads_with_the_first_direct_solve():
-    # the package and a proximal run leave scipy.linalg unloaded; the
+    # importing the package leaves scipy.linalg unloaded (a proximal run
+    # loads it too, through scipy.sparse.linalg for the Lanczos norm); the
     # Cholesky of a tikhonov solve loads it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, numpy as np\n"

@@ -1,5 +1,6 @@
-"""Every name a package module imports, and every private function or
-class it defines at module level, is used in that module; every module-level
+"""Every name a package module imports, every private function or class it
+defines at module level, and every private method or stored private
+attribute of its classes, is used in that module; every module-level
 UPPER_CASE constant is read somewhere in the package or re-exported.
 
 An import statement whose first line carries ``# noqa: F401`` is a
@@ -66,6 +67,41 @@ def test_checker_flags_an_unused_private_helper():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_helpers(path):
     assert unused_private_helpers(path.read_text()) == []
+
+
+def unused_private_members(source):
+    """Private methods of the classes of ``source`` that no attribute in the
+    module names, and private attributes it stores (``obj._x = ...``) but
+    never reads."""
+    tree = ast.parse(source)
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    defined = {
+        node.name: node.lineno for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(node.name)
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            if isinstance(node.ctx, ast.Store):
+                defined.setdefault(node.attr, node.lineno)
+            else:
+                read.add(node.attr)
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+def test_checker_flags_an_unused_private_member():
+    source = ("class A:\n    def __init__(self):\n        self._read = {}\n"
+              "        self._unread = 1\n        self.public = 2\n\n"
+              "    def _dead(self):\n        pass\n\n"
+              "    def _live(self):\n        self._read[0] = 1\n\n"
+              "    def __call__(self):\n        return self._live()\n")
+    assert unused_private_members(source) == [(4, "_unread"), (7, "_dead")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_members(path):
+    assert unused_private_members(path.read_text()) == []
 
 
 def unused_constants(sources):
