@@ -22,7 +22,7 @@ from scipy.sparse import _sparsetools
 
 from .legendre import gauss_legendre
 from .pdo import check_compatibility
-from .sphere import BLOCK_ENTRIES, KnotSet, check_integer, check_number
+from .sphere import BLOCK_ENTRIES, KnotSet, check_integer
 
 # an inner product of two unit vectors, rounded by a matmul or by `np.sum`,
 # lies within 3 ulps of 1 of the exact value; a matmul screen at tmin less
@@ -41,7 +41,7 @@ class DiracFunctional:
 
     def __init__(self, direction):
         direction = np.asarray(direction, dtype=float).reshape(3)
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(direction) - 1.0) <= 1e-12:
             raise ValueError("sampling direction must be a unit vector")
         self.direction = direction
 
@@ -207,13 +207,13 @@ def _screen(block, knots, tmin):
             np.concatenate([j for _, j in pairs]))
 
 
-def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
+def assemble_gram(kernel, functionals, knots):
     """Assemble the L x N system matrix, one row per sampling functional.
 
     Each functional is a weighted quadrature over its ``nodes()``, so
     ``G = W . Psi``: W is the sparse functional-by-node weight matrix and
     Psi the kernel at (node, knot) pairs from `kernel_blocks`.  Entries with
-    ``|value| <= abs_cutoff`` are omitted.  A row depends on its functional
+    ``|value| <= 1e-12`` are omitted.  A row depends on its functional
     alone, not on its position.  The kernel must be smooth enough for the
     functional kinds present, as `pdo.check_compatibility` decides from its
     order beta.  Kernels of unknown smoothness (``beta=None``) skip the check.
@@ -227,7 +227,6 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
     functionals = list(functionals)
     if not functionals:
         raise ValueError("need at least one sampling functional")
-    abs_cutoff = check_number(abs_cutoff, "abs_cutoff", lambda v: v >= 0, " >= 0")
     if kernel.beta is not None:
         for kind in sorted({f.kind for f in functionals}):
             check_compatibility(kernel.beta, kind)
@@ -251,7 +250,7 @@ def assemble_gram(kernel, functionals, knots, abs_cutoff=1e-12):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(functionals), len(knots)),
     )
-    G.data[np.abs(G.data) <= abs_cutoff] = 0.0
+    G.data[np.abs(G.data) <= 1e-12] = 0.0
     G.eliminate_zeros()
     return GramMatrix(G)
 

@@ -87,6 +87,12 @@ class ZonalKernel:
         return "ZonalKernel(beta=%s, support_tmin=%s)" % (self.beta, self.support_tmin)
 
 
+def _chord_kernel(profile, scale, **meta):
+    """ZonalKernel(psi, **meta) of psi(t) = profile(sqrt(2 - 2t) / scale)."""
+    return ZonalKernel(lambda t: profile(np.sqrt(np.clip(2.0 - 2.0 * t, 0.0, 4.0)) / scale),
+                       **meta)
+
+
 def matern_halfinteger(p, r):
     """Half-integer Matérn function S_{p+1/2}(r), peak-normalised.
 
@@ -111,10 +117,7 @@ def matern_halfinteger(p, r):
         for j in range(p + 1)
     ]
     u = np.sqrt(8.0 * p + 4.0) * r
-    poly = np.zeros_like(u)
-    for c in reversed(coefs):
-        poly = poly * u + float(c)
-    out = np.exp(-0.5 * u) * poly
+    out = np.exp(-0.5 * u) * np.polyval([float(c) for c in reversed(coefs)], u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,33 +143,22 @@ def matern_zonal(beta, epsilon, convention="standard"):
         scale = epsilon * math.sqrt(2.0 * nu)
     elif convention != "standard":
         raise ValueError("convention must be 'standard' or 'eq60'")
-
-    def eval_fn(t):
-        c = np.sqrt(np.clip(2.0 - 2.0 * t, 0.0, 4.0))
-        return matern_halfinteger(p, c / scale)
-
-    return ZonalKernel(eval_fn, beta=beta)
+    return _chord_kernel(lambda r: matern_halfinteger(p, r), scale, beta=beta)
 
 
 class WendlandPolynomial:
     """Piecewise polynomial phi_{d,k} on [0, 1] with exact rational coefficients.
 
     ``coeffs[j]`` is the Fraction coefficient of r**j; the function is 0 for
-    r >= 1.  Normalised so phi(0) = 1; phi(1) = 0 exactly.
+    r >= 1.  `wendland_construct` makes phi(0) = 1 and phi(1) = 0 exactly.
     """
 
     def __init__(self, coeffs):
         self.coeffs = [Fraction(c) for c in coeffs]
-        if self.coeffs[0] != 1:
-            raise ValueError("polynomial must be normalised to 1 at r = 0")
-        if sum(self.coeffs) != 0:
-            raise ValueError("polynomial must vanish at r = 1")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for c in reversed(self.coeffs):
-            out = out * r + float(c)
+        out = np.polyval([float(c) for c in reversed(self.coeffs)], r)
         out = np.where(r < 1.0, out, 0.0)
         return float(out) if out.ndim == 0 else out
 
@@ -205,13 +197,8 @@ def wendland_zonal(d, k, epsilon):
     """
     d = check_integer(d, "d", 3)
     epsilon = check_number(epsilon, "epsilon", lambda v: 0 < v <= 1, " in (0, 1]")
-    poly = wendland_construct(d, k)
-
-    def eval_fn(t):
-        c = np.sqrt(np.clip(2.0 - 2.0 * t, 0.0, 4.0))
-        return poly(c / epsilon)
-
-    return ZonalKernel(eval_fn, beta=k + d / 2.0, support_tmin=1.0 - epsilon**2 / 2.0)
+    return _chord_kernel(wendland_construct(d, k), epsilon, beta=k + d / 2.0,
+                         support_tmin=1.0 - epsilon**2 / 2.0)
 
 
 def sobolev_green_zonal(beta, *, tol=1e-8):

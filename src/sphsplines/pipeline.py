@@ -220,8 +220,8 @@ def add_gaussian_noise(values, psnr_db, seed):
     if values.size == 0:
         raise ValueError("values must be nonempty")
     peak = np.abs(values).max()
-    if peak == 0.0:
-        raise ValueError("all-zero signal: peak signal-to-noise undefined")
+    if not 0.0 < peak < math.inf:
+        raise ValueError("all-zero or non-finite signal: peak signal-to-noise undefined")
     # negative exponent so extreme PSNR underflows to sigma = 0 cleanly
     sigma = peak * 10.0 ** (-check_number(psnr_db, "psnr_db") / 20.0)
     rng = np.random.default_rng(_seed(seed, "seed"))
@@ -558,19 +558,18 @@ def _load_measurements(sampling, kernel, knots, stages):
 
 
 class _Setup:
-    """What a run needs before lambda enters, built once per sweep: kernel,
-    knots, measurements, and the system matrix: G with its cached spectral
-    norm and the cost model for the proximal solvers, or the quadratic
-    baseline's K (which takes no cost model), with the seconds of each setup
-    stage; and the field's `spline.RasterGrid`, if the run writes a raster."""
+    """What a run needs before lambda enters, built once per sweep: y, each
+    setup stage's seconds, the field's kernel, knots and `spline.RasterGrid`
+    (None with no raster), and the solve ``solver.kind`` names, bound to G and
+    the cost model or to K: ``solve(point cfg)``, the ``system`` product behind
+    ``data_misfit``, the ``residual``'s name and ``gram``, G's record or None."""
 
     def __init__(self, cfg):
         started = time.perf_counter()
         self.stages = {}
         kernel = _timed(self.stages, "build_kernel", build_kernel, cfg["kernel"])
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
-        functionals, self.y, self.G = _load_measurements(
-            cfg["sampling"], kernel, knots, self.stages)
+        functionals, y, G = _load_measurements(cfg["sampling"], kernel, knots, self.stages)
         # each solver's scipy module is loaded here, outside every stage, so
         # that the solve and spectral_norm stages time work, not an import
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
@@ -579,16 +578,24 @@ class _Setup:
                            "centres a kernel on each)",
                            KnotSet, [f.direction for f in functionals])
             kernel = _timed(self.stages, "series", field_kernel, cfg, kernel)
-            self.K = _timed(self.stages, "knot_gram", knot_gram, kernel, knots)
+            K = _timed(self.stages, "knot_gram", knot_gram, kernel, knots)
+            self.solve = lambda point: tikhonov_solve(K, y, point["solver"]["mu"])
+            self.system, self.residual, self.gram = (lambda v: K @ v), "system_relative", None
         else:
-            self.model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], self.y)
-            if self.G is None:
-                self.G = _timed(self.stages, "assemble", assemble_gram,
-                                kernel, functionals, knots)
-            if min(self.G.shape) > 1:  # a rank-one G takes no Lanczos call
+            model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], y)
+            if G is None:
+                G = _timed(self.stages, "assemble", assemble_gram, kernel, functionals, knots)
+            if min(G.shape) > 1:  # a rank-one G takes no Lanczos call
                 importlib.import_module("scipy.sparse.linalg")
-            _timed(self.stages, "spectral_norm", spectral_norm, self.G)
-        self.field_kernel, self.field_knots = kernel, knots
+            _timed(self.stages, "spectral_norm", spectral_norm, G)
+            solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
+            self.solve = lambda point: solve(G, model, SolverConfig(
+                point["lambda"], eps_stop=point["eps_stop"], max_iter=point["max_iter"]))
+            self.system, self.residual = G.matvec, "primal_step"
+            # the system matrix the solve runs on and the norm its steps come from
+            self.gram = {"shape": list(G.shape), "nnz": G.nnz, "density": G.density,
+                         "spectral_norm": G.spectral_norm_cache}
+        self.y, self.field_kernel, self.field_knots = y, kernel, knots
         raster = cfg["outputs"]["raster"]
         self.raster = None if raster is None else RasterGrid(
             raster["n_lat"], raster["n_lon"], self.field_kernel, self.field_knots)
@@ -602,25 +609,12 @@ def _run_point(cfg, setup):
     stages = dict(setup.stages)
     outputs = cfg["outputs"]
     os.makedirs(outputs["directory"], exist_ok=True)
-    if cfg["solver"]["kind"] == "tikhonov":
-        K = setup.K
-        result = _timed(stages, "solve", tikhonov_solve, K, setup.y, cfg["solver"]["mu"])
-        system, residual, gram = (lambda v: K @ v), "system_relative", None
-    else:
-        G = setup.G
-        solver_cfg = SolverConfig(cfg["lambda"], eps_stop=cfg["eps_stop"],
-                                  max_iter=cfg["max_iter"])
-        solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
-        result = _timed(stages, "solve", solve, G, setup.model, solver_cfg)
-        system, residual = G.matvec, "primal_step"
-        # the system matrix the solve ran on, the norm its steps came from,
-        # and the steps (sigma is None for apgd)
-        gram = {"shape": list(G.shape), "nnz": G.nnz, "density": G.density,
-                "spectral_norm": G.spectral_norm_cache,
-                "tau": result.tau, "sigma": result.sigma}
+    result = _timed(stages, "solve", setup.solve, cfg)
     x, trace = result.x, result.objective_trace
-    residuals = {residual: result.primal_residual,
-                 "data_misfit": float(np.linalg.norm(system(x) - setup.y))}
+    # G's record and the steps (sigma is None for apgd)
+    gram = setup.gram and dict(setup.gram, tau=result.tau, sigma=result.sigma)
+    residuals = {setup.residual: result.primal_residual,
+                 "data_misfit": float(np.linalg.norm(setup.system(x) - setup.y))}
     field = SplineField(setup.field_kernel, setup.field_knots, x)
     table = setup.field_kernel.table  # the manifest's kernel_table, if any
 

@@ -157,7 +157,7 @@ class LeastSquares(CostModel):
 
 def soft_threshold(z, theta):
     """Elementwise sign(z) * max(|z| - theta, 0), formed in the place of |z|."""
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("threshold must be >= 0")
     z = np.asarray(z, dtype=float)
     shrunk = np.abs(z)
@@ -174,8 +174,7 @@ def prox_cost(model, tau, z):
     the residual; L2Ball projects onto the ball; KL solves its separable
     quadratic; LeastSquares averages toward y.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = check_number(tau, "tau", lambda v: v > 0, " > 0")
     z = np.asarray(z, dtype=float)
     if z.shape != model.y.shape:
         raise ValueError("z must match y in shape")
@@ -186,8 +185,7 @@ def prox_conjugate(model, sigma, v):
     """prox_{sigma F*}(v) via Moreau: v - sigma * prox_{F / sigma}(v / sigma),
     by the model's `CostModel.conjugate_prox` binding, after checking sigma
     and v's shape."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    sigma = check_number(sigma, "sigma", lambda v: v > 0, " > 0")
     v = np.asarray(v, dtype=float)
     if v.shape != model.y.shape:
         raise ValueError("v must match y in shape")

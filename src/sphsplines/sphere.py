@@ -58,7 +58,7 @@ def direction_from_lonlat(lon_deg, lat_deg):
     Parameters
     ----------
     lon_deg, lat_deg : float or array_like
-        Longitude (any real, wraps) and latitude in [-90, 90] degrees.
+        Longitude (any finite real, wraps) and latitude in [-90, 90] degrees.
 
     Returns
     -------
@@ -67,8 +67,10 @@ def direction_from_lonlat(lon_deg, lat_deg):
     """
     lon = np.deg2rad(np.asarray(lon_deg, dtype=float))
     lat = np.deg2rad(np.asarray(lat_deg, dtype=float))
-    if np.any(np.abs(lat) > np.pi / 2 + 1e-12):
+    if not np.all(np.abs(lat) <= np.pi / 2 + 1e-12):
         raise ValueError("latitude out of range [-90, 90]")
+    if not np.all(np.isfinite(lon)):
+        raise ValueError("longitude must be finite")
     out = np.stack(
         [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)],
         axis=-1,
@@ -103,7 +105,7 @@ class KnotSet:
         if pts.shape[0] == 0:
             raise ValueError("empty knot set")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("knots must be unit vectors (|norm - 1| <= 1e-12)")
         if _has_close_pair(pts, DISTINCT_KNOT_TOL):
             raise ValueError("duplicate knots (pairwise chord <= 1e-10)")

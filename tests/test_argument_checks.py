@@ -19,11 +19,13 @@ import pytest
 
 from sphsplines import (
     DiracFunctional,
+    KnotSet,
     L2Ball,
+    LeastSquares,
     PatchBounds,
     SolverConfig,
     SplineField,
-    assemble_gram,
+    direction_from_lonlat,
     epsilon_for_fwhm,
     equal_angle_patch_grid,
     fibonacci_lattice,
@@ -34,6 +36,9 @@ from sphsplines import (
     lipschitz_estimate,
     matern_zonal,
     nodal_width,
+    prox_conjugate,
+    prox_cost,
+    soft_threshold,
     sobolev_green_zonal,
     sobolev_symbol,
     sparsity_report,
@@ -169,17 +174,18 @@ NUMBERS = {
     "sparsity_report": (lambda v: sparsity_report(_field(), v), "rel_threshold", 1.0),
     "add_gaussian_noise_psnr_db": (
         lambda v: add_gaussian_noise(np.ones(3), v, 0), "psnr_db", math.nan),
-    "assemble_gram_abs_cutoff": (
-        lambda v: assemble_gram(_matern(), [DiracFunctional([0.0, 0.0, 1.0])],
-                                fibonacci_lattice(4), v),
-        "abs_cutoff", -1e-3),
     "solver_config_lam": (SolverConfig, "lam", -1.0),
     "solver_config_eps_stop": (lambda v: SolverConfig(1.0, eps_stop=v), "eps_stop", 0.0),
+    "prox_cost_tau": (lambda v: prox_cost(LeastSquares(np.ones(2)), v, np.ones(2)),
+                      "tau", math.nan),
+    "prox_conjugate_sigma": (
+        lambda v: prox_conjugate(LeastSquares(np.ones(2)), v, np.ones(2)), "sigma", math.nan),
 }
 
 # numbers whose range holds +inf, so the rule checks finiteness apart from it
 UNBOUNDED = ("epsilon_for_fwhm", "green_series_tol", "l2ball_radius", "tikhonov_solve_mu",
-             "assemble_gram_abs_cutoff", "solver_config_lam", "solver_config_eps_stop")
+             "solver_config_lam", "solver_config_eps_stop", "prox_cost_tau",
+             "prox_conjugate_sigma")
 
 CASES = (
     [pytest.param(call, name, bad, id="%s-%s" % (key, label))
@@ -200,6 +206,25 @@ CASES = (
 def test_bad_argument_fails_naming_it(call, name, bad):
     with pytest.raises(ValueError, match="^%s must be " % re.escape(name)):
         call(bad)
+
+
+# calls that check a range in place, by a comparison that NaN fails: each
+# raises unless the comparison holds, so NaN (and a non-finite longitude) fails
+NAN_CALLS = {
+    "knot_set": lambda: KnotSet([[math.nan, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    "dirac_functional": lambda: DiracFunctional([math.nan, 0.0, 0.0]),
+    "direction_from_lonlat_lat": lambda: direction_from_lonlat(0.0, math.nan),
+    "direction_from_lonlat_lon": lambda: direction_from_lonlat(math.nan, 0.0),
+    "direction_from_lonlat_lon_inf": lambda: direction_from_lonlat(math.inf, 0.0),
+    "soft_threshold": lambda: soft_threshold(np.ones(2), math.nan),
+    "add_gaussian_noise": lambda: add_gaussian_noise([math.nan, 1.0], 30.0, 0),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_non_finite_value_fails_a_range_check(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_cached_rule_rejects_a_value_equal_to_a_cached_one():

@@ -151,13 +151,58 @@ def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
                   cost={"kind": "ls"}, solver={"kind": "tikhonov", "mu": 1e-3},
                   outputs={"directory": str(tmp_path / "out"),
                            "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(sphsplines.__file__)))
-    argv = [sys.executable, "-m", "sphsplines.cli", "reconstruct", "--config", str(cfg_path)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _cli_at_one_thread("reconstruct", "--config", cfg_path)
     written = {name: _sha256(tmp_path / "out" / name) for name in TIKHONOV_TABLES_SHA256}
     assert written == TIKHONOV_TABLES_SHA256
+
+
+def _cli_at_one_thread(*argv):
+    """Run the CLI with ``argv`` in a child process held at one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sphsplines.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "sphsplines.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# sha256 of the tables a KL/PDS run on synthetic Wendland patch counts
+# writes at one BLAS thread; a change means the bytes changed
+PATCH_RUN_SHA256 = {
+    "coefficients.csv": "05d4f6939d510bbb90526c40a4be1e484a080243f60a6fe80716cb92a12d43cc",
+    "trace.csv": "b7c88693163294ab10ef811c9191fc044b4d7e47e2d7714c7b24b8209081c125",
+}
+
+
+def test_patch_csv_run_matches_the_synthetic_run_it_was_drawn_from(tmp_path):
+    # synth writes the counts a synthetic run draws; a reconstruct from that
+    # patch_csv, at the same quadrature order, solves the same problem
+    counts = tmp_path / "counts.csv"
+    run = dict(SYNTH_COUNTS, cost={"kind": "kl"}, max_iter=400)
+    run["sampling"] = {"synthetic": dict(run["sampling"]["synthetic"], quadrature_order=4)}
+    _write_config(tmp_path / "synthetic.json", tmp_path / "synthetic", **run)
+    _write_config(tmp_path / "patch.json", tmp_path / "patch", **dict(
+        run, sampling={"patch_csv": str(counts), "quadrature_order": 4}))
+    _cli_at_one_thread("synth", "--config", tmp_path / "synthetic.json", "--output", counts)
+    for name in ("synthetic", "patch"):
+        _cli_at_one_thread("reconstruct", "--config", tmp_path / (name + ".json"))
+    written = [{table: _sha256(tmp_path / name / table) for table in PATCH_RUN_SHA256}
+               for name in ("synthetic", "patch")]
+    assert written == [PATCH_RUN_SHA256] * 2
+
+
+@pytest.mark.parametrize("source, header", [
+    ("scatter_csv", "lon_deg,lat_deg,value"),
+    ("patch_csv", "lon_min,lon_max,lat_min,lat_max,count"),
+])
+def test_a_header_only_measurement_file_fails_naming_it(tmp_path, capsys, source, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header + "\n")
+    _write_config(tmp_path / "run.json", tmp_path / "out", sampling={source: str(path)})
+    assert main(["reconstruct", "--config", str(tmp_path / "run.json")]) == 1
+    kind = source.partition("_")[0]
+    assert capsys.readouterr().err == (
+        "error [sphsplines.pipeline] ValueError: %s file %r has no rows\n" % (kind, str(path)))
+    assert sorted(os.listdir(tmp_path)) == ["empty.csv", "run.json"]
 
 
 # sha256 of the tables a Wendland lambda sweep writes at one BLAS thread,

@@ -43,14 +43,14 @@ def random_directions(L, seed):
 # ---------------------------------------------------------------- dirac rows
 
 
-def one_row(kernel, functional, knots, abs_cutoff=1e-12):
+def one_row(kernel, functional, knots):
     # (indices, values) of the Gram row of a single functional
-    row = assemble_gram(kernel, [functional], knots, abs_cutoff).matrix
+    row = assemble_gram(kernel, [functional], knots).matrix
     return row.indices, row.data
 
 
-def dirac_row(kernel, p, knots, abs_cutoff=1e-12):
-    return one_row(kernel, DiracFunctional(p), knots, abs_cutoff)
+def dirac_row(kernel, p, knots):
+    return one_row(kernel, DiracFunctional(p), knots)
 
 
 def patch_row(kernel, b, knots, Q=8):
@@ -69,8 +69,9 @@ def test_dirac_row_matches_direct_evaluation():
     kern = matern_zonal(1.5, 0.2)
     knots = fibonacci_lattice(100)
     p = random_directions(1, 4)[0]
-    idx, vals = dirac_row(kern, p, knots, abs_cutoff=0.0)
+    idx, vals = dirac_row(kern, p, knots)
     direct = kern(knots.points @ p)
+    assert np.array_equal(idx, np.arange(len(knots)))  # every entry > 1e-12
     assert np.array_equal(vals, direct[idx])
 
 
@@ -91,13 +92,15 @@ def test_dirac_row_value_at_chord_epsilon():
 
 
 def test_dirac_row_cutoff_omits_small_entries():
-    kern = matern_zonal(1.5, 0.2)
+    # exp(-c / 0.05) falls below the 1e-12 cutoff at chords c > 1.39
+    kern = matern_zonal(1.5, 0.05)
     knots = fibonacci_lattice(300)
     p = np.array([0.0, 0.0, 1.0])
-    idx, vals = dirac_row(kern, p, knots, abs_cutoff=0.5)
+    idx, vals = dirac_row(kern, p, knots)
     direct = kern(knots.points @ p)
-    assert np.array_equal(np.nonzero(direct > 0.5)[0], idx)
-    assert np.all(np.abs(vals) > 0.5)
+    kept = np.nonzero(direct > 1e-12)[0]
+    assert 0 < kept.size < len(knots) and np.array_equal(kept, idx)
+    assert np.array_equal(vals, direct[idx])
 
 
 # ---------------------------------------------------------------- patch rows

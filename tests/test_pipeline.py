@@ -214,6 +214,33 @@ def test_counts_full_resolution_grid_parses_fast(tmp_path):
     assert elapsed < 1.0
 
 
+# (file text, or None for no file; the call on its path; the message) of the
+# reader and source errors no other test reaches
+READER_ERRORS = {
+    "field_count": ("lon_deg,lat_deg,value\n0,0,1\n0,0\n", load_scatter_csv,
+                    r"t\.csv line 3: expected 3 fields, got 2$"),
+    "blank_row_skipped": ("lon_deg,lat_deg,value\n0,0,1\n\n0,0,1,2\n", load_scatter_csv,
+                          r"t\.csv line 4: expected 3 fields, got 4$"),
+    "patch_bounds": ("lon_min,lon_max,lat_min,lat_max,count\n0,10,0,10,1\n10,0,0,10,1\n",
+                     load_patch_counts_csv, r"t\.csv line 3: need lon_min < lon_max"),
+    "path_key": (None,
+                 lambda path: RunConfig(_scatter_selftest_config(path, outputs={"directory": 3})),
+                 r"^outputs\.directory must be a string$"),
+    "empty_values": (None, lambda path: add_gaussian_noise([], 20.0, 0),
+                     r"^values must be nonempty$"),
+}
+
+
+@pytest.mark.parametrize("text, call, message", READER_ERRORS.values(),
+                         ids=READER_ERRORS.keys())
+def test_reader_errors_name_the_bad_input(tmp_path, text, call, message):
+    path = tmp_path / "t.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        call(path)
+
+
 # -------------------------------------------------------- synthetic sources
 
 
