@@ -10,8 +10,10 @@ compactly supported kernels.  Those pairs come from inner products by a
 chunked matmul, screened against the support, so no spatial index is built.
 
 `GramMatrix` applies G and G^T with the sparse kernels scipy's ``@`` ends
-in, called directly: each product pays for its arithmetic and one shape
-check, not for the operator dispatch.
+in, called directly, or by dense BLAS products where a dense copy of G is
+no larger than its CSR arrays: each product pays for its arithmetic and one
+shape check, not for the operator dispatch or for indexing a matrix with
+no zeros.
 """
 
 import math
@@ -32,6 +34,10 @@ SCREEN_MARGIN = 16 * np.finfo(float).eps
 # `spectral_norm` rounds up by at most this many ulps to a norm n whose
 # balanced steps 1/n couple exactly: (1/n)*(1/n)*(n*n) == 1.0
 COUPLING_ULPS = 64
+
+# `spectral_norm` takes a dense eigenvalue of the smaller Gram GG^T or G^TG
+# up to this order (2 MB, milliseconds), and a Lanczos call above it
+DENSE_NORM_MAX = 512
 
 
 class DiracFunctional:
@@ -93,10 +99,14 @@ class GramMatrix:
     ``matrix`` is G in CSR form and ``matrix_t`` is G^T, built once here as
     the CSC view over the same data, index and pointer arrays: it costs no
     memory, gives the bytes of ``matrix.T @ y``, and spares every product
-    G^T y the building of a new transpose.  `matvec` and `rmatvec` give the
-    bytes of ``matrix @ x`` and ``matrix.T @ y``: they check the operand's
-    shape and call the same ``csr_matvec``/``csc_matvec`` kernel into a
-    fresh zeroed output.
+    G^T y the building of a new transpose.  ``dense`` is a C-contiguous
+    copy of G when its 8 L N bytes are no more than the CSR's data, index
+    and pointer arrays hold (a G with no zeros, as global kernels give),
+    and None otherwise, so G's memory at most doubles.  `matvec` and
+    `rmatvec` check the operand's shape, then give ``np.dot(dense, x)`` and
+    ``np.dot(dense.T, y)`` when the copy exists, and otherwise the bytes of
+    ``matrix @ x`` and ``matrix.T @ y``, by the same ``csr_matvec`` /
+    ``csc_matvec`` kernel into a fresh zeroed output.
 
     Parameters
     ----------
@@ -118,15 +128,18 @@ class GramMatrix:
         self.matrix = csr
         self.matrix_t = csr.T
         self.shape = csr.shape
+        csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        self.dense = csr.toarray() if 8 * csr.shape[0] * csr.shape[1] <= csr_bytes else None
+        self.dense_t = None if self.dense is None else self.dense.T
         self.spectral_norm_cache = None
 
     def matvec(self, x):
         """G x for a real x of shape (N,) or (N, 1); the result has x's ndim."""
-        return _product(_sparsetools.csr_matvec, self.matrix, x)
+        return _product(_sparsetools.csr_matvec, self.matrix, self.dense, x)
 
     def rmatvec(self, y):
         """G^T y for a real y of shape (L,) or (L, 1); the result has y's ndim."""
-        return _product(_sparsetools.csc_matvec, self.matrix_t, y)
+        return _product(_sparsetools.csc_matvec, self.matrix_t, self.dense_t, y)
 
     def toarray(self):
         return self.matrix.toarray()
@@ -145,15 +158,18 @@ class GramMatrix:
         )
 
 
-def _product(kernel, A, x):
-    """``A @ x`` by the sparsetools ``kernel`` of A's format, for x of shape
-    (n,) or (n, 1) with n = A's columns; any other shape raises ValueError
-    before the kernel, which reads x unchecked."""
+def _product(kernel, A, D, x):
+    """``A @ x`` for x of shape (n,) or (n, 1) with n = A's columns: by
+    ``np.dot`` with D, A's dense copy, or, with D None, by the sparsetools
+    ``kernel`` of A's format.  Any other shape raises ValueError before
+    either, since the kernel reads x unchecked."""
     x = np.asarray(x, dtype=float)
     rows, cols = A.shape
     if x.shape != (cols,) and x.shape != (cols, 1):
         raise ValueError("operand of shape %s does not match %d columns"
                          % (x.shape, cols))
+    if D is not None:
+        return np.dot(D, x)
     out = np.zeros(rows)
     kernel(rows, cols, A.indptr, A.indices, A.data, x.ravel(), out)
     return out if x.ndim == 1 else out.reshape(rows, 1)
@@ -258,18 +274,18 @@ def assemble_gram(kernel, functionals, knots):
 def spectral_norm(G):
     """Largest singular value of a GramMatrix, rounded up to a coupling float.
 
-    One Lanczos call (ARPACK through ``svds``, ``tol=0``, from the fixed start
-    vector of ones) on ``G.matvec`` and ``G.rmatvec``; a G of one row or one
-    column has rank one, and the norm of its stored entries.  Repeated calls
-    need not agree bit for bit: on a degenerate spectrum the start vector can
-    be an eigenvector, and ARPACK restarts from its own random state, which
-    other ``svds`` calls in the process move (``GramMatrix(np.eye(2, 3))``
-    reads 1.0 or an ulp either side).  A deterministic dense eigenvalue of
-    the smaller Gram (ROADMAP direction 7) would mend it.  The value then
-    steps up, by at most COUPLING_ULPS ulps, to the first float n with
-    ``(1/n)*(1/n)*(n*n) == 1.0``, so the balanced steps 1/n sit exactly on
-    the convergence boundary; with no such float the Lanczos value stays.
-    The result is cached on the GramMatrix.
+    When min(L, N) is at most DENSE_NORM_MAX, the square root of the top
+    ``eigvalsh`` eigenvalue of the smaller Gram, G G^T or G^T G, formed from
+    the CSR and its CSC view: a deterministic value, the same on every call
+    at a fixed BLAS thread count.  Above the cap, one Lanczos call (ARPACK
+    through ``svds``, ``tol=0``, from the fixed start vector of ones) on
+    ``G.matvec`` and ``G.rmatvec``; on a degenerate spectrum that start
+    vector can be an eigenvector, and ARPACK then restarts from its own
+    random state, which other ``svds`` calls in the process move.  The
+    value then steps up, by at most COUPLING_ULPS ulps, to the first float
+    n with ``(1/n)*(1/n)*(n*n) == 1.0``, so the balanced steps 1/n sit
+    exactly on the convergence boundary; with no such float the value
+    stays.  The result is cached on the GramMatrix.
 
     Raises
     ------
@@ -281,8 +297,9 @@ def spectral_norm(G):
     if G.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
     rank_bound = min(G.shape)
-    if rank_bound == 1:
-        norm = float(np.linalg.norm(G.matrix.data))
+    if rank_bound <= DENSE_NORM_MAX:
+        A = G.matrix @ G.matrix_t if G.shape[0] <= G.shape[1] else G.matrix_t @ G.matrix
+        norm = math.sqrt(max(float(np.linalg.eigvalsh(A.toarray())[-1]), 0.0))
     else:
         # loaded here, not by every import of the package
         from scipy.sparse.linalg import LinearOperator, svds

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .gram import (
+    DENSE_NORM_MAX,
     DiracFunctional,
     PatchFunctional,
     assemble_gram,
@@ -570,8 +571,7 @@ class _Setup:
         kernel = _timed(self.stages, "build_kernel", build_kernel, cfg["kernel"])
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, y, G = _load_measurements(cfg["sampling"], kernel, knots, self.stages)
-        # each solver's scipy module is loaded here, outside every stage, so
-        # that the solve and spectral_norm stages time work, not an import
+        # solver modules load here, outside every stage, so stages time work
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
             importlib.import_module("scipy.linalg")  # the Cholesky's
             knots = _keyed("sampling: sample directions repeat (solver.kind tikhonov "
@@ -585,7 +585,7 @@ class _Setup:
             model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], y)
             if G is None:
                 G = _timed(self.stages, "assemble", assemble_gram, kernel, functionals, knots)
-            if min(G.shape) > 1:  # a rank-one G takes no Lanczos call
+            if min(G.shape) > DENSE_NORM_MAX:  # a smaller G takes no Lanczos call
                 importlib.import_module("scipy.sparse.linalg")
             _timed(self.stages, "spectral_norm", spectral_norm, G)
             solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve

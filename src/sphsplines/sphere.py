@@ -58,15 +58,16 @@ def direction_from_lonlat(lon_deg, lat_deg):
     Parameters
     ----------
     lon_deg, lat_deg : float or array_like
-        Longitude (any finite real, wraps) and latitude in [-90, 90] degrees.
+        Longitude (any finite real, wraps) and latitude in [-90, 90] degrees,
+        broadcast against each other.
 
     Returns
     -------
     ndarray
         Shape ``(3,)`` for scalar input, else ``(..., 3)``.
     """
-    lon = np.deg2rad(np.asarray(lon_deg, dtype=float))
-    lat = np.deg2rad(np.asarray(lat_deg, dtype=float))
+    lon, lat = np.broadcast_arrays(np.deg2rad(np.asarray(lon_deg, dtype=float)),
+                                   np.deg2rad(np.asarray(lat_deg, dtype=float)))
     if not np.all(np.abs(lat) <= np.pi / 2 + 1e-12):
         raise ValueError("latitude out of range [-90, 90]")
     if not np.all(np.isfinite(lon)):

@@ -102,11 +102,13 @@ def test_synth_counts_bytes_are_pinned(tmp_path):
 # sha256 of the tables these commands wrote before every table shared one
 # writer; a change means the written bytes changed
 LATTICE_50_SHA256 = "baf562cbca82a134939b19aec23cf780e12f0db4151e0ce00f7e032f6fd8ed91"
-# the run's steps come from the Lanczos norm, rounded up to a coupling float
+# the run's steps come from the dense eigenvalue norm, rounded up to a
+# coupling float, and its products from the Matern G's dense copy; recorded
+# at one BLAS thread
 RUN_TABLES_SHA256 = {
-    "coefficients.csv": "0f4a8f2beaac4df9d347db7980818568ed6024b19da7012d336c2302fbc89435",
-    "trace.csv": "96e6dc9b7a7a7a4f97f39d1ef6fd6eac710ed3728478f168ab49f350ba6e0452",
-    "r.csv": "f7e4736bc8f8da2890e899450128ab69b6c61202884254d4942985ec2c097144",
+    "coefficients.csv": "3cafb2905876052943b698e615c74c8ef15f6e859c3177528ff827338b7d0fc9",
+    "trace.csv": "e8247ee72b78d4434e7d2729b7ee979216454341287c9f17fb3b05ff6d03879d",
+    "r.csv": "9d35d6e3395dc7aae175e4da029b7c10af337740c1c33ce0603ced7a9e459bab",
 }
 
 
@@ -120,12 +122,14 @@ def test_lattice_bytes_are_pinned(tmp_path, capsys):
 
 
 def test_run_table_bytes_are_pinned(tmp_path):
-    # one small seeded run: its coefficient, trace and 4x8 raster tables
+    # one small seeded run: its coefficient, trace and 4x8 raster tables.
+    # The norm is LAPACK's dense eigenvalue, which can change its bits with
+    # the thread count, so the run goes in a process held at one thread.
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out", max_iter=400,
                   outputs={"directory": str(tmp_path / "out"),
                            "raster": {"n_lat": 4, "n_lon": 8, "path": "r.csv"}})
-    assert main(["reconstruct", "--config", str(cfg_path)]) == 0
+    _cli_at_one_thread("reconstruct", "--config", cfg_path)
     written = {name: _sha256(tmp_path / "out" / name) for name in RUN_TABLES_SHA256}
     assert written == RUN_TABLES_SHA256
 

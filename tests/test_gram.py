@@ -415,19 +415,45 @@ def test_spectral_norm_rounds_up_to_balanced_coupled_steps():
         np.testing.assert_allclose(n, np.linalg.norm(A, 2), rtol=1e-13)
 
 
+def test_spectral_norm_is_one_value_whatever_ran_before_it():
+    # the dense eigenvalue does not read ARPACK's random state, which other
+    # svds calls move: eye(2, 3), whose start vector of ones is an
+    # eigenvector of G G^T, read 1.0 or an ulp either side through Lanczos
+    from scipy.sparse.linalg import svds
+
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((30, 50))
+    seen = {"eye": set(), "random": set()}
+    for _ in range(30):
+        svds(rng.standard_normal((30, 50)), k=1, return_singular_vectors=False)
+        seen["eye"].add(spectral_norm(GramMatrix(np.eye(2, 3))))
+        svds(sparse.random(40, 60, density=0.2, random_state=rng), k=2,
+             return_singular_vectors=False)
+        seen["random"].add(spectral_norm(GramMatrix(A)))
+    assert seen["eye"] == {1.0}
+    assert len(seen["random"]) == 1
+
+
 def test_import_leaves_arpack_unloaded():
-    # scipy.sparse.linalg loads with the first Lanczos norm, so commands
-    # that take no norm (synth, raster, lattice, tikhonov runs) skip it
+    # scipy.sparse.linalg loads with the first Lanczos norm, of a G with
+    # more than DENSE_NORM_MAX rows and columns, so commands that take no
+    # norm (synth, raster, lattice, tikhonov runs) or a dense one skip it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, numpy as np, sphsplines.cli\n"
-            "from sphsplines.gram import GramMatrix, spectral_norm\n"
-            "before = 'scipy.sparse.linalg' in sys.modules\n"
+            "from scipy import sparse\n"
+            "from sphsplines.gram import DENSE_NORM_MAX, GramMatrix, spectral_norm\n"
+            "seen = ['scipy.sparse.linalg' in sys.modules]\n"
             "spectral_norm(GramMatrix(np.eye(2)))\n"
-            "print(before, 'scipy.sparse.linalg' in sys.modules)\n")
+            "seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "n = DENSE_NORM_MAX + 1\n"
+            "norm = spectral_norm(GramMatrix(sparse.diags(np.arange(1.0, n + 1))))\n"
+            "print(*seen, 'scipy.sparse.linalg' in sys.modules, n, norm)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    *loaded, n, norm = proc.stdout.split()
+    assert loaded == ["False", "False", "True"]
+    assert n == "513" and abs(float(norm) - 513.0) <= 1e-9
 
 
 def test_matern_runs_leave_the_kd_tree_unloaded(tmp_path):
@@ -490,10 +516,37 @@ def test_rmatvec_is_bitwise_the_transpose_product(dense):
     assert np.shares_memory(G.matrix_t.data, G.matrix.data)
 
 
+def test_gram_keeps_a_dense_copy_where_it_is_no_larger_than_the_csr():
+    # 8 L N bytes against the CSR's data, index and pointer arrays: a G
+    # with no zeros (a global kernel's) or few keeps the copy, a 0.3-density
+    # or Wendland-assembled G does not
+    rng = np.random.default_rng(6)
+    kept = {"dense": GramMatrix(rng.standard_normal((25, 200))),
+            "integer": GramMatrix(rng.integers(-3, 4, (25, 200)))}
+    for G in kept.values():
+        assert G.dense is not None and G.dense.flags.c_contiguous
+        assert G.dense.dtype == np.float64
+        assert np.array_equal(G.dense, G.toarray())
+        assert np.shares_memory(G.dense_t, G.dense)
+    dropped = {
+        "0.3-density": GramMatrix(sparse.random(30, 50, density=0.3, random_state=rng)),
+        "wendland": assemble_gram(wendland_zonal(3, 1, 0.3),
+                                  [DiracFunctional(p) for p in random_directions(300, 7)],
+                                  fibonacci_lattice(400)),
+    }
+    for G in dropped.values():
+        assert G.dense is None and G.dense_t is None
+    for G in list(kept.values()) + list(dropped.values()):
+        csr = G.matrix
+        csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+        assert (G.dense is not None) == (8 * G.shape[0] * G.shape[1] <= csr_bytes)
+
+
 @pytest.mark.parametrize("kind", ["sparse", "dense", "integer"])
 def test_products_are_bitwise_the_operator_products(kind):
-    # a fully dense G stores every entry; (n, 1) operands are what svds
-    # passes; an integer G is stored as float64, so the kernels see one dtype
+    # a sparse G's products are its CSR's; a fully dense G's are BLAS
+    # products with its dense copy; (n, 1) operands are what svds passes;
+    # an integer G is stored as float64, so the kernels see one dtype
     rng = np.random.default_rng(12)
     A = {"sparse": lambda: sparse.random(25, 200, density=0.1, random_state=rng,
                                          format="csr"),
@@ -502,9 +555,12 @@ def test_products_are_bitwise_the_operator_products(kind):
     G = GramMatrix(A)
     assert G.matrix.dtype == np.float64
     assert (G.density < 0.2) if kind == "sparse" else (G.density > 0.8)
+    if kind == "sparse":
+        refs = (G.matrix.__matmul__, G.matrix.T.__matmul__)
+    else:
+        refs = (lambda v: np.dot(G.dense, v), lambda v: np.dot(G.dense.T, v))
     x, y = rng.standard_normal(200), rng.standard_normal(25)
-    for v, mine, ref in ((x, G.matvec, G.matrix.__matmul__),
-                         (y, G.rmatvec, G.matrix.T.__matmul__)):
+    for v, mine, ref in ((x, G.matvec, refs[0]), (y, G.rmatvec, refs[1])):
         for operand in (v, v.reshape(-1, 1)):
             got, want = mine(operand), ref(operand)
             assert got.shape == want.shape == (len(want),) + operand.shape[1:]
@@ -513,17 +569,22 @@ def test_products_are_bitwise_the_operator_products(kind):
 
 def test_products_check_the_operand_before_the_kernel(monkeypatch):
     # the sparse kernels read their input unchecked, so a bad shape must
-    # raise before either is called
+    # raise before either is called; a G with a dense copy checks the same
     calls = []
     for name in ("csr_matvec", "csc_matvec"):
         monkeypatch.setattr(_sparsetools, name,
                             lambda *args, name=name: calls.append(name))
-    G = GramMatrix(np.ones((3, 4)))
-    for product, good in ((G.matvec, 4), (G.rmatvec, 3)):
-        for bad in (np.ones(good - 1), np.ones(good + 1), np.ones((good, 2)),
-                    np.ones((1, good)), np.ones((good, 1, 1)), np.float64(1.0)):
-            with pytest.raises(ValueError, match="does not match"):
-                product(bad)
+    G, D = GramMatrix(np.eye(3, 4)), GramMatrix(np.ones((3, 4)))
+    assert G.dense is None and D.dense is not None
+    for gram_matrix in (G, D):
+        for product, good in ((gram_matrix.matvec, 4), (gram_matrix.rmatvec, 3)):
+            for bad in (np.ones(good - 1), np.ones(good + 1), np.ones((good, 2)),
+                        np.ones((1, good)), np.ones((good, 1, 1)), np.float64(1.0)):
+                with pytest.raises(ValueError, match="does not match"):
+                    product(bad)
+    assert calls == []
+    D.matvec(np.ones(4))
+    D.rmatvec(np.ones((3, 1)))
     assert calls == []
     G.matvec(np.ones(4))
     G.rmatvec(np.ones((3, 1)))

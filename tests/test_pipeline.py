@@ -601,8 +601,9 @@ def test_tikhonov_setup_loads_scipy_linalg_before_the_solve_stage(tmp_path):
 
 def test_proximal_setup_loads_scipy_sparse_linalg_before_the_spectral_norm_stage(tmp_path):
     # the spectral_norm stage times the Lanczos call, not the first import
-    # of its module, which the setup makes outside every stage; a rank-one
-    # G, whose norm takes no Lanczos call, leaves the module unloaded
+    # of its module, which the setup makes outside every stage; a G with at
+    # most DENSE_NORM_MAX rows or columns, whose norm is a dense eigenvalue,
+    # leaves the module unloaded
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     code = ("import sys\n"
             "import sphsplines.pipeline as pipeline\n"
@@ -612,17 +613,20 @@ def test_proximal_setup_loads_scipy_sparse_linalg_before_the_spectral_norm_stage
             "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "    return norm(G)\n"
             "pipeline.spectral_norm = spy\n"
-            "for samples in (1, 30):\n"
+            "big = pipeline.DENSE_NORM_MAX + 8\n"
+            "for samples, knots in ((1, 20), (30, 20), (big, big)):\n"
             "    pipeline.run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
-            "        'epsilon': 0.35}, 'knots': {'fibonacci': 20},\n"
+            "        'epsilon': 0.35}, 'knots': {'fibonacci': knots},\n"
             "        'sampling': {'synthetic': {'kind': 'scatter', 'samples': samples}},\n"
             "        'cost': {'kind': 'ls'}, 'solver': {'kind': 'apgd'}, 'max_iter': 20,\n"
             "        'seed': 1, 'outputs': {'directory': sys.argv[1]}})\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "print(*seen)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    # before any run, then at the norm and after the run, for each run
+    assert proc.stdout.split() == ["False"] + ["False"] * 4 + ["True"] * 2
 
 
 def test_manifest_records_the_stages_the_run_executes(tmp_path):

@@ -236,7 +236,8 @@ def _sha256(a):
 def test_solver_iterates_are_pinned():
     # 300 iterations each, run to the cap; a change to the step rule, the
     # momentum, the spectral norm or the order of the arithmetic moves these
-    # bytes
+    # bytes.  Each G is dense, so its products and norm run through BLAS and
+    # LAPACK; recorded at one BLAS thread, and read the same at two
     rng = np.random.default_rng(2024)
     x_true = np.zeros(30)
     x_true[[3, 11, 25]] = [1.5, -2.0, 0.7]
@@ -254,12 +255,12 @@ def test_solver_iterates_are_pinned():
                               SolverConfig(0.5, eps_stop=1e-15, max_iter=300)),
     }
     pinned = {
-        "pds-exact": ("ee3ee5f7cbb1a5d123a374828e4bd5a8d1000fc5020436820034e31f05946e13",
-                      "991e537b3a8c12d182661d25e7b0a7fdabbef25156c9051c3467002a9eea4e7b"),
-        "pds-kl": ("f6d8b43f08c05d06479ca5f2850ae9608f5a696c60725c7ab93cb7c5a3ceb29b",
-                   "431083b296c2ec61824acf409219279b88b219b11a39ff8df44e83cda2cc9cf0"),
-        "apgd-ls": ("9d9d2f9c5cba2f61d4f312888f6f3384c6989645d83271012c001b139bde0013",
-                    "08c2ef598ad4cb27c84d1e3a93f2f4b19324f097f8395d3a14bd78d1a2f907ea"),
+        "pds-exact": ("03999cffd3c32d0e65fe55e1a57fd87175f9eb5cf3d84f08962979d83321d11c",
+                      "e81bcb6b0aa37b2d6d07a74989900b28b79f226a99151ea767b55b6b4745c683"),
+        "pds-kl": ("796112b27d5da441b27e8b388ade0f6c4298d5c61744df42c69a4ca099f7e94d",
+                   "d3a3d4d5e95324b3a2e8ea705f9b640be8c61aeb1889038f41606b26585f8986"),
+        "apgd-ls": ("a71fdfe1a539e83ebd1776c3ec473b5914e69301f89c15ed74bf8704890ccbf7",
+                    "c17a21c65a85f4362a75d99ca94e63857891c9bef5daf88d1408fd5ad20148e3"),
     }
     for name, res in runs.items():
         assert res.iterations == 300, name
@@ -354,8 +355,8 @@ def test_rkhs_sample_count_mismatch():
 
 def test_scipy_linalg_loads_with_the_first_direct_solve():
     # importing the package leaves scipy.linalg unloaded (a proximal run
-    # loads it too, through scipy.sparse.linalg for the Lanczos norm); the
-    # Cholesky of a tikhonov solve loads it
+    # past the dense-norm cap loads it too, through scipy.sparse.linalg for
+    # the Lanczos norm); the Cholesky of a tikhonov solve loads it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, numpy as np\n"
             "import sphsplines\n"

@@ -31,6 +31,27 @@ def test_direction_lat_out_of_range():
         direction_from_lonlat(0, 91)
 
 
+def test_direction_broadcasts_a_scalar_coordinate_against_an_array():
+    # a scalar latitude with array longitudes (a parallel) and a scalar
+    # longitude with array latitudes (a meridian), each bitwise the call on
+    # arrays broadcast by hand
+    values = np.array([[-170.0, 0.0, 10.0], [35.5, 90.0, 200.0]])
+    for lon, lat in ((values, 30.0), (12.5, values / 2.5)):
+        d = direction_from_lonlat(lon, lat)
+        want = direction_from_lonlat(*np.broadcast_arrays(lon, lat))
+        assert d.shape == (2, 3, 3)
+        assert d.tobytes() == want.tobytes()
+    # the checks still name the bad coordinate
+    with pytest.raises(ValueError, match="latitude"):
+        direction_from_lonlat([0.0, 10.0], 91.0)
+    with pytest.raises(ValueError, match="latitude"):
+        direction_from_lonlat(0.0, [0.0, np.nan])
+    with pytest.raises(ValueError, match="longitude"):
+        direction_from_lonlat([0.0, np.nan], 0.0)
+    with pytest.raises(ValueError, match="longitude"):
+        direction_from_lonlat(np.inf, [0.0, 10.0])
+
+
 def test_lonlat_roundtrip():
     rng = np.random.default_rng(1)
     lon = rng.uniform(-180, 180, size=50)

@@ -5,12 +5,16 @@ Usage: python tools/same_bytes.py PARENT_ROOT CHANGE_ROOT [--seeds 1 1009]
 PARENT_ROOT's ``bench/workloads.py`` generates each workload's inputs once per
 seed; each tree's CLI (its ``src/``, one BLAS thread) runs the workload on them.
 The sha256 of every CSV written and the manifests' FIELDS must agree: the exit
-status is 1 if any differ.
+status is 1 if any differ.  Each CSV that differs is listed with the size of
+its change: the largest absolute change of its last column, divided by the
+parent's largest finite magnitude there.
 """
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,12 +24,16 @@ FIELDS = ("kernel_table", "raster", "gram", "iterations", "final_objective",
           "converged", "residual_norms", "sparsity_count")
 
 
-def outputs(root, argv, out_dir):
-    """{path under out_dir: a CSV's sha256 or a manifest's FIELDS} of a run."""
+def run(root, argv, out_dir):
+    """Run the CLI of the tree at ``root`` with ``argv``, writing into out_dir."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "sphsplines.cli", *argv, "--output-dir", out_dir],
                    env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def outputs(out_dir):
+    """{path under out_dir: a CSV's sha256 or a manifest's FIELDS}."""
     found = {}
     for directory, _, names in os.walk(out_dir):
         for name in names:
@@ -37,6 +45,33 @@ def outputs(root, argv, out_dir):
             else:  # the manifest; JSON text, so that NaN equals NaN
                 found[key] = json.dumps(list(map(json.loads(data).get, FIELDS)))
     return found
+
+
+def last_column(path):
+    """The last column of a CSV with one header row, as floats."""
+    with open(path, newline="") as fh:
+        return [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+
+
+def change_size(parent_csv, change_csv):
+    """How far a CSV's last column moved, as text: the largest absolute
+    change over the parent's largest finite magnitude (equal non-finite
+    entries do not count), or the two row counts if they differ."""
+    old, new = last_column(parent_csv), last_column(change_csv)
+    if len(old) != len(new):
+        return "%d -> %d rows" % (len(old), len(new))
+    moved = max((0.0 if a == b else abs(a - b) for a, b in zip(old, new)), default=0.0)
+    scale = max((abs(a) for a in old if math.isfinite(a)), default=0.0)
+    return "%.2g of the largest" % (moved / scale if scale else math.inf)
+
+
+def compare(parent_dir, change_dir):
+    """The paths under the two output directories whose outputs differ,
+    sorted, each CSV with its `change_size`."""
+    parent, change = outputs(parent_dir), outputs(change_dir)
+    bad = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
+    return ["%s (%s)" % (k, change_size(os.path.join(parent_dir, k), os.path.join(change_dir, k)))
+            if k.endswith(".csv") and k in parent and k in change else k for k in bad]
 
 
 def main():
@@ -54,13 +89,13 @@ def main():
                 inputs = os.path.join(work, "%s-%d" % (name, seed))
                 os.makedirs(inputs)
                 argv = generate(seed, inputs).argv
-                parent, change = (outputs(root, argv, os.path.join(inputs, "out%d" % i))
-                                  for i, root in enumerate(args.roots))
-                bad = sorted(k for k in parent.keys() | change.keys()
-                             if parent.get(k) != change.get(k))
+                out = [os.path.join(inputs, "out%d" % i) for i in range(2)]
+                for root, out_dir in zip(args.roots, out):
+                    run(root, argv, out_dir)
+                bad, written = compare(*out), outputs(out[0])
                 print("%s seed %d: %d CSVs and %d manifests, %s" % (
-                    name, seed, sum(k.endswith(".csv") for k in parent),
-                    sum(k.endswith(".json") for k in parent),
+                    name, seed, sum(k.endswith(".csv") for k in written),
+                    sum(k.endswith(".json") for k in written),
                     "differ: " + ", ".join(bad) if bad else "identical"))
                 differ |= bool(bad)
     return int(differ)
