@@ -16,6 +16,7 @@ shape check, not for the operator dispatch or for indexing a matrix with
 no zeros.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -36,8 +37,15 @@ SCREEN_MARGIN = 16 * np.finfo(float).eps
 COUPLING_ULPS = 64
 
 # `spectral_norm` takes a dense eigenvalue of the smaller Gram GG^T or G^TG
-# up to this order (2 MB, milliseconds), and a Lanczos call above it
-DENSE_NORM_MAX = 512
+# up to this order, the largest among the benchmark's workloads (eigvalsh
+# takes 8 ms at one BLAS thread), and a Lanczos call above it
+DENSE_NORM_MAX = 400
+
+# and only while the Gram costs less to form than a Lanczos call: a G
+# stored dense forms it by BLAS, which beats Lanczos at every such order;
+# a sparse G by a sparse product, at about 2.5 ns a multiply-add at one
+# thread, so up to this many (40 ms, as the import of scipy.sparse.linalg)
+SPARSE_GRAM_MAX = 2**24
 
 
 class DiracFunctional:
@@ -274,18 +282,19 @@ def assemble_gram(kernel, functionals, knots):
 def spectral_norm(G):
     """Largest singular value of a GramMatrix, rounded up to a coupling float.
 
-    When min(L, N) is at most DENSE_NORM_MAX, the square root of the top
-    ``eigvalsh`` eigenvalue of the smaller Gram, G G^T or G^T G, formed from
-    the CSR and its CSC view: a deterministic value, the same on every call
-    at a fixed BLAS thread count.  Above the cap, one Lanczos call (ARPACK
-    through ``svds``, ``tol=0``, from the fixed start vector of ones) on
-    ``G.matvec`` and ``G.rmatvec``; on a degenerate spectrum that start
-    vector can be an eigenvector, and ARPACK then restarts from its own
-    random state, which other ``svds`` calls in the process move.  The
-    value then steps up, by at most COUPLING_ULPS ulps, to the first float
-    n with ``(1/n)*(1/n)*(n*n) == 1.0``, so the balanced steps 1/n sit
-    exactly on the convergence boundary; with no such float the value
-    stays.  The result is cached on the GramMatrix.
+    When `takes_dense_norm` holds, the square root of the top ``eigvalsh``
+    eigenvalue of the smaller Gram, G G^T or G^T G, formed by BLAS from
+    G's dense copy or by a sparse product of the CSR and its CSC view: a
+    deterministic value, the same on every call at a fixed BLAS thread
+    count.  Otherwise one Lanczos call (ARPACK through ``svds``, ``tol=0``,
+    from the fixed start vector of ones) on ``G.matvec`` and ``G.rmatvec``;
+    on a degenerate spectrum that start vector can be an eigenvector, and
+    ARPACK then restarts from its own random state, which other ``svds``
+    calls in the process move.  The value then steps up, by at most
+    COUPLING_ULPS ulps, to the first float n with
+    ``(1/n)*(1/n)*(n*n) == 1.0``, so the balanced steps 1/n sit exactly on
+    the convergence boundary; with no such float the value stays.  The
+    result is cached on the GramMatrix.
 
     Raises
     ------
@@ -296,16 +305,14 @@ def spectral_norm(G):
         return G.spectral_norm_cache
     if G.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
-    rank_bound = min(G.shape)
-    if rank_bound <= DENSE_NORM_MAX:
-        A = G.matrix @ G.matrix_t if G.shape[0] <= G.shape[1] else G.matrix_t @ G.matrix
-        norm = math.sqrt(max(float(np.linalg.eigvalsh(A.toarray())[-1]), 0.0))
+    if takes_dense_norm(G):
+        norm = math.sqrt(max(float(np.linalg.eigvalsh(_smaller_gram(G))[-1]), 0.0))
     else:
         # loaded here, not by every import of the package
         from scipy.sparse.linalg import LinearOperator, svds
 
         op = LinearOperator(G.shape, matvec=G.matvec, rmatvec=G.rmatvec, dtype=float)
-        norm = float(svds(op, k=1, tol=0, v0=np.ones(rank_bound),
+        norm = float(svds(op, k=1, tol=0, v0=np.ones(min(G.shape)),
                           return_singular_vectors=False)[0])
     n = norm
     for _ in range(COUPLING_ULPS + 1):
@@ -315,6 +322,38 @@ def spectral_norm(G):
         n = float(np.nextafter(n, np.inf))
     G.spectral_norm_cache = norm
     return norm
+
+
+def takes_dense_norm(G):
+    """Whether `spectral_norm` takes G's norm as a dense eigenvalue: when
+    min(L, N) is at most DENSE_NORM_MAX and G is stored dense, or its
+    sparse Gram takes at most SPARSE_GRAM_MAX multiply-adds, the sum of
+    the squared entry counts of G's columns (L <= N) or rows."""
+    L, N = G.shape
+    if min(L, N) > DENSE_NORM_MAX:
+        return False
+    if G.dense is not None:
+        return True
+    counts = np.bincount(G.matrix.indices, minlength=N) if L <= N else np.diff(G.matrix.indptr)
+    return float(np.sum(counts.astype(float) ** 2)) <= SPARSE_GRAM_MAX
+
+
+def _smaller_gram(G):
+    """G G^T if L <= N, else G^T G, as a dense array: by BLAS from G's
+    dense copy, or by a sparse product of the CSR and its CSC view."""
+    if G.dense is not None:
+        D, Dt = G.dense, G.dense_t
+        return np.dot(D, Dt) if G.shape[0] <= G.shape[1] else np.dot(Dt, D)
+    A, At = G.matrix, G.matrix_t
+    return (A @ At if G.shape[0] <= G.shape[1] else At @ A).toarray()
+
+
+def prepare_spectral_norm(G):
+    """Import the module `spectral_norm` needs for G, scipy.sparse.linalg
+    when G takes a Lanczos call, so that a caller can time the norm apart
+    from the import; a package import loads it for no command."""
+    if not takes_dense_norm(G):
+        importlib.import_module("scipy.sparse.linalg")
 
 
 def knot_gram(kernel, knots):

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .gram import (
-    DENSE_NORM_MAX,
     DiracFunctional,
     PatchFunctional,
     assemble_gram,
     knot_gram,
+    prepare_spectral_norm,
     spectral_norm,
 )
 from .kernels import (
@@ -585,8 +585,8 @@ class _Setup:
             model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], y)
             if G is None:
                 G = _timed(self.stages, "assemble", assemble_gram, kernel, functionals, knots)
-            if min(G.shape) > DENSE_NORM_MAX:  # a smaller G takes no Lanczos call
-                importlib.import_module("scipy.sparse.linalg")
+            # a Lanczos norm's module loads here too, outside its stage
+            prepare_spectral_norm(G)
             _timed(self.stages, "spectral_norm", spectral_norm, G)
             solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
             self.solve = lambda point: solve(G, model, SolverConfig(

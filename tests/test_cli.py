@@ -102,13 +102,13 @@ def test_synth_counts_bytes_are_pinned(tmp_path):
 # sha256 of the tables these commands wrote before every table shared one
 # writer; a change means the written bytes changed
 LATTICE_50_SHA256 = "baf562cbca82a134939b19aec23cf780e12f0db4151e0ce00f7e032f6fd8ed91"
-# the run's steps come from the dense eigenvalue norm, rounded up to a
-# coupling float, and its products from the Matern G's dense copy; recorded
-# at one BLAS thread
+# the run's steps come from the dense eigenvalue norm of a BLAS Gram,
+# rounded up to a coupling float, and its products from the Matern G's
+# dense copy; recorded at one BLAS thread
 RUN_TABLES_SHA256 = {
-    "coefficients.csv": "3cafb2905876052943b698e615c74c8ef15f6e859c3177528ff827338b7d0fc9",
-    "trace.csv": "e8247ee72b78d4434e7d2729b7ee979216454341287c9f17fb3b05ff6d03879d",
-    "r.csv": "9d35d6e3395dc7aae175e4da029b7c10af337740c1c33ce0603ced7a9e459bab",
+    "coefficients.csv": "18447fdf08a09f2f3186bc5b103b6040ceadaaa31027b437ebfabe1df5c4cacf",
+    "trace.csv": "1f838f05a49499c5a64ef0d1c98b96dba8c28e4c6fc74ae6f8a2dd7ca251ad98",
+    "r.csv": "98d488ca6c24668a1b619009aa5589c80c56de2b5920c12304f1bf57bbc11bbe",
 }
 
 

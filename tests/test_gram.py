@@ -453,7 +453,61 @@ def test_import_leaves_arpack_unloaded():
     assert proc.returncode == 0, proc.stderr
     *loaded, n, norm = proc.stdout.split()
     assert loaded == ["False", "False", "True"]
-    assert n == "513" and abs(float(norm) - 513.0) <= 1e-9
+    assert int(n) == gram.DENSE_NORM_MAX + 1 and abs(float(norm) - float(n)) <= 1e-9
+
+
+def _columns_of_128(n_cols, seed):
+    # 200 x n_cols, 128 entries in each column: a 0.64 density, so G is
+    # stored sparse, and its Gram G G^T takes n_cols * 128**2 multiply-adds
+    rows = (np.arange(128)[None, :] + 3 * np.arange(n_cols)[:, None]) % 200
+    vals = np.random.default_rng(seed).uniform(1.0, 2.0, rows.size)
+    return sparse.csr_matrix((vals, (rows.ravel(), np.repeat(np.arange(n_cols), 128))),
+                             shape=(200, n_cols))
+
+
+@pytest.mark.parametrize("orientation", ["wide", "tall"])
+def test_the_norm_path_follows_the_order_cap_and_the_sparse_gram_cost(orientation):
+    # the dense eigenvalue runs while min(L, N) <= DENSE_NORM_MAX and the
+    # Gram costs less to form than a Lanczos call: always for a G stored
+    # dense, up to SPARSE_GRAM_MAX multiply-adds for a sparse one; both
+    # paths give the norm to rounding
+    orient = (lambda A: A) if orientation == "wide" else (lambda A: A.T)
+    cap = gram.DENSE_NORM_MAX
+    rng = np.random.default_rng(8)
+    at_cost, past_cost = _columns_of_128(1024, 1), _columns_of_128(1025, 2)
+    assert 1024 * 128**2 == gram.SPARSE_GRAM_MAX
+    cases = {"dense at the cap": (rng.standard_normal((cap, cap + 60)), True),
+             "dense past the cap": (rng.standard_normal((cap + 1, cap + 60)), False),
+             "sparse at the cost": (at_cost, True),
+             "sparse past the cost": (past_cost, False)}
+    for name, (A, dense_norm) in cases.items():
+        G = GramMatrix(orient(A))
+        assert (G.dense is None) == name.startswith("sparse"), name
+        assert gram.takes_dense_norm(G) == dense_norm, name
+        reference = np.linalg.norm(G.toarray(), 2)
+        np.testing.assert_allclose(spectral_norm(G), reference, rtol=1e-13, err_msg=name)
+
+
+def test_preparing_a_norm_loads_scipy_sparse_linalg_only_for_a_lanczos_call(tmp_path):
+    # each G on the dense side of the rule leaves the module unloaded; the
+    # first sparse G past SPARSE_GRAM_MAX loads it, before its norm is taken
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [str(tmp_path / name) for name in ("dense.npz", "at.npz", "past.npz")]
+    for path, A in zip(paths, (np.ones((400, 900)), _columns_of_128(1024, 1),
+                               _columns_of_128(1025, 2))):
+        sparse.save_npz(path, sparse.csr_matrix(A))
+    code = ("import sys\n"
+            "from scipy import sparse\n"
+            "from sphsplines.gram import GramMatrix, prepare_spectral_norm\n"
+            "seen = []\n"
+            "for path in sys.argv[1:]:\n"
+            "    prepare_spectral_norm(GramMatrix(sparse.load_npz(path)))\n"
+            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "print(*seen)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_matern_runs_leave_the_kd_tree_unloaded(tmp_path):
@@ -555,16 +609,20 @@ def test_products_are_bitwise_the_operator_products(kind):
     G = GramMatrix(A)
     assert G.matrix.dtype == np.float64
     assert (G.density < 0.2) if kind == "sparse" else (G.density > 0.8)
+    operators = (G.matrix.__matmul__, G.matrix.T.__matmul__)
     if kind == "sparse":
-        refs = (G.matrix.__matmul__, G.matrix.T.__matmul__)
+        refs = operators
     else:
         refs = (lambda v: np.dot(G.dense, v), lambda v: np.dot(G.dense.T, v))
     x, y = rng.standard_normal(200), rng.standard_normal(25)
-    for v, mine, ref in ((x, G.matvec, refs[0]), (y, G.rmatvec, refs[1])):
+    for v, mine, ref, operator in ((x, G.matvec, refs[0], operators[0]),
+                                   (y, G.rmatvec, refs[1], operators[1])):
         for operand in (v, v.reshape(-1, 1)):
             got, want = mine(operand), ref(operand)
             assert got.shape == want.shape == (len(want),) + operand.shape[1:]
             assert got.tobytes() == want.tobytes()
+            # and, for the dense copy, the operator G itself to rounding
+            np.testing.assert_allclose(got, operator(operand), rtol=1e-13, atol=1e-13)
 
 
 def test_products_check_the_operand_before_the_kernel(monkeypatch):

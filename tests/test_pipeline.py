@@ -606,14 +606,14 @@ def test_proximal_setup_loads_scipy_sparse_linalg_before_the_spectral_norm_stage
     # leaves the module unloaded
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     code = ("import sys\n"
-            "import sphsplines.pipeline as pipeline\n"
+            "import sphsplines.gram as gram, sphsplines.pipeline as pipeline\n"
             "seen = ['scipy.sparse.linalg' in sys.modules]\n"
             "norm = pipeline.spectral_norm\n"
             "def spy(G):\n"
             "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
             "    return norm(G)\n"
             "pipeline.spectral_norm = spy\n"
-            "big = pipeline.DENSE_NORM_MAX + 8\n"
+            "big = gram.DENSE_NORM_MAX + 8\n"
             "for samples, knots in ((1, 20), (30, 20), (big, big)):\n"
             "    pipeline.run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
             "        'epsilon': 0.35}, 'knots': {'fibonacci': knots},\n"
