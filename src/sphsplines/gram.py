@@ -16,7 +16,6 @@ shape check, not for the operator dispatch or for indexing a matrix with
 no zeros.
 """
 
-import importlib
 import math
 
 import numpy as np
@@ -282,12 +281,14 @@ def assemble_gram(kernel, functionals, knots):
 def spectral_norm(G):
     """Largest singular value of a GramMatrix, rounded up to a coupling float.
 
-    When `takes_dense_norm` holds, the square root of the top ``eigvalsh``
-    eigenvalue of the smaller Gram, G G^T or G^T G, formed by BLAS from
-    G's dense copy or by a sparse product of the CSR and its CSC view: a
-    deterministic value, the same on every call at a fixed BLAS thread
-    count.  Otherwise one Lanczos call (ARPACK through ``svds``, ``tol=0``,
-    from the fixed start vector of ones) on ``G.matvec`` and ``G.rmatvec``;
+    It is 2^e times the norm of A = G 2^-e, with 2^e the power of two just
+    above max|G|, so no square under- or overflows at any scale.  When
+    `takes_dense_norm` holds, that is the square root of the top
+    ``eigvalsh`` eigenvalue of the smaller Gram, A A^T or A^T A, formed by
+    BLAS or by a sparse product: a deterministic value, the same on every
+    call at a fixed BLAS thread count.  Otherwise it is one Lanczos call on
+    A's products (ARPACK through ``svds``, which loads scipy.sparse.linalg,
+    ``tol=0``, from the fixed start vector of ones);
     on a degenerate spectrum that start vector can be an eigenvector, and
     ARPACK then restarts from its own random state, which other ``svds``
     calls in the process move.  The value then steps up, by at most
@@ -305,16 +306,17 @@ def spectral_norm(G):
         return G.spectral_norm_cache
     if G.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
+    e = int(np.frexp(np.max(np.abs(G.matrix.data)))[1])
     if takes_dense_norm(G):
-        norm = math.sqrt(max(float(np.linalg.eigvalsh(_smaller_gram(G))[-1]), 0.0))
+        norm = math.sqrt(max(float(np.linalg.eigvalsh(_smaller_gram(G, e))[-1]), 0.0))
     else:
-        # loaded here, not by every import of the package
         from scipy.sparse.linalg import LinearOperator, svds
 
-        op = LinearOperator(G.shape, matvec=G.matvec, rmatvec=G.rmatvec, dtype=float)
+        S = GramMatrix(_scaled_csr(G, e))
+        op = LinearOperator(S.shape, matvec=S.matvec, rmatvec=S.rmatvec, dtype=float)
         norm = float(svds(op, k=1, tol=0, v0=np.ones(min(G.shape)),
                           return_singular_vectors=False)[0])
-    n = norm
+    norm = n = float(np.ldexp(norm, e))
     for _ in range(COUPLING_ULPS + 1):
         if (1.0 / n) * (1.0 / n) * (n * n) == 1.0:
             norm = n
@@ -338,22 +340,22 @@ def takes_dense_norm(G):
     return float(np.sum(counts.astype(float) ** 2)) <= SPARSE_GRAM_MAX
 
 
-def _smaller_gram(G):
-    """G G^T if L <= N, else G^T G, as a dense array: by BLAS from G's
-    dense copy, or by a sparse product of the CSR and its CSC view."""
+def _smaller_gram(G, e):
+    """A A^T if L <= N, else A^T A, for A = G times 2^-e, as a dense array:
+    by BLAS from a scaled copy of G's dense copy, or by a sparse product of
+    a scaled copy of its CSR and the CSC view over that copy's arrays."""
     if G.dense is not None:
-        D, Dt = G.dense, G.dense_t
-        return np.dot(D, Dt) if G.shape[0] <= G.shape[1] else np.dot(Dt, D)
-    A, At = G.matrix, G.matrix_t
+        D = np.ldexp(G.dense, -e)
+        return np.dot(D, D.T) if G.shape[0] <= G.shape[1] else np.dot(D.T, D)
+    A = _scaled_csr(G, e)
+    At = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape[::-1])
     return (A @ At if G.shape[0] <= G.shape[1] else At @ A).toarray()
 
 
-def prepare_spectral_norm(G):
-    """Import the module `spectral_norm` needs for G, scipy.sparse.linalg
-    when G takes a Lanczos call, so that a caller can time the norm apart
-    from the import; a package import loads it for no command."""
-    if not takes_dense_norm(G):
-        importlib.import_module("scipy.sparse.linalg")
+def _scaled_csr(G, e):
+    """G's CSR times 2^-e, over G's index arrays."""
+    A = G.matrix
+    return sparse.csr_matrix((np.ldexp(A.data, -e), A.indices, A.indptr), shape=A.shape)
 
 
 def knot_gram(kernel, knots):

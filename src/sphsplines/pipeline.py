@@ -8,7 +8,6 @@ seed write byte-identical coefficient files.
 """
 
 import csv
-import importlib
 import json
 import math
 import os
@@ -26,7 +25,6 @@ from .gram import (
     PatchFunctional,
     assemble_gram,
     knot_gram,
-    prepare_spectral_norm,
     spectral_norm,
 )
 from .kernels import (
@@ -563,7 +561,9 @@ class _Setup:
     setup stage's seconds, the field's kernel, knots and `spline.RasterGrid`
     (None with no raster), and the solve ``solver.kind`` names, bound to G and
     the cost model or to K: ``solve(point cfg)``, the ``system`` product behind
-    ``data_misfit``, the ``residual``'s name and ``gram``, G's record or None."""
+    ``data_misfit``, the ``residual``'s name and ``gram``, G's record or None.
+    A stage's seconds hold the imports its work makes: a Lanczos norm's
+    first load of scipy.sparse.linalg falls in ``spectral_norm``."""
 
     def __init__(self, cfg):
         started = time.perf_counter()
@@ -571,9 +571,7 @@ class _Setup:
         kernel = _timed(self.stages, "build_kernel", build_kernel, cfg["kernel"])
         knots = fibonacci_lattice(cfg["knots"]["fibonacci"])
         functionals, y, G = _load_measurements(cfg["sampling"], kernel, knots, self.stages)
-        # solver modules load here, outside every stage, so stages time work
         if cfg["solver"]["kind"] == "tikhonov":  # point samples, as RunConfig checks
-            importlib.import_module("scipy.linalg")  # the Cholesky's
             knots = _keyed("sampling: sample directions repeat (solver.kind tikhonov "
                            "centres a kernel on each)",
                            KnotSet, [f.direction for f in functionals])
@@ -585,8 +583,6 @@ class _Setup:
             model = _COST_KINDS[cfg["cost"]["kind"]](cfg["cost"], y)
             if G is None:
                 G = _timed(self.stages, "assemble", assemble_gram, kernel, functionals, knots)
-            # a Lanczos norm's module loads here too, outside its stage
-            prepare_spectral_norm(G)
             _timed(self.stages, "spectral_norm", spectral_norm, G)
             solve = apgd_solve if cfg["solver"]["kind"] == "apgd" else pds_solve
             self.solve = lambda point: solve(G, model, SolverConfig(

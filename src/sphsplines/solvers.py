@@ -184,15 +184,13 @@ def apgd_solve(G, model, config):
 
 
 def _cholesky_solve(A, b, name):
-    """Solve A x = b by Cholesky; ValueError naming the matrix ``name`` if A
-    is not positive definite."""
-    # loaded here, by the two direct solves only, not by every import
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
+    """Solve A x = b by numpy's lower Cholesky factor C of A: C^T x = C^-1 b;
+    ValueError naming the matrix ``name`` if A is not positive definite."""
     try:
-        return cho_solve(cho_factor(A), b)
-    except LinAlgError as exc:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise ValueError("%s is not positive definite: %s" % (name, exc))
+    return np.linalg.solve(C.T, np.linalg.solve(C, b))
 
 
 def tikhonov_solve(K, y, mu):

@@ -134,19 +134,21 @@ def test_run_table_bytes_are_pinned(tmp_path):
     assert written == RUN_TABLES_SHA256
 
 
-# sha256 of the tables a tikhonov run writes at one BLAS thread; a change
-# means the bytes changed
+# sha256 of the tables a tikhonov run writes at one BLAS thread, recorded
+# after its solve moved from scipy's Cholesky to numpy's (coefficients moved
+# by 1.9e-12, trace by 7.9e-14, raster by 1.1e-13 of their largest values);
+# a change means the bytes changed
 TIKHONOV_TABLES_SHA256 = {
-    "coefficients.csv": "aa3c77e1198f2da6976956052de239fca4beb6980008d4714bf3f87c5b08b3b8",
-    "trace.csv": "1201a25e0040b0dd5e1cf6203d2abe294c5289a7cb32f4f6bd0fc7ac6f5f631a",
-    "r.csv": "1c44812b0c53cc4201140b45f4a518a741bac0f093cd4382bce30ddbc2f570cd",
+    "coefficients.csv": "37ebae65c3ca1668f6eea1c03e9050a61b4fe39db0d5d1f51586b037bcf996c6",
+    "trace.csv": "4e6eeaad46602255ce1da2cb41f8a5a0f8fbeae4f1c93f3c39dbc143f96c3022",
+    "r.csv": "c39f3c9a53301874caa91fa7ea6b47a90da0f04bc8fa14ae53b82c1e3b1f633b",
 }
 
 
 def test_tikhonov_run_table_bytes_are_pinned(tmp_path):
     # 200 samples: the knot Gram's 19,900 off-diagonal values and the 4x8
     # raster's 6,400 go through the self-convolved kernel's certified table.
-    # OpenBLAS's Cholesky factor of a 200 x 200 matrix changes its bits with
+    # numpy's Cholesky factor of a 200 x 200 matrix changes its bits with
     # the thread count, so the run goes in a process held at one thread.
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out",

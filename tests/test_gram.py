@@ -415,6 +415,22 @@ def test_spectral_norm_rounds_up_to_balanced_coupled_steps():
         np.testing.assert_allclose(n, np.linalg.norm(A, 2), rtol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["tiny diagonal", "tiny row", "huge diagonal",
+                                  "tiny Lanczos diagonal"])
+def test_spectral_norm_holds_at_scales_whose_squares_leave_the_floats(name):
+    # the squares of 1e-170 underflow to 0 and those of 1e160 overflow to
+    # inf, in a Gram and in the products of a Lanczos call alike
+    A = {"tiny diagonal": np.diag([1e-170, 2e-170]),
+         "tiny row": np.full((1, 3), 1e-170),
+         "huge diagonal": np.diag([1e160, 2e160]),
+         "tiny Lanczos diagonal": sparse.diags(
+             1e-170 * np.arange(1.0, gram.DENSE_NORM_MAX + 2))}[name]
+    G = GramMatrix(A)
+    assert gram.takes_dense_norm(G) == (name != "tiny Lanczos diagonal")
+    np.testing.assert_allclose(spectral_norm(G), np.linalg.norm(G.toarray(), 2),
+                               rtol=1e-13)
+
+
 def test_spectral_norm_is_one_value_whatever_ran_before_it():
     # the dense eigenvalue does not read ARPACK's random state, which other
     # svds calls move: eye(2, 3), whose start vector of ones is an
@@ -435,9 +451,10 @@ def test_spectral_norm_is_one_value_whatever_ran_before_it():
 
 
 def test_import_leaves_arpack_unloaded():
-    # scipy.sparse.linalg loads with the first Lanczos norm, of a G with
-    # more than DENSE_NORM_MAX rows and columns, so commands that take no
-    # norm (synth, raster, lattice, tikhonov runs) or a dense one skip it
+    # scipy.sparse.linalg loads inside spectral_norm, with the first
+    # Lanczos call a process makes (here for a G with more than
+    # DENSE_NORM_MAX rows and columns); the package import, a dense norm
+    # and the commands that take no norm leave it unloaded
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, numpy as np, sphsplines.cli\n"
             "from scipy import sparse\n"
@@ -486,28 +503,6 @@ def test_the_norm_path_follows_the_order_cap_and_the_sparse_gram_cost(orientatio
         assert gram.takes_dense_norm(G) == dense_norm, name
         reference = np.linalg.norm(G.toarray(), 2)
         np.testing.assert_allclose(spectral_norm(G), reference, rtol=1e-13, err_msg=name)
-
-
-def test_preparing_a_norm_loads_scipy_sparse_linalg_only_for_a_lanczos_call(tmp_path):
-    # each G on the dense side of the rule leaves the module unloaded; the
-    # first sparse G past SPARSE_GRAM_MAX loads it, before its norm is taken
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    paths = [str(tmp_path / name) for name in ("dense.npz", "at.npz", "past.npz")]
-    for path, A in zip(paths, (np.ones((400, 900)), _columns_of_128(1024, 1),
-                               _columns_of_128(1025, 2))):
-        sparse.save_npz(path, sparse.csr_matrix(A))
-    code = ("import sys\n"
-            "from scipy import sparse\n"
-            "from sphsplines.gram import GramMatrix, prepare_spectral_norm\n"
-            "seen = []\n"
-            "for path in sys.argv[1:]:\n"
-            "    prepare_spectral_norm(GramMatrix(sparse.load_npz(path)))\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
-            "print(*seen)\n")
-    proc = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_matern_runs_leave_the_kd_tree_unloaded(tmp_path):

@@ -575,58 +575,39 @@ def _stages_of(manifest):
     return stages
 
 
-def test_tikhonov_setup_loads_scipy_linalg_before_the_solve_stage(tmp_path):
-    # the solve stage of a tikhonov run times the Cholesky solve, not the
-    # first import of its module, which the setup makes outside every stage
+def test_runs_with_dense_norms_leave_scipy_linalg_and_arpack_unloaded(tmp_path):
+    # the direct solves are numpy's and a norm of G with at most
+    # DENSE_NORM_MAX rows or columns is a dense eigenvalue, so neither
+    # module loads: not with the CLI's import, a tikhonov run, an RKHS
+    # projection, or a pds or apgd run of 1 or 30 samples
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     code = ("import sys\n"
-            "import sphsplines.pipeline as pipeline\n"
-            "seen = ['scipy.linalg' in sys.modules]\n"
-            "solve = pipeline.tikhonov_solve\n"
-            "def spy(*args):\n"
-            "    seen.append('scipy.linalg' in sys.modules)\n"
-            "    return solve(*args)\n"
-            "pipeline.tikhonov_solve = spy\n"
-            "pipeline.run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
-            "    'epsilon': 0.35}, 'knots': {'fibonacci': 20},\n"
-            "    'sampling': {'synthetic': {'kind': 'scatter', 'samples': 30}},\n"
-            "    'cost': {'kind': 'ls'}, 'solver': {'kind': 'tikhonov', 'mu': 1e-3},\n"
-            "    'seed': 1, 'outputs': {'directory': sys.argv[1]}})\n"
-            "print(*seen)\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
-
-
-def test_proximal_setup_loads_scipy_sparse_linalg_before_the_spectral_norm_stage(tmp_path):
-    # the spectral_norm stage times the Lanczos call, not the first import
-    # of its module, which the setup makes outside every stage; a G with at
-    # most DENSE_NORM_MAX rows or columns, whose norm is a dense eigenvalue,
-    # leaves the module unloaded
-    src = os.path.dirname(os.path.dirname(pipeline.__file__))
-    code = ("import sys\n"
-            "import sphsplines.gram as gram, sphsplines.pipeline as pipeline\n"
-            "seen = ['scipy.sparse.linalg' in sys.modules]\n"
-            "norm = pipeline.spectral_norm\n"
-            "def spy(G):\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
-            "    return norm(G)\n"
-            "pipeline.spectral_norm = spy\n"
-            "big = gram.DENSE_NORM_MAX + 8\n"
-            "for samples, knots in ((1, 20), (30, 20), (big, big)):\n"
-            "    pipeline.run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
-            "        'epsilon': 0.35}, 'knots': {'fibonacci': knots},\n"
+            "import sphsplines.cli\n"
+            "from sphsplines import fibonacci_lattice, matern_zonal, rkhs_project\n"
+            "from sphsplines.pipeline import run_reconstruction\n"
+            "def loaded():\n"
+            "    return [m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')]\n"
+            "seen = loaded()\n"
+            "def run(samples, solver):\n"
+            "    run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
+            "        'epsilon': 0.35}, 'knots': {'fibonacci': 20},\n"
             "        'sampling': {'synthetic': {'kind': 'scatter', 'samples': samples}},\n"
-            "        'cost': {'kind': 'ls'}, 'solver': {'kind': 'apgd'}, 'max_iter': 20,\n"
+            "        'cost': {'kind': 'ls'}, 'solver': solver, 'max_iter': 20,\n"
             "        'seed': 1, 'outputs': {'directory': sys.argv[1]}})\n"
-            "    seen.append('scipy.sparse.linalg' in sys.modules)\n"
+            "run(30, {'kind': 'tikhonov', 'mu': 1e-3})\n"
+            "seen += loaded()\n"
+            "rkhs_project(matern_zonal(2.5, 0.35), fibonacci_lattice(20), [1.0] * 20)\n"
+            "seen += loaded()\n"
+            "for kind in ('pds', 'apgd'):\n"
+            "    for samples in (1, 30):\n"
+            "        run(samples, {'kind': kind})\n"
+            "        seen += loaded()\n"
             "print(*seen)\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    # before any run, then at the norm and after the run, for each run
-    assert proc.stdout.split() == ["False"] + ["False"] * 4 + ["True"] * 2
+    # both modules, after the import and after each of the six computations
+    assert proc.stdout.split() == ["False"] * 14
 
 
 def test_manifest_records_the_stages_the_run_executes(tmp_path):

@@ -1,14 +1,11 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from sphsplines import solvers
 from sphsplines.gram import GramMatrix, knot_gram, spectral_norm
-from sphsplines.kernels import matern_zonal
+from sphsplines.kernels import ZonalKernel, matern_zonal
 from sphsplines.prox import (
     KL,
     L1,
@@ -353,17 +350,8 @@ def test_rkhs_sample_count_mismatch():
         rkhs_project(matern_zonal(2.5, 0.2), fibonacci_lattice(5), np.ones(4))
 
 
-def test_scipy_linalg_loads_with_the_first_direct_solve():
-    # importing the package leaves scipy.linalg unloaded (a proximal run
-    # whose G takes a Lanczos norm loads it too, through
-    # scipy.sparse.linalg); the Cholesky of a tikhonov solve loads it
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = ("import sys, numpy as np\n"
-            "import sphsplines\n"
-            "before = 'scipy.linalg' in sys.modules\n"
-            "sphsplines.tikhonov_solve(np.eye(3), np.ones(3), 1e-3)\n"
-            "print(before, 'scipy.linalg' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+def test_rkhs_project_names_the_knot_gram_when_its_cholesky_fails():
+    # a constant kernel gives an all-ones K, whose second pivot is exactly 0
+    constant = ZonalKernel(lambda t: np.ones_like(t))
+    with pytest.raises(ValueError, match="knot Gram matrix is not positive definite"):
+        rkhs_project(constant, fibonacci_lattice(3), np.ones(3))

@@ -7,11 +7,16 @@ An import statement whose first line carries ``# noqa: F401`` is a
 deliberate re-export (the package ``__init__``) and is skipped.  A private
 helper whose last caller in its module is gone fails here even when a test
 still imports it, and so does a constant whose algorithm was deleted.
+
+Third-party modules enter the package at listed places only: numpy
+anywhere, scipy where `THIRD_PARTY` names the module and function.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -55,6 +60,76 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# (module, function, third-party module): where each may be imported; a
+# function of None allows every place in every module
+THIRD_PARTY = {
+    (None, None, "numpy"),
+    ("gram", "", "scipy.sparse"),
+    ("gram", "", "scipy.sparse._sparsetools"),
+    ("gram", "spectral_norm", "scipy.sparse.linalg"),
+}
+
+
+def _scoped_imports(node, scope=""):
+    """(scope, statement) of each import under ``node``: scope is the dotted
+    name of the function or class it sits in, or "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_imports(child, scope + "." + child.name if scope else child.name)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        else:
+            yield from _scoped_imports(child, scope)
+
+
+def _is_module(name):
+    """Whether the dotted ``name`` is an importable module (its parents load)."""
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def third_party_imports(source):
+    """Sorted (scope, module) of the imports in ``source`` from outside the
+    standard library and the package: ``import m`` loads m, and ``from m
+    import a`` loads m.a when that is a module, and otherwise m."""
+    found = set()
+    for scope, node in _scoped_imports(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif node.level == 0:
+            names = [node.module + "." + alias.name if _is_module(node.module + "." + alias.name)
+                     else node.module for alias in node.names]
+        else:
+            names = []
+        found.update((scope, name) for name in names
+                     if name.split(".")[0] not in sys.stdlib_module_names)
+    return sorted(found)
+
+
+def test_checker_lists_third_party_imports_by_scope():
+    source = ("import json\nimport numpy as np\nfrom scipy import sparse\n"
+              "from . import gram\n\n\ndef f():\n    from scipy.sparse.linalg import svds\n"
+              "    import os.path\n\n\nclass A:\n    def g(self):\n"
+              "        from scipy.sparse import _sparsetools\n")
+    assert third_party_imports(source) == [
+        ("", "numpy"), ("", "scipy.sparse"), ("A.g", "scipy.sparse._sparsetools"),
+        ("f", "scipy.sparse.linalg")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_third_party_modules_enter_only_where_listed(path):
+    # the package runs on numpy and scipy alone, and each scipy module
+    # loads at one named place; importlib, which would hide a module's
+    # name from this check, is used nowhere
+    text = path.read_text()
+    assert "importlib" not in text
+    assert [(scope, name) for scope, name in third_party_imports(text)
+            if (None, None, name) not in THIRD_PARTY
+            and (path.stem, scope, name) not in THIRD_PARTY] == []
 
 
 def test_checker_flags_an_unused_private_helper():
