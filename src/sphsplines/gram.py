@@ -5,9 +5,9 @@ rows ``G[l, n] = (functional l applied to psi(<., r_n>))``.  Every functional
 is a weighted quadrature rule: a point sample is one node of weight 1, a patch
 functional a tensor Gauss rule over its lon/lat rectangle.  So G's entries and
 the field values of `spline.evaluate` both come from `kernel_blocks`, the
-kernel at (point, knot) pairs, which visits only in-support pairs for
-compactly supported kernels.  Those pairs come from inner products by a
-chunked matmul, screened against the support, so no spatial index is built.
+kernel at (point, knot) pairs.  Each block of points takes its inner
+products from one matmul against the knots; a compactly supported kernel
+keeps the pairs inside its support, so no spatial index is built.
 
 `GramMatrix` applies G and G^T with the sparse kernels scipy's ``@`` ends
 in, called directly, or by dense BLAS products where a dense copy of G is
@@ -25,11 +25,6 @@ from scipy.sparse import _sparsetools
 from .legendre import gauss_legendre
 from .pdo import check_compatibility
 from .sphere import BLOCK_ENTRIES, KnotSet, check_integer
-
-# an inner product of two unit vectors, rounded by a matmul or by `np.sum`,
-# lies within 3 ulps of 1 of the exact value; a matmul screen at tmin less
-# this margin misses no pair whose `np.sum` exceeds tmin
-SCREEN_MARGIN = 16 * np.finfo(float).eps
 
 # `spectral_norm` rounds up by at most this many ulps to a norm n whose
 # balanced steps 1/n couple exactly: (1/n)*(1/n)*(n*n) == 1.0
@@ -184,50 +179,24 @@ def _product(kernel, A, D, x):
 
 def kernel_blocks(kernel, points, knots):
     """Yield ``(rows, block)``: psi(<p, r>) for the (M, 3) ``points`` in the
-    slice ``rows`` against the (N, 3) ``knots``, about ``BLOCK_ENTRIES``
-    values per block, so memory stays bounded in M.
+    slice ``rows`` against the (N, 3) ``knots``, in blocks of
+    ``BLOCK_ENTRIES // N`` rows (at least one), so memory stays bounded in M.
 
-    A compactly supported kernel gives CSR blocks of its in-support pairs:
-    `_screen` proposes them, and ``t > support_tmin`` keeps them, with
-    ``t = sum(p * r)`` per pair.  Any other kernel gives dense blocks whose
-    inner products come from one matmul.
+    Every block takes its inner products from one matmul,
+    ``t = points[rows] @ knots.T``.  A compactly supported kernel gives the
+    CSR block of psi(t) at the pairs with ``t > support_tmin``; any other
+    kernel gives the dense block psi(t).
     """
-    n = len(knots)
     tmin = kernel.support_tmin
-    step = max(1, int(BLOCK_ENTRIES // row_entries(kernel, n)))
+    step = max(1, BLOCK_ENTRIES // len(knots))
     for lo in range(0, len(points), step):
-        block = points[lo : lo + step]
-        rows = slice(lo, lo + len(block))
+        t = points[lo : lo + step] @ knots.T
+        rows = slice(lo, lo + len(t))
         if tmin is None:
-            yield rows, kernel(block @ knots.T)
+            yield rows, kernel(t)
             continue
-        i, j = _screen(block, knots, tmin)
-        t = np.sum(block[i] * knots[j], axis=1)
-        inside = t > tmin
-        yield rows, sparse.csr_matrix(
-            (kernel(t[inside]), (i[inside], j[inside])), shape=(len(block), n)
-        )
-
-
-def row_entries(kernel, n):
-    """The values a row of `kernel_blocks` is expected to hold against n
-    knots: all n, or, for a compactly supported kernel and quasi-uniform
-    knots, the (1 - tmin)/2 of them that its support cap covers (at least 1)."""
-    tmin = kernel.support_tmin
-    return n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
-
-
-def _screen(block, knots, tmin):
-    """(i, j): the pairs of ``block`` rows and ``knots`` whose inner product
-    by matmul exceeds ``tmin - SCREEN_MARGIN``, a superset of those whose
-    ``sum(p * r)`` exceeds tmin.  The matmul runs over chunks of rows of
-    ``BLOCK_ENTRIES`` products each, so its temporaries stay bounded."""
-    size = max(1, BLOCK_ENTRIES // len(knots))
-    starts = range(0, len(block), size)
-    pairs = [np.nonzero(block[lo : lo + size] @ knots.T > tmin - SCREEN_MARGIN)
-             for lo in starts]
-    return (np.concatenate([i + lo for lo, (i, _) in zip(starts, pairs)]),
-            np.concatenate([j for _, j in pairs]))
+        i, j = np.nonzero(t > tmin)
+        yield rows, sparse.csr_matrix((kernel(t[i, j]), (i, j)), shape=t.shape)
 
 
 def assemble_gram(kernel, functionals, knots):
@@ -287,7 +256,7 @@ def spectral_norm(G):
     ``eigvalsh`` eigenvalue of the smaller Gram, A A^T or A^T A, formed by
     BLAS or by a sparse product: a deterministic value, the same on every
     call at a fixed BLAS thread count.  Otherwise it is one Lanczos call on
-    A's products (ARPACK through ``svds``, which loads scipy.sparse.linalg,
+    A's CSR (ARPACK through ``svds``, which loads scipy.sparse.linalg,
     ``tol=0``, from the fixed start vector of ones);
     on a degenerate spectrum that start vector can be an eigenvector, and
     ARPACK then restarts from its own random state, which other ``svds``
@@ -300,7 +269,7 @@ def spectral_norm(G):
     Raises
     ------
     ValueError
-        All-zero matrix.
+        All-zero matrix, or a norm past the largest float.
     """
     if G.spectral_norm_cache is not None:
         return G.spectral_norm_cache
@@ -310,13 +279,14 @@ def spectral_norm(G):
     if takes_dense_norm(G):
         norm = math.sqrt(max(float(np.linalg.eigvalsh(_smaller_gram(G, e))[-1]), 0.0))
     else:
-        from scipy.sparse.linalg import LinearOperator, svds
+        from scipy.sparse.linalg import svds
 
-        S = GramMatrix(_scaled_csr(G, e))
-        op = LinearOperator(S.shape, matvec=S.matvec, rmatvec=S.rmatvec, dtype=float)
-        norm = float(svds(op, k=1, tol=0, v0=np.ones(min(G.shape)),
+        norm = float(svds(_scaled_csr(G, e), k=1, tol=0, v0=np.ones(min(G.shape)),
                           return_singular_vectors=False)[0])
-    norm = n = float(np.ldexp(norm, e))
+    try:
+        norm = n = math.ldexp(norm, e)
+    except OverflowError:
+        raise ValueError("spectral norm overflows the largest float") from None
     for _ in range(COUPLING_ULPS + 1):
         if (1.0 / n) * (1.0 / n) * (n * n) == 1.0:
             norm = n

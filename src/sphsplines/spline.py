@@ -1,10 +1,10 @@
 """Spherical spline fields: the kernel expansion, fast evaluation, and norms.
 
 A field is a finite kernel expansion ``f(r) = sum_n x_n psi(<r, r_n>)`` over
-lattice knots.  Evaluation visits only in-support knots for compactly
-supported kernels (the evaluator the Gram assembly uses); the naive full sum
-is the correctness oracle.  A `RasterGrid` keeps the kernel blocks of its
-cells, so the fields of a sweep evaluate there by products alone.
+lattice knots.  Evaluation multiplies the Gram assembly's kernel blocks,
+in-support pairs only for compactly supported kernels; the naive full sum is
+the correctness oracle.  A `RasterGrid` keeps the kernel blocks of its cells,
+so the fields of a sweep evaluate there by products alone.
 """
 
 import math
@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .gram import kernel_blocks, row_entries
+from .gram import kernel_blocks
 from .sphere import (
     BLOCK_ENTRIES,
     KnotSet,
@@ -74,6 +74,14 @@ def evaluate(field, targets):
     return float(out[0]) if t_in.ndim == 1 else out
 
 
+def row_entries(kernel, n):
+    """The values a row of `gram.kernel_blocks` is expected to hold against
+    n knots: all n, or, for a compactly supported kernel and quasi-uniform
+    knots, the (1 - tmin)/2 of them that its support cap covers (at least 1)."""
+    tmin = kernel.support_tmin
+    return n if tmin is None else max(1.0, 0.5 * (1.0 - tmin) * n)
+
+
 def block_products(blocks, coeffs, size):
     """The (size,) values ``block @ coeffs`` of the ``(rows, block)`` pairs
     of a kernel matrix, as `gram.kernel_blocks` yields them or a stored
@@ -93,7 +101,7 @@ class RasterGrid:
     The grid builds its cells' directions when made.  The first `values`
     call multiplies each kernel block of the cells against the knots into
     its coefficients, keeping the blocks while they hold at most
-    RASTER_ENTRIES values (none when `gram.row_entries` expects more).  A
+    RASTER_ENTRIES values (none when `row_entries` expects more).  A
     later call multiplies the kept blocks, or streams them again when they
     were over the cap; the values are the bits of `evaluate` either way.
     ``record`` says which: ``{"stored": kept, "entries": values per call}``.

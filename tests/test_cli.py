@@ -174,8 +174,8 @@ def _cli_at_one_thread(*argv):
 # sha256 of the tables a KL/PDS run on synthetic Wendland patch counts
 # writes at one BLAS thread; a change means the bytes changed
 PATCH_RUN_SHA256 = {
-    "coefficients.csv": "05d4f6939d510bbb90526c40a4be1e484a080243f60a6fe80716cb92a12d43cc",
-    "trace.csv": "b7c88693163294ab10ef811c9191fc044b4d7e47e2d7714c7b24b8209081c125",
+    "coefficients.csv": "f4ba8325f5079f17e79d95fdfab672ab52a277c932e3db6814cf80af087959ae",
+    "trace.csv": "c8a7859e120688099c331d9d5508bd40d89dd8384e1340e574e0f69149eed2e1",
 }
 
 
@@ -211,34 +211,33 @@ def test_a_header_only_measurement_file_fails_naming_it(tmp_path, capsys, source
     assert sorted(os.listdir(tmp_path)) == ["empty.csv", "run.json"]
 
 
-# sha256 of the tables a Wendland lambda sweep writes at one BLAS thread,
-# recorded before a sweep kept its raster's kernel blocks; a change means
-# the bytes changed
+# sha256 of the tables a Wendland lambda sweep writes at one BLAS thread;
+# a change means the bytes changed
 WENDLAND_SWEEP_SHA256 = {
-    "lambda_00/coefficients.csv": "bfc9c85b9733a292013f74d92eb80e9730607f25ac2dfedec8e7cd36ed0eff1d",
-    "lambda_00/trace.csv": "a465c82b83afeeab3e4a645830241253d881dabfca9f5f9d98917c0783f13700",
-    "lambda_00/r.csv": "02ce6b75a12789cf8d17b664ccd13e95b3a99ccd292ccd8b0528c0ba218e19e0",
-    "lambda_01/coefficients.csv": "698a7420da5630807186477b25560b73b249e0772615be988076225b115b7563",
-    "lambda_01/trace.csv": "b5dcf66c56fb7eecef731f26a9e8a638f62fed8073a028626dac1d345f432e2b",
-    "lambda_01/r.csv": "1745e923c08a6061cec883f61183141dec50a45df88c5052bb4c9c92ed690105",
-    "lambda_02/coefficients.csv": "dec387e02277cd848dd95880620ab36c50f3326438e245ebaa04a32b180f2227",
-    "lambda_02/trace.csv": "fbde90ebc7da093fa4b9a7ede8e5ca94b29e7a4fa84da8000acc5bcbe7588eff",
-    "lambda_02/r.csv": "640d17dc56f45b42972792fcef0e4a0b1b0a125254d4ae01f24417a42a032552",
+    "lambda_00/coefficients.csv": "094534311623d2ce83fffd024d42bfb45197ea90c6dc614ee8112a14929a0bd1",
+    "lambda_00/trace.csv": "e2204f630172d5b781560e3f64dfaf4c4cf5e0034bc3345980da80f68a1db069",
+    "lambda_00/r.csv": "c38c913041586c7bc66a2a4d06cbe22ef17527381312e2c6d0aac42922715de4",
+    "lambda_01/coefficients.csv": "a78309c04d674afe60dc8f746ddee73f4646c64272280bc3105343944e0c4768",
+    "lambda_01/trace.csv": "1cd901a1dc9638dc63f57d717ab2e2cb15f947ab4659a657c760573aa3a03bae",
+    "lambda_01/r.csv": "0a3839230c0821a4900cd871606afe078b8d630bd225aa07eca8c646e93b01a6",
+    "lambda_02/coefficients.csv": "ea4cd3243f61e5317105c1becf51da7176267b2a41cf979b1c559bb85fea1985",
+    "lambda_02/trace.csv": "2925257badc1129e034591a0b3b9ba93fd7ff26859a1dc0ad69dca514701058e",
+    "lambda_02/r.csv": "439505c83eee054784ebcd4c5d073bc65ffe69f1c1d582f38a72172d90f91320",
 }
 
 
 def test_wendland_sweep_table_bytes_are_pinned(tmp_path):
     # three APGD points share one setup; the 64 x 144 raster's 9,216 cells
-    # span two CSR blocks of the Wendland kernel against the 120 knots,
-    # which the sweep builds once and every point multiplies into its
-    # coefficients.  The run goes in a process held at one BLAS thread.
+    # span five CSR blocks of 2,184 rows of the Wendland kernel against the
+    # 120 knots, which the sweep builds once and every point multiplies into
+    # its coefficients.  The run goes in a process held at one BLAS thread.
     kernel = {"family": "wendland", "k": 1, "epsilon": 1.0}
     raster = {"n_lat": 64, "n_lon": 144, "path": "r.csv"}
     lon, lat = np.meshgrid(-180.0 + (np.arange(144) + 0.5) * 2.5,
                            -90.0 + (np.arange(64) + 0.5) * (180.0 / 64))
     cells = direction_from_lonlat(lon.ravel(), lat.ravel())
     blocks = kernel_blocks(wendland_zonal(3, 1, 1.0), cells, fibonacci_lattice(120).points)
-    assert len(list(blocks)) == 2
+    assert len(list(blocks)) == 5
     cfg_path = tmp_path / "run.json"
     _write_config(cfg_path, tmp_path / "out", kernel=kernel, knots={"fibonacci": 120},
                   sampling={"synthetic": {"kind": "scatter", "bumps": 4,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sphsplines.gram import (
     spectral_norm,
 )
 from sphsplines.kernels import ZonalKernel, matern_zonal, self_convolve, wendland_zonal
-from sphsplines.prox import LeastSquares
+from sphsplines.prox import ExactMatch, LeastSquares
 from sphsplines.solvers import SolverConfig, apgd_solve, pds_solve
 from sphsplines.sphere import (
     KnotSet,
@@ -215,37 +216,19 @@ def test_assemble_across_blocks_matches_stacked_halves(kern, monkeypatch):
     assert np.abs(G.data - halves.data).max() <= 1e-15 * np.abs(halves.data).max()
 
 
-def _kd_tree_blocks(kernel, points, knots, spans):
-    """The CSR blocks of the kd-tree pair search kernel_blocks ran before,
-    over the same row spans: a chord query, its radius padded so that
-    rounding near the support edge drops no pair, then ``t > support_tmin``
-    on ``t = sum(p * r)``."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(knots)
-    radius = math.sqrt(2.0 - 2.0 * kernel.support_tmin) + 1e-9
-    for rows in spans:
-        block = points[rows]
-        pairs = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
-        i, j = pairs["i"], pairs["j"]
-        t = np.sum(block[i] * knots[j], axis=1)
-        inside = t > kernel.support_tmin
-        yield sparse.csr_matrix((kernel(t[inside]), (i[inside], j[inside])),
-                                shape=(len(block), len(knots)))
-
-
 def _unit(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def _edge_pairs(tmin, count, seed):
-    """(points, knots): point l at an angle from knot l within a few 1e-16
-    of arccos(tmin), so ``sum(p * r)`` lands within a few ulps of tmin."""
+    """(points, knots): point l at an angle from knot l within 4e-15 of
+    arccos(tmin), so ``<p, r>`` lands within some tens of ulps of tmin, on
+    both sides, a third of the pairs within 4 ulps."""
     rng = np.random.default_rng(seed)
     knots = _unit(rng.standard_normal((count, 3)))
     u = rng.standard_normal((count, 3))
     u = _unit(u - np.sum(u * knots, axis=1, keepdims=True) * knots)
-    theta = math.acos(tmin) + rng.integers(-6, 7, count) * 1e-16
+    theta = math.acos(tmin) + rng.integers(-40, 41, count) * 1e-16
     return np.cos(theta)[:, None] * knots + np.sin(theta)[:, None] * u, knots
 
 
@@ -264,30 +247,47 @@ def _pair_sets(name, tmin):
     return _edge_pairs(tmin, 600, 5)
 
 
+def _exact_inner(p, r):
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(p, r))
+
+
 @pytest.mark.parametrize("block_entries", [gram.BLOCK_ENTRIES, 3000], ids=["default", "small"])
 @pytest.mark.parametrize("name", ["random", "fibonacci", "ring", "edge"])
-def test_kernel_blocks_are_bitwise_the_kd_tree_blocks(name, block_entries, monkeypatch):
-    # the matmul screen keeps the block spans and finds every pair the
-    # kd-tree search found, so the CSR blocks keep their bits
+def test_kernel_blocks_take_t_from_one_matmul_per_block(name, block_entries, monkeypatch):
+    # each block of BLOCK_ENTRIES // N rows is the kernel at the inner
+    # products T of one matmul, kept where T > tmin; against the exact
+    # inner product, no pair more than 4 ulps from the edge is misplaced
     monkeypatch.setattr(gram, "BLOCK_ENTRIES", block_entries)
     kern = wendland_zonal(3, 1, 0.3)
     tmin = kern.support_tmin
     points, knots = _pair_sets(name, tmin)
-    if name == "edge":  # planted pairs on both sides of the support edge
-        t = np.sum(points * knots, axis=1)
-        ulp = np.spacing(tmin)
-        assert np.sum((t > tmin) & (t <= tmin + 4 * ulp)) >= 20
-        assert np.sum((t <= tmin) & (t >= tmin - 4 * ulp)) >= 20
     blocks = list(gram.kernel_blocks(kern, points, knots))
-    if block_entries == 3000:  # several blocks, each screened in several chunks
+    step = max(1, block_entries // len(knots))
+    assert [rows for rows, _ in blocks] == [
+        slice(lo, min(lo + step, len(points))) for lo in range(0, len(points), step)]
+    if block_entries == 3000:
         assert len(blocks) > 1
     assert sum(B.nnz for _, B in blocks) > 0
-    oracle = _kd_tree_blocks(kern, points, knots, [rows for rows, _ in blocks])
-    for (rows, B), O in zip(blocks, oracle):
-        assert B.shape == O.shape == (rows.stop - rows.start, len(knots))
-        assert B.has_canonical_format and O.has_canonical_format
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(B, attr).tobytes() == getattr(O, attr).tobytes()
+    ulp = Fraction(np.spacing(tmin))
+    above, below = Fraction(tmin) + 4 * ulp, Fraction(tmin) - 4 * ulp
+    sides = []
+    for rows, B in blocks:
+        T = points[rows] @ knots.T
+        assert sparse.isspmatrix_csr(B) and B.has_canonical_format
+        stored = np.zeros(B.shape, dtype=bool)
+        stored[np.repeat(np.arange(B.shape[0]), np.diff(B.indptr)), B.indices] = True
+        assert np.array_equal(stored, T > tmin)
+        expected = kern(T)
+        expected[T <= tmin] = 0.0
+        assert B.toarray().tobytes() == expected.tobytes()
+        if name == "edge":  # a matmul's T lies within 4e-16 of the exact value
+            for i, j in zip(*np.nonzero(np.abs(T - tmin) < 1e-12)):
+                exact = _exact_inner(points[rows][i], knots[j])
+                if exact > above or exact < below:
+                    assert stored[i, j] == (exact > above)
+                    sides.append(exact > above)
+    if name == "edge":  # planted pairs beyond 4 ulps on both sides
+        assert sides.count(True) >= 20 and sides.count(False) >= 20
 
 
 def test_assemble_rejects_rough_kernel_for_diracs():
@@ -429,6 +429,28 @@ def test_spectral_norm_holds_at_scales_whose_squares_leave_the_floats(name):
     assert gram.takes_dense_norm(G) == (name != "tiny Lanczos diagonal")
     np.testing.assert_allclose(spectral_norm(G), np.linalg.norm(G.toarray(), 2),
                                rtol=1e-13)
+
+
+def test_spectral_norm_rejects_a_norm_past_the_largest_float():
+    # every entry is finite, the norm sqrt(3) * 1.7e308 is not: the norm
+    # raises naming the overflow and caches nothing
+    G = GramMatrix(np.full((1, 3), 1.7e308))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="spectral norm overflows"):
+            spectral_norm(G)
+        assert G.spectral_norm_cache is None
+
+
+@pytest.mark.parametrize("solve, model", [(pds_solve, ExactMatch(np.array([1.0]))),
+                                          (pds_solve, LeastSquares(np.array([1.0]))),
+                                          (apgd_solve, LeastSquares(np.array([1.0])))],
+                         ids=["pds-exact", "pds-ls", "apgd-ls"])
+def test_solvers_reject_a_gram_whose_norm_overflows(solve, model):
+    # the steps would be 1/inf = 0: an exact-match PDS run stopped at x = 0
+    # as converged, a least-squares one divided by zero in its conjugate prox
+    G = GramMatrix(np.full((1, 3), 1.7e308))
+    with pytest.raises(ValueError, match="spectral norm overflows"):
+        solve(G, model, SolverConfig(0.1))
 
 
 def test_spectral_norm_is_one_value_whatever_ran_before_it():

@@ -24,7 +24,7 @@ def test_compare_lists_each_differing_csv_with_the_size_of_its_change(tmp_path):
     # the last column moves by at most 3e-13 where the parent's largest
     # finite magnitude is 4, so the size is 7.5e-14; equal infinities and the
     # other columns do not count, a CSV whose row count moved says so, and
-    # a manifest that differs is named
+    # a manifest that differs is named with the fields that differ
     same_bytes = _tool()
     manifest = json.dumps({"iterations": 3, "converged": False})
     parent = {"coefficients.csv": "index,coeff\n0,1.5\n1,-4\n2,inf\n",
@@ -42,5 +42,6 @@ def test_compare_lists_each_differing_csv_with_the_size_of_its_change(tmp_path):
     _write(tmp_path / "change", {"lambda_00/manifest.json": json.dumps(
         {"iterations": 4, "converged": False})})
     assert same_bytes.compare(tmp_path / "parent", tmp_path / "change") == [
-        "coefficients.csv (7.5e-14 of the largest)", os.path.join("lambda_00", "manifest.json"),
+        "coefficients.csv (7.5e-14 of the largest)",
+        os.path.join("lambda_00", "manifest.json") + " (iterations)",
         "trace.csv (2 -> 1 rows)"]

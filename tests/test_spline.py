@@ -237,7 +237,7 @@ def test_raster_grid_drops_its_blocks_past_the_cap(monkeypatch):
     phi = n * np.pi * (3.0 - np.sqrt(5.0))
     rho = np.sqrt(1.0 - z * z)
     knots = KnotSet(np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z]))
-    monkeypatch.setattr(spline, "RASTER_ENTRIES", int(2 * 1800 * gram.row_entries(kernel, 400)))
+    monkeypatch.setattr(spline, "RASTER_ENTRIES", int(2 * 1800 * spline.row_entries(kernel, 400)))
     grid = RasterGrid(30, 60, kernel, knots)
     coeffs = np.random.default_rng(5).standard_normal(400)
     first, second = grid.values(coeffs), grid.values(coeffs)

@@ -7,7 +7,8 @@ seed; each tree's CLI (its ``src/``, one BLAS thread) runs the workload on them.
 The sha256 of every CSV written and the manifests' FIELDS must agree: the exit
 status is 1 if any differ.  Each CSV that differs is listed with the size of
 its change: the largest absolute change of its last column, divided by the
-parent's largest finite magnitude there.
+parent's largest finite magnitude there; each manifest that differs, with the
+FIELDS that differ.
 """
 
 import argparse
@@ -33,7 +34,8 @@ def run(root, argv, out_dir):
 
 
 def outputs(out_dir):
-    """{path under out_dir: a CSV's sha256 or a manifest's FIELDS}."""
+    """{path under out_dir: a CSV's sha256 or {field: value} of a
+    manifest's FIELDS}."""
     found = {}
     for directory, _, names in os.walk(out_dir):
         for name in names:
@@ -42,8 +44,9 @@ def outputs(out_dir):
             key = os.path.relpath(os.path.join(directory, name), out_dir)
             if name.endswith(".csv"):
                 found[key] = hashlib.sha256(data).hexdigest()
-            else:  # the manifest; JSON text, so that NaN equals NaN
-                found[key] = json.dumps(list(map(json.loads(data).get, FIELDS)))
+            else:  # the manifest; values as JSON text, so that NaN equals NaN
+                manifest = json.loads(data)
+                found[key] = {field: json.dumps(manifest.get(field)) for field in FIELDS}
     return found
 
 
@@ -67,11 +70,21 @@ def change_size(parent_csv, change_csv):
 
 def compare(parent_dir, change_dir):
     """The paths under the two output directories whose outputs differ,
-    sorted, each CSV with its `change_size`."""
+    sorted, each CSV with its `change_size` and each manifest with the
+    FIELDS that differ, by name."""
     parent, change = outputs(parent_dir), outputs(change_dir)
     bad = sorted(k for k in parent.keys() | change.keys() if parent.get(k) != change.get(k))
-    return ["%s (%s)" % (k, change_size(os.path.join(parent_dir, k), os.path.join(change_dir, k)))
-            if k.endswith(".csv") and k in parent and k in change else k for k in bad]
+    listed = []
+    for k in bad:
+        if k not in parent or k not in change:
+            listed.append(k)
+        elif k.endswith(".csv"):
+            listed.append("%s (%s)" % (k, change_size(os.path.join(parent_dir, k),
+                                                      os.path.join(change_dir, k))))
+        else:
+            listed.append("%s (%s)" % (k, ", ".join(
+                f for f in sorted(FIELDS) if parent[k][f] != change[k][f])))
+    return listed
 
 
 def main():
