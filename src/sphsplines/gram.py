@@ -1,4 +1,4 @@
-"""Sampling functionals and sparse system-matrix assembly.
+"""Sampling functionals and system-matrix assembly.
 
 A measurement couples the unknown field to the spline expansion through the
 rows ``G[l, n] = (functional l applied to psi(<., r_n>))``.  Every functional
@@ -9,18 +9,19 @@ kernel at (point, knot) pairs.  Each block of points takes its inner
 products from one matmul against the knots; a compactly supported kernel
 keeps the pairs inside its support, so no spatial index is built.
 
-`GramMatrix` applies G and G^T with the sparse kernels scipy's ``@`` ends
-in, called directly, or by dense BLAS products where a dense copy of G is
-no larger than its CSR arrays: each product pays for its arithmetic and one
-shape check, not for the operator dispatch or for indexing a matrix with
-no zeros.
+`GramMatrix` applies G and G^T by dense BLAS products where a dense array of
+G is no larger than its CSR arrays, and otherwise by the sparse kernels
+scipy's ``@`` ends in, called directly: each product pays for its
+arithmetic and one shape check, not for the operator dispatch or for
+indexing a matrix with no zeros.  scipy.sparse is imported only where a
+sparse array is built or multiplied, so a run whose G is dense (point
+samples under a global kernel) never loads it.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .legendre import gauss_legendre
 from .pdo import check_compatibility
@@ -95,33 +96,58 @@ class PatchFunctional:
 
 
 class GramMatrix:
-    """Immutable sparse system matrix in both orientations, with a
-    spectral-norm cache.
+    """Immutable system matrix in both orientations, with a spectral-norm
+    cache.
 
-    ``matrix`` is G in CSR form and ``matrix_t`` is G^T, built once here as
-    the CSC view over the same data, index and pointer arrays: it costs no
-    memory, gives the bytes of ``matrix.T @ y``, and spares every product
-    G^T y the building of a new transpose.  ``dense`` is a C-contiguous
-    copy of G when its 8 L N bytes are no more than the CSR's data, index
-    and pointer arrays hold (a G with no zeros, as global kernels give),
-    and None otherwise, so G's memory at most doubles.  `matvec` and
-    `rmatvec` check the operand's shape, then give ``np.dot(dense, x)`` and
-    ``np.dot(dense.T, y)`` when the copy exists, and otherwise the bytes of
+    G is stored dense where its 8 L N bytes are no more than its CSR's data,
+    index and pointer arrays would hold, at the index width scipy picks (a
+    G with no zeros, as global kernels give), and sparse otherwise, so G's
+    memory is the smaller of the two.  ``dense`` is then a C-contiguous
+    float64 array of G and ``dense_t`` its transpose view, or both are
+    None.  ``matrix`` is G in CSR form and ``matrix_t`` is G^T, the CSC view
+    over the same data, index and pointer arrays: it costs no memory, gives
+    the bytes of ``matrix.T @ y``, and spares every product G^T y the
+    building of a new transpose.  A sparse G builds both here; a dense G
+    builds them, and imports scipy.sparse, on their first read.  `matvec`
+    and `rmatvec` check the operand's shape, then give ``np.dot(dense, x)``
+    and ``np.dot(dense.T, y)`` for a dense G, and otherwise the bytes of
     ``matrix @ x`` and ``matrix.T @ y``, by the same ``csr_matvec`` /
-    ``csc_matvec`` kernel into a fresh zeroed output.
+    ``csc_matvec`` kernel, bound here, into a fresh zeroed output.
 
     Parameters
     ----------
     matrix : scipy sparse or dense array, shape (L, N)
         One row per sampling functional, one column per knot.  Entries must
-        be real and finite, and are stored as float64; stored zeros are
-        dropped, so ``nnz`` counts values, and column indices are kept
-        sorted within each row.
+        be real and finite, and are stored as float64 with -0.0 as 0.0;
+        stored zeros are dropped, so ``nnz`` counts values, and column
+        indices are kept sorted within each row.
     """
 
     def __init__(self, matrix):
+        if np.iscomplexobj(matrix):
+            raise ValueError("Gram entries must be real")
+        self.spectral_norm_cache = None
+        if not hasattr(matrix, "tocsr"):  # dense: scipy sparse arrays have it
+            # one float64 copy, the caller's array stays as given; adding
+            # 0.0 turns -0.0 into 0.0, as the CSR's dropped zeros read
+            D = np.array(matrix, dtype=float, order="C", ndmin=2)
+            D += 0.0
+            if D.ndim != 2:
+                raise ValueError("a Gram matrix has 2 dimensions, not %d" % D.ndim)
+            if not np.all(np.isfinite(D)):
+                raise ValueError("Gram entries must be finite")
+            self.shape = L, N = D.shape
+            self.nnz = int(np.count_nonzero(D))
+            index_bytes = 4 if max(L, N, self.nnz) <= np.iinfo(np.int32).max else 8
+            if 8 * L * N <= (8 + index_bytes) * self.nnz + index_bytes * (L + 1):
+                self.dense, self.dense_t = D, D.T
+                return
+            matrix = D
+        from scipy import sparse
+        from scipy.sparse import _sparsetools
+
         # float64 entries: the kernels of `matvec`/`rmatvec` see one dtype,
-        # whatever the input's; the caller's arrays stay as given
+        # whatever the input's
         csr = sparse.csr_matrix(matrix, dtype=float, copy=True)
         csr.eliminate_zeros()
         csr.sort_indices()
@@ -130,29 +156,42 @@ class GramMatrix:
         self.matrix = csr
         self.matrix_t = csr.T
         self.shape = csr.shape
+        self.nnz = csr.nnz
         csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
         self.dense = csr.toarray() if 8 * csr.shape[0] * csr.shape[1] <= csr_bytes else None
         self.dense_t = None if self.dense is None else self.dense.T
-        self.spectral_norm_cache = None
+        self._csr_matvec, self._csc_matvec = _sparsetools.csr_matvec, _sparsetools.csc_matvec
+
+    @functools.cached_property
+    def matrix(self):
+        from scipy import sparse
+
+        return sparse.csr_matrix(self.dense)
+
+    @functools.cached_property
+    def matrix_t(self):
+        return self.matrix.T
 
     def matvec(self, x):
         """G x for a real x of shape (N,) or (N, 1); the result has x's ndim."""
-        return _product(_sparsetools.csr_matvec, self.matrix, self.dense, x)
+        x = _operand(x, self.shape[1])
+        if self.dense is not None:
+            return np.dot(self.dense, x)
+        return _sparse_product(self._csr_matvec, self.matrix, x)
 
     def rmatvec(self, y):
         """G^T y for a real y of shape (L,) or (L, 1); the result has y's ndim."""
-        return _product(_sparsetools.csc_matvec, self.matrix_t, self.dense_t, y)
+        y = _operand(y, self.shape[0])
+        if self.dense_t is not None:
+            return np.dot(self.dense_t, y)
+        return _sparse_product(self._csc_matvec, self.matrix_t, y)
 
     def toarray(self):
-        return self.matrix.toarray()
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
+        return self.matrix.toarray() if self.dense is None else self.dense.copy()
 
     @property
     def density(self):
-        return self.matrix.nnz / (self.shape[0] * self.shape[1])
+        return self.nnz / (self.shape[0] * self.shape[1])
 
     def __repr__(self):
         return "GramMatrix(%d x %d, %d nonzero)" % (
@@ -160,18 +199,19 @@ class GramMatrix:
         )
 
 
-def _product(kernel, A, D, x):
-    """``A @ x`` for x of shape (n,) or (n, 1) with n = A's columns: by
-    ``np.dot`` with D, A's dense copy, or, with D None, by the sparsetools
-    ``kernel`` of A's format.  Any other shape raises ValueError before
-    either, since the kernel reads x unchecked."""
+def _operand(x, n):
+    """x as a float array of shape (n,) or (n, 1); any other shape raises
+    ValueError, since the sparse kernels read their input unchecked."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (n,) and x.shape != (n, 1):
+        raise ValueError("operand of shape %s does not match %d columns" % (x.shape, n))
+    return x
+
+
+def _sparse_product(kernel, A, x):
+    """``A @ x`` by the sparsetools ``kernel`` of A's format, for an x that
+    `_operand` checked against A's columns."""
     rows, cols = A.shape
-    if x.shape != (cols,) and x.shape != (cols, 1):
-        raise ValueError("operand of shape %s does not match %d columns"
-                         % (x.shape, cols))
-    if D is not None:
-        return np.dot(D, x)
     out = np.zeros(rows)
     kernel(rows, cols, A.indptr, A.indices, A.data, x.ravel(), out)
     return out if x.ndim == 1 else out.reshape(rows, 1)
@@ -188,6 +228,8 @@ def kernel_blocks(kernel, points, knots):
     kernel gives the dense block psi(t).
     """
     tmin = kernel.support_tmin
+    if tmin is not None:
+        from scipy import sparse
     step = max(1, BLOCK_ENTRIES // len(knots))
     for lo in range(0, len(points), step):
         t = points[lo : lo + step] @ knots.T
@@ -204,11 +246,14 @@ def assemble_gram(kernel, functionals, knots):
 
     Each functional is a weighted quadrature over its ``nodes()``, so
     ``G = W . Psi``: W is the sparse functional-by-node weight matrix and
-    Psi the kernel at (node, knot) pairs from `kernel_blocks`.  Entries with
-    ``|value| <= 1e-12`` are omitted.  A row depends on its functional
-    alone, not on its position.  The kernel must be smooth enough for the
-    functional kinds present, as `pdo.check_compatibility` decides from its
-    order beta.  Kernels of unknown smoothness (``beta=None``) skip the check.
+    Psi the kernel at (node, knot) pairs from `kernel_blocks`.  When every
+    functional is one node of weight 1 (point samples), W is the identity
+    and G is Psi itself: the stacked blocks, a dense array for a global
+    kernel, CSR for a compact one.  Entries with ``|value| <= 1e-12`` are
+    omitted.  A row depends on its functional alone, not on its position.
+    The kernel must be smooth enough for the functional kinds present, as
+    `pdo.check_compatibility` decides from its order beta.  Kernels of
+    unknown smoothness (``beta=None``) skip the check.
 
     Raises
     ------
@@ -224,12 +269,24 @@ def assemble_gram(kernel, functionals, knots):
             check_compatibility(kernel.beta, kind)
     nodes, weights = zip(*(f.nodes() for f in functionals))
     starts = np.cumsum([0] + [w.size for w in weights])
-    W = sparse.csr_matrix(
-        (np.concatenate(weights), np.arange(starts[-1]), starts),
-        shape=(len(functionals), starts[-1]),
-    )
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    if starts[-1] == len(functionals) and np.all(weights == 1.0):  # W = I
+        blocks = [block for _, block in kernel_blocks(kernel, nodes, knots.points)]
+        if kernel.support_tmin is None:
+            G = np.concatenate(blocks)
+            G[np.abs(G) <= 1e-12] = 0.0
+        else:
+            from scipy import sparse
+
+            G = sparse.vstack(blocks, format="csr")
+            G.data[np.abs(G.data) <= 1e-12] = 0.0
+        return GramMatrix(G)
+    from scipy import sparse
+
+    W = sparse.csr_matrix((weights, np.arange(starts[-1]), starts),
+                          shape=(len(functionals), starts[-1]))
     rows, cols, vals = [], [], []
-    for span, block in kernel_blocks(kernel, np.concatenate(nodes), knots.points):
+    for span, block in kernel_blocks(kernel, nodes, knots.points):
         # functionals with nodes in this block; one split across two blocks
         # gets two partial rows, summed when the CSR matrix is built
         first = np.searchsorted(starts, span.start, side="right") - 1
@@ -275,7 +332,7 @@ def spectral_norm(G):
         return G.spectral_norm_cache
     if G.nnz == 0:
         raise ValueError("spectral norm of an all-zero matrix")
-    e = int(np.frexp(np.max(np.abs(G.matrix.data)))[1])
+    e = int(np.frexp(np.max(np.abs(G.matrix.data if G.dense is None else G.dense)))[1])
     if takes_dense_norm(G):
         norm = math.sqrt(max(float(np.linalg.eigvalsh(_smaller_gram(G, e))[-1]), 0.0))
     else:
@@ -317,6 +374,8 @@ def _smaller_gram(G, e):
     if G.dense is not None:
         D = np.ldexp(G.dense, -e)
         return np.dot(D, D.T) if G.shape[0] <= G.shape[1] else np.dot(D.T, D)
+    from scipy import sparse
+
     A = _scaled_csr(G, e)
     At = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape[::-1])
     return (A @ At if G.shape[0] <= G.shape[1] else At @ A).toarray()
@@ -324,6 +383,8 @@ def _smaller_gram(G, e):
 
 def _scaled_csr(G, e):
     """G's CSR times 2^-e, over G's index arrays."""
+    from scipy import sparse
+
     A = G.matrix
     return sparse.csr_matrix((np.ldexp(A.data, -e), A.indices, A.indptr), shape=A.shape)
 

@@ -534,7 +534,17 @@ def _timed(stages, name, fn, *args):
 
 
 def _peak_rss_mb():
-    """Peak resident set size of this process so far, in MB."""
+    """Peak resident set size of this process so far, in MB: the VmHWM line
+    of /proc/self/status, or ``ru_maxrss`` where there is none (macOS).
+    Linux carries ``ru_maxrss`` across exec, so there it would read the
+    launcher's peak when that is the larger."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # B / kB
 
@@ -562,8 +572,9 @@ class _Setup:
     (None with no raster), and the solve ``solver.kind`` names, bound to G and
     the cost model or to K: ``solve(point cfg)``, the ``system`` product behind
     ``data_misfit``, the ``residual``'s name and ``gram``, G's record or None.
-    A stage's seconds hold the imports its work makes: a Lanczos norm's
-    first load of scipy.sparse.linalg falls in ``spectral_norm``."""
+    A stage's seconds hold the imports its work makes: ``assemble`` holds
+    scipy.sparse's load when a sparse G is the run's first sparse work, and
+    ``spectral_norm`` a Lanczos norm's first load of scipy.sparse.linalg."""
 
     def __init__(self, cfg):
         started = time.perf_counter()

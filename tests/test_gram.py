@@ -290,6 +290,35 @@ def test_kernel_blocks_take_t_from_one_matmul_per_block(name, block_entries, mon
         assert sides.count(True) >= 20 and sides.count(False) >= 20
 
 
+@pytest.mark.parametrize("kern, dense", [(matern_zonal(2.5, 0.35), True),
+                                         (matern_zonal(2.5, 0.05), False),
+                                         (wendland_zonal(3, 1, 0.3), False)],
+                         ids=["matern", "matern-narrow", "wendland"])
+def test_point_sample_gram_is_bitwise_the_weighted_product(kern, dense, monkeypatch):
+    # point samples have W = I, so G is the stacked kernel blocks; it holds
+    # the bytes of the product W . Psi with |v| <= 1e-12 dropped, dense
+    # where that is no larger than the CSR: the wide Matern G, not the
+    # narrow one, whose tail falls below the cut, nor the Wendland one
+    monkeypatch.setattr(gram, "BLOCK_ENTRIES", 20000)  # several blocks
+    knots = fibonacci_lattice(400)
+    points = random_directions(300, 5)
+    blocks = [B for _, B in gram.kernel_blocks(kern, points, knots.points)]
+    assert len(blocks) > 1
+    Psi = np.vstack(blocks) if kern.support_tmin is None else sparse.vstack(blocks)
+    ref = sparse.csr_matrix(sparse.identity(300, format="csr") @ Psi)
+    small = np.abs(ref.data) <= 1e-12
+    ref.data[small] = 0.0
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    G = assemble_gram(kern, [DiracFunctional(p) for p in points], knots)
+    assert (G.dense is not None) == dense
+    if kern.support_tmin is None:  # the narrow Matern G is sparse by its cut tail
+        assert np.any(small) != dense
+    assert G.nnz == ref.nnz and G.toarray().tobytes() == ref.toarray().tobytes()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(G.matrix, name).tobytes() == getattr(ref, name).tobytes()
+
+
 def test_assemble_rejects_rough_kernel_for_diracs():
     # decay order 1.8 <= 2: too rough for point evaluation, fine for patches
     rough = ZonalKernel(lambda t: np.exp(t - 1.0), beta=0.9)
@@ -308,6 +337,31 @@ def test_assemble_empty_functionals_rejected():
 def test_gram_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         GramMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("form", ["list", "dense", "sparse"])
+def test_gram_matrix_rejects_complex_entries(form):
+    # an imaginary part is not dropped: a solve would run on another G
+    A = [[1 + 5j, 2], [0.5, 3j]]
+    A = {"list": A, "dense": np.array(A), "sparse": sparse.csr_matrix(A)}[form]
+    with pytest.raises(ValueError, match="Gram entries must be real"):
+        GramMatrix(A)
+
+
+def test_dense_gram_reads_no_csr():
+    # a G stored dense answers nnz, density, toarray, its norm and its
+    # products from the array; its CSR is built on a caller's first read,
+    # and -0.0 is stored as 0.0, as the CSR's dropped zero reads
+    G = GramMatrix(np.array([[-0.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    assert G.dense is not None and not np.signbit(G.dense[0, 0])
+    assert (G.nnz, G.density) == (5, 5 / 6)
+    assert G.toarray().tobytes() == G.dense.tobytes()
+    G.matvec(np.ones(3))
+    G.rmatvec(np.ones(2))
+    spectral_norm(G)
+    assert "matrix" not in vars(G) and "matrix_t" not in vars(G)
+    assert G.matrix.nnz == 5 and G.toarray().tobytes() == G.matrix.toarray().tobytes()
+    assert np.shares_memory(G.matrix_t.data, G.matrix.data)
 
 
 def test_patch_functional_order_validated():

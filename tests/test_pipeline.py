@@ -610,6 +610,73 @@ def test_runs_with_dense_norms_leave_scipy_linalg_and_arpack_unloaded(tmp_path):
     assert proc.stdout.split() == ["False"] * 14
 
 
+def test_runs_load_scipy_sparse_only_for_sparse_work(tmp_path):
+    # a dense G (point samples under a global kernel) and the direct solves
+    # are numpy's, so the CLI's import, a tikhonov run, an RKHS projection
+    # and Matern pds and apgd runs load no scipy module; a compact kernel's
+    # G and a patch run's W are sparse, and load scipy.sparse alone
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = ("import sys\n"
+            "import sphsplines.cli\n"
+            "from sphsplines import fibonacci_lattice, matern_zonal, rkhs_project\n"
+            "from sphsplines.pipeline import run_reconstruction\n"
+            "def loaded():\n"
+            "    names = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "    print(bool(names), *(m in names for m in\n"
+            "          ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')))\n"
+            "loaded()\n"
+            "def run(kernel, sampling, solver, cost='ls'):\n"
+            "    run_reconstruction({'kernel': kernel, 'knots': {'fibonacci': 20},\n"
+            "        'sampling': {'synthetic': sampling}, 'cost': {'kind': cost},\n"
+            "        'solver': solver, 'max_iter': 20, 'seed': 1,\n"
+            "        'outputs': {'directory': sys.argv[1]}})\n"
+            "    loaded()\n"
+            "matern = {'family': 'matern', 'beta': 2.5, 'epsilon': 0.35}\n"
+            "scatter = {'kind': 'scatter', 'samples': 30}\n"
+            "run(matern, scatter, {'kind': 'tikhonov', 'mu': 1e-3})\n"
+            "rkhs_project(matern_zonal(2.5, 0.35), fibonacci_lattice(20), [1.0] * 20)\n"
+            "loaded()\n"
+            "run(matern, scatter, {'kind': 'pds'})\n"
+            "run(matern, scatter, {'kind': 'apgd'})\n"
+            "run({'family': 'wendland', 'k': 1, 'epsilon': 0.5}, scatter, {'kind': 'pds'})\n"
+            "run(matern, {'kind': 'counts', 'grid': [4, 8]}, {'kind': 'pds'}, 'kl')\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # any scipy module, scipy.sparse, scipy.linalg, scipy.sparse.linalg:
+    # none after the import and each dense computation; after the Wendland
+    # run and the patch run, scipy.sparse alone of the three
+    assert [line.split() for line in proc.stdout.splitlines()] == (
+        [["False"] * 4] * 5 + [["True", "True", "False", "False"]] * 2)
+
+
+def test_manifest_peak_rss_is_the_runs_own(tmp_path):
+    # Linux carries ru_maxrss across exec, so a run launched by a process
+    # holding 256 MB read that process's peak; VmHWM is the run's own
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    run = ("import json, sys\n"
+           "from sphsplines.pipeline import run_reconstruction\n"
+           "manifest = run_reconstruction({'kernel': {'family': 'matern', 'beta': 2.5,\n"
+           "    'epsilon': 0.35}, 'knots': {'fibonacci': 20},\n"
+           "    'sampling': {'synthetic': {'kind': 'scatter', 'samples': 30}},\n"
+           "    'cost': {'kind': 'ls'}, 'solver': {'kind': 'pds'}, 'max_iter': 20,\n"
+           "    'seed': 1, 'outputs': {'directory': sys.argv[1]}})\n"
+           "print(json.load(open(manifest['outputs']['manifest']))['peak_rss_mb'])\n")
+    launcher = ("import resource, subprocess, sys\n"
+                "held = bytearray(256 << 20)\n"
+                "held[::4096] = b'x' * len(held[::4096])\n"
+                "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "print(peak / (1 << 20 if sys.platform == 'darwin' else 1 << 10))\n"
+                "sys.stdout.flush()\n"
+                "subprocess.run([sys.executable, '-c', sys.argv[1], sys.argv[2]], check=True)\n")
+    proc = subprocess.run([sys.executable, "-c", launcher, run, str(tmp_path)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    launcher_peak, run_peak = map(float, proc.stdout.split()[-2:])
+    assert launcher_peak > 256.0
+    assert 0.0 < run_peak < 0.6 * launcher_peak
+
+
 def test_manifest_records_the_stages_the_run_executes(tmp_path):
     raster = {"n_lat": 4, "n_lon": 8, "path": "r.csv"}
     cfg = _scatter_selftest_config(tmp_path / "pds", max_iter=50, eps_stop=1e-4)

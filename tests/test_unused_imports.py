@@ -66,8 +66,13 @@ def test_no_unused_imports(path):
 # function of None allows every place in every module
 THIRD_PARTY = {
     (None, None, "numpy"),
-    ("gram", "", "scipy.sparse"),
-    ("gram", "", "scipy.sparse._sparsetools"),
+    ("gram", "GramMatrix.__init__", "scipy.sparse"),
+    ("gram", "GramMatrix.__init__", "scipy.sparse._sparsetools"),
+    ("gram", "GramMatrix.matrix", "scipy.sparse"),
+    ("gram", "kernel_blocks", "scipy.sparse"),
+    ("gram", "assemble_gram", "scipy.sparse"),
+    ("gram", "_smaller_gram", "scipy.sparse"),
+    ("gram", "_scaled_csr", "scipy.sparse"),
     ("gram", "spectral_norm", "scipy.sparse.linalg"),
 }
 
