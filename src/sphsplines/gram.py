@@ -102,7 +102,7 @@ class GramMatrix:
     G is stored dense where its 8 L N bytes are no more than its CSR's data,
     index and pointer arrays would hold, at the index width scipy picks (a
     G with no zeros, as global kernels give), and sparse otherwise, so G's
-    memory is the smaller of the two.  ``dense`` is then a C-contiguous
+    memory is the smaller of the two, whichever form G is given in.  ``dense`` is then a C-contiguous
     float64 array of G and ``dense_t`` its transpose view, or both are
     None.  ``matrix`` is G in CSR form and ``matrix_t`` is G^T, the CSC view
     over the same data, index and pointer arrays: it costs no memory, gives
@@ -127,46 +127,36 @@ class GramMatrix:
         if np.iscomplexobj(matrix):
             raise ValueError("Gram entries must be real")
         self.spectral_norm_cache = None
-        if not hasattr(matrix, "tocsr"):  # dense: scipy sparse arrays have it
+        if hasattr(matrix, "tocsr"):  # scipy sparse arrays have it
+            csr = _canonical_csr(matrix)
+            self.shape, self.nnz = csr.shape, csr.nnz
+            index_bytes = csr.indices.itemsize
+        else:
             # one float64 copy, the caller's array stays as given; adding
             # 0.0 turns -0.0 into 0.0, as the CSR's dropped zeros read
-            D = np.array(matrix, dtype=float, order="C", ndmin=2)
+            csr, D = None, np.array(matrix, dtype=float, order="C", ndmin=2)
             D += 0.0
             if D.ndim != 2:
                 raise ValueError("a Gram matrix has 2 dimensions, not %d" % D.ndim)
             if not np.all(np.isfinite(D)):
                 raise ValueError("Gram entries must be finite")
-            self.shape = L, N = D.shape
-            self.nnz = int(np.count_nonzero(D))
-            index_bytes = 4 if max(L, N, self.nnz) <= np.iinfo(np.int32).max else 8
-            if 8 * L * N <= (8 + index_bytes) * self.nnz + index_bytes * (L + 1):
-                self.dense, self.dense_t = D, D.T
-                return
-            matrix = D
-        from scipy import sparse
+            self.shape, self.nnz = D.shape, int(np.count_nonzero(D))
+            # the index width scipy picks for this CSR
+            index_bytes = 4 if max(*D.shape, self.nnz) <= np.iinfo(np.int32).max else 8
+        if _dense_is_no_larger(*self.shape, self.nnz, index_bytes):
+            self.dense = D if csr is None else csr.toarray()
+            self.dense_t = self.dense.T
+            return
         from scipy.sparse import _sparsetools
 
-        # float64 entries: the kernels of `matvec`/`rmatvec` see one dtype,
-        # whatever the input's
-        csr = sparse.csr_matrix(matrix, dtype=float, copy=True)
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if csr.nnz and not np.all(np.isfinite(csr.data)):
-            raise ValueError("Gram entries must be finite")
-        self.matrix = csr
-        self.matrix_t = csr.T
-        self.shape = csr.shape
-        self.nnz = csr.nnz
-        csr_bytes = csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-        self.dense = csr.toarray() if 8 * csr.shape[0] * csr.shape[1] <= csr_bytes else None
-        self.dense_t = None if self.dense is None else self.dense.T
+        self.matrix = csr if csr is not None else _canonical_csr(D)
+        self.matrix_t = self.matrix.T
+        self.dense = self.dense_t = None
         self._csr_matvec, self._csc_matvec = _sparsetools.csr_matvec, _sparsetools.csc_matvec
 
     @functools.cached_property
     def matrix(self):
-        from scipy import sparse
-
-        return sparse.csr_matrix(self.dense)
+        return _canonical_csr(self.dense)
 
     @functools.cached_property
     def matrix_t(self):
@@ -197,6 +187,27 @@ class GramMatrix:
         return "GramMatrix(%d x %d, %d nonzero)" % (
             self.shape[0], self.shape[1], self.nnz,
         )
+
+
+def _dense_is_no_larger(L, N, nnz, index_bytes):
+    """Whether an L x N G's 8 L N dense bytes are no more than its CSR's:
+    nnz values and column indices, and L + 1 row pointers, at
+    ``index_bytes`` an index."""
+    return 8 * L * N <= (8 + index_bytes) * nnz + index_bytes * (L + 1)
+
+
+def _canonical_csr(matrix):
+    """``matrix`` as a float64 CSR, so the product kernels see one dtype,
+    with no stored zeros and sorted column indices; its entries must be
+    finite."""
+    from scipy import sparse
+
+    csr = sparse.csr_matrix(matrix, dtype=float, copy=True)
+    csr.eliminate_zeros()
+    csr.sort_indices()
+    if csr.nnz and not np.all(np.isfinite(csr.data)):
+        raise ValueError("Gram entries must be finite")
+    return csr
 
 
 def _operand(x, n):
@@ -246,11 +257,10 @@ def assemble_gram(kernel, functionals, knots):
 
     Each functional is a weighted quadrature over its ``nodes()``, so
     ``G = W . Psi``: W is the sparse functional-by-node weight matrix and
-    Psi the kernel at (node, knot) pairs from `kernel_blocks`.  When every
-    functional is one node of weight 1 (point samples), W is the identity
-    and G is Psi itself: the stacked blocks, a dense array for a global
-    kernel, CSR for a compact one.  Entries with ``|value| <= 1e-12`` are
-    omitted.  A row depends on its functional alone, not on its position.
+    Psi the kernel at (node, knot) pairs from `kernel_blocks`.  For point
+    samples under a global kernel W is the identity, and G is Psi itself,
+    the stacked dense blocks, with no sparse array built.  Entries with
+    ``|value| <= 1e-12`` are omitted.  A row depends on its functional alone, not on its position.
     The kernel must be smooth enough for the functional kinds present, as
     `pdo.check_compatibility` decides from its order beta.  Kernels of
     unknown smoothness (``beta=None``) skip the check.
@@ -270,16 +280,11 @@ def assemble_gram(kernel, functionals, knots):
     nodes, weights = zip(*(f.nodes() for f in functionals))
     starts = np.cumsum([0] + [w.size for w in weights])
     nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    if starts[-1] == len(functionals) and np.all(weights == 1.0):  # W = I
-        blocks = [block for _, block in kernel_blocks(kernel, nodes, knots.points)]
-        if kernel.support_tmin is None:
-            G = np.concatenate(blocks)
-            G[np.abs(G) <= 1e-12] = 0.0
-        else:
-            from scipy import sparse
-
-            G = sparse.vstack(blocks, format="csr")
-            G.data[np.abs(G.data) <= 1e-12] = 0.0
+    if kernel.support_tmin is None and starts[-1] == len(functionals) and np.all(weights == 1.0):
+        # point samples under a global kernel: W = I, and G is the stacked
+        # dense blocks, so no sparse array is built
+        G = np.concatenate([block for _, block in kernel_blocks(kernel, nodes, knots.points)])
+        G[np.abs(G) <= 1e-12] = 0.0
         return GramMatrix(G)
     from scipy import sparse
 

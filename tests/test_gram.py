@@ -295,10 +295,11 @@ def test_kernel_blocks_take_t_from_one_matmul_per_block(name, block_entries, mon
                                          (wendland_zonal(3, 1, 0.3), False)],
                          ids=["matern", "matern-narrow", "wendland"])
 def test_point_sample_gram_is_bitwise_the_weighted_product(kern, dense, monkeypatch):
-    # point samples have W = I, so G is the stacked kernel blocks; it holds
-    # the bytes of the product W . Psi with |v| <= 1e-12 dropped, dense
-    # where that is no larger than the CSR: the wide Matern G, not the
-    # narrow one, whose tail falls below the cut, nor the Wendland one
+    # point samples have W = I, so under a global kernel G is the stacked
+    # kernel blocks; every G holds the bytes of the product W . Psi with
+    # |v| <= 1e-12 dropped, dense where that is no larger than the CSR: the
+    # wide Matern G, not the narrow one, whose tail falls below the cut,
+    # nor the Wendland one
     monkeypatch.setattr(gram, "BLOCK_ENTRIES", 20000)  # several blocks
     knots = fibonacci_lattice(400)
     points = random_directions(300, 5)
@@ -348,11 +349,14 @@ def test_gram_matrix_rejects_complex_entries(form):
         GramMatrix(A)
 
 
-def test_dense_gram_reads_no_csr():
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+def test_dense_gram_reads_no_csr(form):
     # a G stored dense answers nnz, density, toarray, its norm and its
-    # products from the array; its CSR is built on a caller's first read,
-    # and -0.0 is stored as 0.0, as the CSR's dropped zero reads
-    G = GramMatrix(np.array([[-0.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    # products from the array, whichever form it was given in; its CSR is
+    # built on a caller's first read, and -0.0 is stored as 0.0, as the
+    # CSR's dropped zero reads
+    A = np.array([[-0.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    G = GramMatrix(A if form == "dense" else sparse.csr_matrix(A))
     assert G.dense is not None and not np.signbit(G.dense[0, 0])
     assert (G.nnz, G.density) == (5, 5 / 6)
     assert G.toarray().tobytes() == G.dense.tobytes()

@@ -66,9 +66,8 @@ def test_no_unused_imports(path):
 # function of None allows every place in every module
 THIRD_PARTY = {
     (None, None, "numpy"),
-    ("gram", "GramMatrix.__init__", "scipy.sparse"),
     ("gram", "GramMatrix.__init__", "scipy.sparse._sparsetools"),
-    ("gram", "GramMatrix.matrix", "scipy.sparse"),
+    ("gram", "_canonical_csr", "scipy.sparse"),
     ("gram", "kernel_blocks", "scipy.sparse"),
     ("gram", "assemble_gram", "scipy.sparse"),
     ("gram", "_smaller_gram", "scipy.sparse"),
