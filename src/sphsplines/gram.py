@@ -100,19 +100,20 @@ class GramMatrix:
     cache.
 
     G is stored dense where its 8 L N bytes are no more than its CSR's data,
-    index and pointer arrays would hold, at the index width scipy picks (a
-    G with no zeros, as global kernels give), and sparse otherwise, so G's
-    memory is the smaller of the two, whichever form G is given in.  ``dense`` is then a C-contiguous
-    float64 array of G and ``dense_t`` its transpose view, or both are
-    None.  ``matrix`` is G in CSR form and ``matrix_t`` is G^T, the CSC view
-    over the same data, index and pointer arrays: it costs no memory, gives
-    the bytes of ``matrix.T @ y``, and spares every product G^T y the
-    building of a new transpose.  A sparse G builds both here; a dense G
-    builds them, and imports scipy.sparse, on their first read.  `matvec`
-    and `rmatvec` check the operand's shape, then give ``np.dot(dense, x)``
-    and ``np.dot(dense.T, y)`` for a dense G, and otherwise the bytes of
-    ``matrix @ x`` and ``matrix.T @ y``, by the same ``csr_matvec`` /
-    ``csc_matvec`` kernel, bound here, into a fresh zeroed output.
+    index and pointer arrays would hold, at the index width scipy picks (a G
+    with no zeros, as global kernels give), and sparse otherwise, so G's
+    memory is the smaller of the two, whichever form G is given in.
+    ``dense`` is then a C-contiguous float64 array of G and ``dense_t`` its
+    transpose view, or both are None.  ``matrix`` is G in CSR form and
+    ``matrix_t`` is G^T, the CSC view over the same data, index and pointer
+    arrays: it costs no memory, gives the bytes of ``matrix.T @ y``, and
+    spares every product G^T y the building of a new transpose.  A sparse G
+    builds both here; a dense G builds them, and imports scipy.sparse, on
+    their first read.  `matvec` and `rmatvec` check the operand's shape,
+    then give ``np.dot(dense, x)`` and ``np.dot(dense.T, y)`` for a dense G,
+    and otherwise the bytes of ``matrix @ x`` and ``matrix.T @ y``, by the
+    same ``csr_matvec`` / ``csc_matvec`` kernel, bound here, into a fresh
+    zeroed output.
 
     Parameters
     ----------
@@ -260,10 +261,11 @@ def assemble_gram(kernel, functionals, knots):
     Psi the kernel at (node, knot) pairs from `kernel_blocks`.  For point
     samples under a global kernel W is the identity, and G is Psi itself,
     the stacked dense blocks, with no sparse array built.  Entries with
-    ``|value| <= 1e-12`` are omitted.  A row depends on its functional alone, not on its position.
-    The kernel must be smooth enough for the functional kinds present, as
-    `pdo.check_compatibility` decides from its order beta.  Kernels of
-    unknown smoothness (``beta=None``) skip the check.
+    ``|value| <= 1e-12`` are omitted.  A row depends on its functional
+    alone, not on its position.  The kernel must be smooth enough for the
+    functional kinds present, as `pdo.check_compatibility` decides from its
+    order beta.  Kernels of unknown smoothness (``beta=None``) skip the
+    check.
 
     Raises
     ------
